@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .complexfn import BranchedConstant, DomainError, gamma
+from .complexfn import TWO_PI, BranchedConstant, DomainError, gamma
 from .hurwitz import ZetaConfig, hurwitz_zeta, zeta_neg_int_oracle
 from .identities import (
     DEFAULT_A_GRID,
@@ -41,12 +41,10 @@ from .identities import (
     sweep,
     verify,
 )
-from .quad import QuadConfig, integrate_finite, integrate_semi_infinite
+from .quad import QuadConfig, QuadResult, integrate_finite, integrate_semi_infinite
 
 __all__ = ["CliInvocation", "CliParseError", "parse_complex", "parse_branched",
            "render_complex", "dumps_fixed", "build_parser", "run", "main", "entry"]
-
-TWO_PI = 2.0 * math.pi
 
 MAX_EVALS_ENV = "ZETAQUAD_MAX_EVALS"
 
@@ -182,36 +180,28 @@ def _complex_dict(z: complex) -> dict[str, float]:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _route_dict(result: QuadResult | complex) -> dict[str, Any]:
+    if not isinstance(result, QuadResult):
+        return {"value": _complex_dict(result)}
+    return {
+        "value": _complex_dict(result.value),
+        "err_estimate": result.err_estimate,
+        "n_evals": result.n_evals,
+        "converged": result.converged,
+    }
+
+
 def report_to_dict(rep: VerificationReport) -> dict[str, Any]:
-    d: dict[str, Any] = {
+    return {
         "case": {
             "k": _complex_dict(rep.case.k),
             "a": {"r": rep.case.a.r, "theta": rep.case.a.theta},
         },
-        "routes": {},
+        "routes": {name: _route_dict(r) for name, r in rep.routes.items()},
         "residuals": {k: float(v) for k, v in rep.residuals.items()},
         "verdict": rep.verdict,
         "notes": list(rep.notes),
     }
-    if rep.lhs is not None:
-        d["routes"]["lhs"] = {
-            "value": _complex_dict(rep.lhs.value),
-            "err_estimate": rep.lhs.err_estimate,
-            "n_evals": rep.lhs.n_evals,
-            "converged": rep.lhs.converged,
-        }
-    if rep.zeta_value is not None:
-        d["routes"]["zeta"] = {"value": _complex_dict(rep.zeta_value)}
-    if rep.series_value is not None:
-        d["routes"]["series"] = {"value": _complex_dict(rep.series_value)}
-    if rep.contour_value is not None:
-        d["routes"]["contour"] = {
-            "value": _complex_dict(rep.contour_value.value),
-            "err_estimate": rep.contour_value.err_estimate,
-            "n_evals": rep.contour_value.n_evals,
-            "converged": rep.contour_value.converged,
-        }
-    return d
 
 
 def reports_to_csv(reps: Sequence[VerificationReport]) -> str:
@@ -222,17 +212,9 @@ def reports_to_csv(reps: Sequence[VerificationReport]) -> str:
     for rep in reps:
         base = [_fmt(rep.case.k.real), _fmt(rep.case.k.imag),
                 _fmt(rep.case.a.r), _fmt(rep.case.a.theta)]
-        rows = []
-        if rep.lhs is not None:
-            rows.append(("lhs", rep.lhs.value, rep.lhs.err_estimate))
-        if rep.zeta_value is not None:
-            rows.append(("zeta", rep.zeta_value, 0.0))
-        if rep.series_value is not None:
-            rows.append(("series", rep.series_value, 0.0))
-        if rep.contour_value is not None:
-            rows.append(("contour", rep.contour_value.value,
-                         rep.contour_value.err_estimate))
-        for route, value, err in rows:
+        for route, r in rep.routes.items():
+            value, err = ((r.value, r.err_estimate) if isinstance(r, QuadResult)
+                          else (r, 0.0))
             w.writerow(base + [route, _fmt(value.real), _fmt(value.imag),
                                _fmt(err), rep.verdict])
     return buf.getvalue()

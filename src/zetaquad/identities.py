@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .complexfn import BranchedConstant, DomainError, complex_pow, gamma
+from .complexfn import TWO_PI, BranchedConstant, DomainError, complex_pow, gamma
 from .hurwitz import ConvergenceError, ZetaConfig, hurwitz_zeta
 from .quad import QuadConfig, QuadResult, integrate_semi_infinite
 
@@ -52,8 +52,6 @@ __all__ = [
     "verify",
     "sweep",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 CATALAN = 0.9159655941772190
 
@@ -91,14 +89,20 @@ class IdentityCase:
 
 @dataclass
 class VerificationReport:
+    """Per-route results in evaluation order: a quadrature route keeps its
+    QuadResult, a closed form its bare value."""
+
     case: IdentityCase
-    lhs: QuadResult | None = None
-    zeta_value: complex | None = None
-    series_value: complex | None = None
-    contour_value: QuadResult | None = None
+    routes: dict[str, QuadResult | complex] = field(default_factory=dict)
     residuals: dict[str, float] = field(default_factory=dict)
     verdict: str = "partial"
     notes: list[str] = field(default_factory=list)
+
+    # read-only views of the four verify routes
+    lhs = property(lambda self: self.routes.get("lhs"))
+    zeta_value = property(lambda self: self.routes.get("zeta"))
+    series_value = property(lambda self: self.routes.get("series"))
+    contour_value = property(lambda self: self.routes.get("contour"))
 
 
 @dataclass
@@ -122,8 +126,23 @@ def residual_ok(x: complex, y: complex, atol: float, rtol: float) -> bool:
     return abs(x - y) <= atol + rtol * max(abs(x), abs(y))
 
 
-def _is_integer(k: complex, tol: float = 1e-12) -> bool:
-    return abs(k.imag) <= tol and abs(k.real - round(k.real)) <= tol
+def _everywhere(k: complex) -> None:
+    """Region of a route that applies to every valid case."""
+    return None
+
+
+def _series_region(k: complex) -> str | None:
+    """Why the alternating series does not apply at k, or None."""
+    return "Re(k) >= 1" if k.real >= 1.0 else None
+
+
+def _contour_region(k: complex) -> str | None:
+    """Why the two-ray contour does not apply at k, or None."""
+    if k.real >= 1.0:
+        return "Re(k) >= 1"
+    if abs(k.imag) <= 1e-12 and abs(k.real - round(k.real)) <= 1e-12:
+        return "integer k"
+    return None
 
 
 def alternating_sum(term: Callable[[int], complex], rtol: float = 1e-13,
@@ -184,17 +203,23 @@ def integrand(y: float, k: complex, a: BranchedConstant) -> complex:
     return math.cos(2.0 * y) * complex_pow(z, k)
 
 
+def _half_sech(u: float) -> float:
+    """1 / (2 cosh u), or 0 for |u| > 700 where it underflows."""
+    au = abs(u)
+    if au > 700.0:
+        return 0.0
+    return math.exp(-au) / (1.0 + math.exp(-2.0 * au))
+
+
 def _u_integrand(k: complex, log_a: complex) -> Callable[[float], complex]:
     """Integrand of -tanh(u) (log a + u)^k / (2 cosh u) on the real u line."""
 
     def h(u: float) -> complex:
-        au = abs(u)
-        if au > 700.0:  # sech underflows; the power factor cannot rescue it
+        w = _half_sech(u)
+        if w == 0.0:  # the power factor cannot rescue an underflowed sech
             return 0j
-        e2 = math.exp(-2.0 * au)
-        inv_2cosh = math.exp(-au) / (1.0 + e2)
         z = complex(log_a.real + u, log_a.imag)
-        return -math.tanh(u) * complex_pow(z, k) * inv_2cosh
+        return -math.tanh(u) * complex_pow(z, k) * w
 
     return h
 
@@ -251,8 +276,9 @@ def rhs_series(case: IdentityCase, n_cap: int = 500) -> complex:
     analytically to k, so non-positive integer k needs no special casing.
     """
     k = complex(case.k)
-    if k.real >= 1.0:
-        raise RegionError("series route requires Re(k) < 1")
+    reason = _series_region(k)
+    if reason is not None:
+        raise RegionError(f"series route does not apply: {reason}")
     if k == 0:
         return 0j
     log_a = case.a.log_value
@@ -272,14 +298,13 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     Gamma(k+1) * (1/4) e^{-i pi k/2} (e^{2 pi i k} - 1)
         * integral_0^inf e^{i t log a} t^{-k} sech(pi t / 2) dt,
 
-    validated against rhs_series / rhs_zeta (see the test suite).
+    validated against rhs_series / rhs_zeta (see the test suite).  For
+    integer k the branch difference vanishes; see contour_cauchy_check.
     """
     k = complex(case.k)
-    if k.real >= 1.0:
-        raise RegionError("contour route requires Re(k) < 1")
-    if _is_integer(k):
-        raise RegionError(
-            "two-ray branch difference vanishes for integer k; use contour_cauchy_check")
+    reason = _contour_region(k)
+    if reason is not None:
+        raise RegionError(f"contour route does not apply: {reason}")
     log_a = case.a.log_value
     theta = log_a.imag
     ln_r = log_a.real
@@ -319,16 +344,10 @@ def contour_cauchy_check(y: complex, k: int, n_nodes: int = 256) -> complex:
 
 
 def _route_values(rep: VerificationReport) -> dict[str, complex]:
-    values: dict[str, complex] = {}
-    if rep.lhs is not None and rep.lhs.converged:
-        values["lhs"] = rep.lhs.value
-    if rep.zeta_value is not None:
-        values["zeta"] = rep.zeta_value
-    if rep.series_value is not None:
-        values["series"] = rep.series_value
-    if rep.contour_value is not None and rep.contour_value.converged:
-        values["contour"] = rep.contour_value.value
-    return values
+    """The values fit for comparison: closed forms and converged quadratures."""
+    return {name: r.value if isinstance(r, QuadResult) else r
+            for name, r in rep.routes.items()
+            if not isinstance(r, QuadResult) or r.converged}
 
 
 def _fill_verdict(rep: VerificationReport, values: dict[str, complex],
@@ -353,34 +372,24 @@ def verify(case: IdentityCase) -> VerificationReport:
         raise CaseError(msg)
     k = complex(case.k)
     rep = VerificationReport(case)
-    try:
-        rep.lhs = lhs_integral(case)
-        if not rep.lhs.converged:
-            rep.notes.append("lhs quadrature did not converge")
-    except (DomainError, ConvergenceError) as exc:
-        rep.notes.append(f"lhs failed: {exc}")
-    try:
-        rep.zeta_value = rhs_zeta(case)
-    except (DomainError, ConvergenceError) as exc:
-        rep.notes.append(f"zeta failed: {exc}")
-    if k.real < 1.0:
+    # The route table is built per call, so that route functions replaced on
+    # the module (for instance by a tracer) are the ones that run.
+    for name, evaluate, region in (("lhs", lhs_integral, _everywhere),
+                                   ("zeta", rhs_zeta, _everywhere),
+                                   ("series", rhs_series, _series_region),
+                                   ("contour", rhs_contour, _contour_region)):
+        reason = region(k)
+        if reason is not None:
+            rep.notes.append(f"{name} skipped: {reason}")
+            continue
         try:
-            rep.series_value = rhs_series(case)
+            result = evaluate(case)
         except (DomainError, ConvergenceError) as exc:
-            rep.notes.append(f"series failed: {exc}")
-    else:
-        rep.notes.append("series skipped: Re(k) >= 1")
-    if k.real < 1.0 and not _is_integer(k):
-        try:
-            rep.contour_value = rhs_contour(case)
-            if not rep.contour_value.converged:
-                rep.notes.append("contour quadrature did not converge")
-        except (DomainError, ConvergenceError) as exc:
-            rep.notes.append(f"contour failed: {exc}")
-    elif k.real < 1.0:
-        rep.notes.append("contour skipped: integer k")
-    else:
-        rep.notes.append("contour skipped: Re(k) >= 1")
+            rep.notes.append(f"{name} failed: {exc}")
+            continue
+        rep.routes[name] = result
+        if isinstance(result, QuadResult) and not result.converged:
+            rep.notes.append(f"{name} quadrature did not converge")
     values = _route_values(rep)
     _fill_verdict(rep, values, case.verdict_atol, case.verdict_rtol)
     return rep
@@ -394,9 +403,9 @@ def catalan_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
     target = complex(-4.0 * g / math.pi)
     rep = VerificationReport(case)
     rep.notes.append(f"reference: -4G/pi with G = {g:.16f} from the accelerated series")
-    rep.lhs = lhs_integral(case)
-    rep.zeta_value = rhs_zeta(case)
-    rep.series_value = rhs_series(case)
+    for name, evaluate in (("lhs", lhs_integral), ("zeta", rhs_zeta),
+                           ("series", rhs_series)):
+        rep.routes[name] = evaluate(case)
     values = _route_values(rep)
     ok = len(values) == 3
     for name, v in values.items():
@@ -411,50 +420,44 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig(),
                   fd_step: float = 1e-4) -> VerificationReport:
     """The k-derivative instance at k = 1, a = 1.
 
-    Cross-compares (report fields in parentheses):
+    Cross-compares (route names in parentheses):
 
-    * (lhs) the direct integral of cos(2y) log(tan y) log(log(tan y)), with
+    * (direct) the integral of cos(2y) log(tan y) log(log(tan y)), with
       the inner logarithm of a negative value taken as ln|.| + i pi;
-    * (zeta_value) the closed form (pi/4)(log(81 Gamma^4(-3/4)
+    * (closed) the closed form (pi/4)(log(81 Gamma^4(-3/4)
       / (4 pi^2 e^2 Gamma^4(-1/4))) - pi i);
-    * (series_value) the central finite-difference k-derivative of rhs_zeta.
+    * (fd) the central finite-difference k-derivative of rhs_zeta.
     """
     if not 1e-6 <= fd_step <= 1e-2:
         raise ValueError("fd_step must lie in [1e-6, 1e-2]")
     case = IdentityCase(1.0 + 0j, BranchedConstant(1.0), quad_cfg=quad_cfg)
-    rep = VerificationReport(case)
-    rep.notes.append("routes: direct integral (lhs), gamma closed form (zeta_value), "
-                     "finite-difference zeta derivative (series_value)")
 
     def h(u: float) -> complex:
-        au = abs(u)
-        if au > 700.0:
+        w = _half_sech(u)
+        if w == 0.0:
             return 0j
-        e2 = math.exp(-2.0 * au)
-        inv_2cosh = math.exp(-au) / (1.0 + e2)
         lu = cmath.log(complex(u, 0.0))  # ln|u| + i pi for u < 0
-        return -math.tanh(u) * u * lu * inv_2cosh
+        return -math.tanh(u) * u * lu * w
 
-    rep.lhs = _split_quad(h, 0.0, quad_cfg)
+    quad = _split_quad(h, 0.0, quad_cfg)
 
     g34 = gamma(-0.75 + 0j)
     g14 = gamma(-0.25 + 0j)
     ratio4 = (g34 / g14) ** 4
     closed = 0.25 * math.pi * (cmath.log(81.0 / (4.0 * math.pi ** 2 * math.e ** 2) * ratio4)
                                - 1j * math.pi)
-    rep.zeta_value = closed
 
     def gz(kv: complex) -> complex:
         return rhs_zeta(IdentityCase(kv, BranchedConstant(1.0), quad_cfg=quad_cfg))
 
     fd = (gz(1.0 + fd_step) - gz(1.0 - fd_step)) / (2.0 * fd_step)
-    rep.series_value = fd
+    rep = VerificationReport(case, {"direct": quad, "closed": closed, "fd": fd})
 
-    direct = rep.lhs.value
+    direct = quad.value
     rep.residuals["direct|closed"] = abs(direct - closed)
     rep.residuals["direct|fd"] = abs(direct - fd)
     rep.residuals["closed|fd"] = abs(closed - fd)
-    ok = (rep.lhs.converged
+    ok = (quad.converged
           and residual_ok(direct, closed, 1e-6, 1e-6)
           and residual_ok(direct, fd, 1e-5, 1e-5)
           and residual_ok(closed, fd, 1e-5, 1e-5))

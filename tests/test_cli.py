@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import zetaquad
 from zetaquad.cli import (
     CliParseError,
     dumps_fixed,
@@ -140,6 +144,21 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert [r["verdict"] for r in doc["reports"]] == ["pass", "pass"]
+
+    def test_constants_loggamma_route_names(self, capsys):
+        main(["constants"])
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["reports"][1]["routes"]) == ["direct", "closed", "fd"]
+
+    def test_python_m_entry_point(self, capsys):
+        argv = ["verify", "--k", "-1", "--a", "1"]
+        src = os.path.dirname(os.path.dirname(zetaquad.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "zetaquad", *argv],
+                              capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
 
     def test_zeta(self, capsys):
         code = main(["zeta", "--s", "2", "--q", "1"])

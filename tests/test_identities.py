@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from zetaquad import identities
 from zetaquad.complexfn import BranchedConstant, DomainError, gamma
+from zetaquad.hurwitz import ConvergenceError
 from zetaquad.identities import (
     CaseError,
     IdentityCase,
@@ -181,7 +183,7 @@ class TestSpecialCases:
     def test_loggamma_case(self):
         rep = loggamma_case()
         assert rep.verdict == "pass"
-        closed = rep.zeta_value
+        closed = rep.routes["closed"]
         # imaginary part is exactly -pi^2/4
         assert abs(closed.imag + math.pi ** 2 / 4) <= 1e-10
         # real part from reference Gamma(1/4) = 3.6256099082219083,
@@ -217,6 +219,23 @@ class TestVerify:
     def test_invariant_enforced(self):
         with pytest.raises(CaseError):
             verify(case(-1.0, BranchedConstant(0.5)))
+
+    def test_skip_notes(self):
+        assert verify(case(3.0)).notes == ["series skipped: Re(k) >= 1",
+                                           "contour skipped: Re(k) >= 1"]
+        assert verify(case(-1.0)).notes == ["contour skipped: integer k"]
+
+    def test_failed_route_noted_and_left_out(self, monkeypatch):
+        def boom(c):
+            raise ConvergenceError("boom")
+
+        # verify looks the route up on the module at call time
+        monkeypatch.setattr(identities, "rhs_zeta", boom)
+        rep = verify(case(-1.0))
+        assert "zeta failed: boom" in rep.notes
+        assert "zeta" not in rep.routes
+        assert set(rep.residuals) == {"lhs|series"}
+        assert rep.verdict == "pass"
 
 
 class TestSweep:
