@@ -6,7 +6,6 @@ integral) and the pairwise residuals are reported.
 """
 
 from .complexfn import (
-    BernoulliTable,
     BranchedConstant,
     DomainError,
     PoleError,
@@ -18,7 +17,6 @@ from .complexfn import (
 )
 from .hurwitz import (
     ConvergenceError,
-    ZetaConfig,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     zeta_neg_int_oracle,

@@ -18,13 +18,11 @@ import argparse
 import csv
 import io
 import math
-import os
 import sys
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .complexfn import TWO_PI, BranchedConstant, DomainError, gamma
-from .hurwitz import ZetaConfig, hurwitz_zeta, zeta_neg_int_oracle
+from .hurwitz import hurwitz_zeta, zeta_neg_int_oracle
 from .identities import (
     DEFAULT_A_GRID,
     DEFAULT_K_GRID,
@@ -43,20 +41,12 @@ from .identities import (
 )
 from .quad import QuadConfig, QuadResult, integrate_finite, integrate_semi_infinite
 
-__all__ = ["CliInvocation", "CliParseError", "parse_complex", "parse_branched",
-           "render_complex", "dumps_fixed", "build_parser", "run", "main", "entry"]
-
-MAX_EVALS_ENV = "ZETAQUAD_MAX_EVALS"
+__all__ = ["CliParseError", "parse_complex", "parse_branched", "render_complex",
+           "dumps_fixed", "build_parser", "main", "entry"]
 
 
 class CliParseError(ValueError):
     """Malformed command-line literal; the message carries the position."""
-
-
-@dataclass
-class CliInvocation:
-    command: str
-    params: dict[str, Any]
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_argv(argv: Sequence[str]) -> CliInvocation:
-    ns = build_parser().parse_args(argv)
-    return CliInvocation(ns.command, vars(ns))
+def _quad_cfg(ns: argparse.Namespace) -> QuadConfig:
+    return QuadConfig(atol=ns.atol, rtol=ns.rtol, max_evals=ns.max_evals)
 
 
-def _quad_cfg(params: dict[str, Any]) -> QuadConfig:
-    max_evals = params.get("max_evals", 10 ** 6)
-    env = os.environ.get(MAX_EVALS_ENV)
-    if env is not None:
-        max_evals = int(env)
-    return QuadConfig(atol=params.get("atol", 1e-10),
-                      rtol=params.get("rtol", 1e-10),
-                      max_evals=max_evals)
-
-
-def _emit(text: str, params: dict[str, Any]) -> None:
-    path = params.get("output")
+def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -290,15 +268,15 @@ def _emit(text: str, params: dict[str, Any]) -> None:
 
 
 def _emit_reports(reps: list[VerificationReport], notes: list[str],
-                  params: dict[str, Any]) -> int:
-    if params.get("format", "json") == "csv":
+                  ns: argparse.Namespace) -> int:
+    if ns.format == "csv":
         text = reports_to_csv(reps)
     else:
         doc: dict[str, Any] = {"reports": [report_to_dict(r) for r in reps]}
         if notes:
             doc["notes"] = notes
         text = dumps_fixed(doc)
-    _emit(text, params)
+    _emit(text, ns.output)
     for n in notes:
         print(f"note: {n}", file=sys.stderr)
     return 0 if reps and all(r.verdict == "pass" for r in reps) else 1
@@ -367,38 +345,34 @@ def _selftest_checks() -> list[tuple[str, bool]]:
 
 # ---------------------------------------------------------------------------
 
-def run(invocation: CliInvocation) -> int:
-    """Execute a parsed invocation; returns the process exit code."""
-    cmd = invocation.command
-    params = invocation.params
+def main(argv: Sequence[str] | None = None) -> int:
+    """Parse argv (default sys.argv[1:]), run the command, return the exit code."""
+    ns = build_parser().parse_args(argv)
+    cmd = ns.command
     try:
         if cmd == "verify":
-            case = IdentityCase(parse_complex(params["k"]),
-                                parse_branched(params["a"]),
-                                quad_cfg=_quad_cfg(params),
-                                verdict_atol=params.get("verdict_atol", 1e-6),
-                                verdict_rtol=params.get("verdict_rtol", 1e-6))
-            return _emit_reports([verify(case)], [], params)
+            case = IdentityCase(parse_complex(ns.k), parse_branched(ns.a),
+                                quad_cfg=_quad_cfg(ns),
+                                verdict_atol=ns.verdict_atol,
+                                verdict_rtol=ns.verdict_rtol)
+            return _emit_reports([verify(case)], [], ns)
 
         if cmd == "sweep":
-            k_text = params.get("k_list")
-            a_text = params.get("a_list")
-            k_list = ([parse_complex(t) for t in k_text.split(",")]
-                      if k_text else list(DEFAULT_K_GRID))
-            a_list = ([parse_branched(t) for t in a_text.split(",")]
-                      if a_text else list(DEFAULT_A_GRID))
-            res = sweep(k_list, a_list, quad_cfg=_quad_cfg(params),
-                        verdict_atol=params.get("verdict_atol", 1e-6),
-                        verdict_rtol=params.get("verdict_rtol", 1e-6))
-            return _emit_reports(res.reports, res.notes, params)
+            k_list = ([parse_complex(t) for t in ns.k_list.split(",")]
+                      if ns.k_list else list(DEFAULT_K_GRID))
+            a_list = ([parse_branched(t) for t in ns.a_list.split(",")]
+                      if ns.a_list else list(DEFAULT_A_GRID))
+            res = sweep(k_list, a_list, quad_cfg=_quad_cfg(ns),
+                        verdict_atol=ns.verdict_atol,
+                        verdict_rtol=ns.verdict_rtol)
+            return _emit_reports(res.reports, res.notes, ns)
 
         if cmd == "constants":
-            cfg = _quad_cfg(params)
-            return _emit_reports([catalan_case(cfg), loggamma_case(cfg)], [], params)
+            cfg = _quad_cfg(ns)
+            return _emit_reports([catalan_case(cfg), loggamma_case(cfg)], [], ns)
 
         if cmd == "zeta":
-            value = hurwitz_zeta(parse_complex(params["s"]), parse_complex(params["q"]))
-            print(render_complex(value))
+            print(render_complex(hurwitz_zeta(parse_complex(ns.s), parse_complex(ns.q))))
             return 0
 
         if cmd == "selftest":
@@ -414,11 +388,9 @@ def run(invocation: CliInvocation) -> int:
         return 2
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    return run(parse_argv(list(argv)))
-
-
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 __all__ = [
     "BranchedConstant",
-    "BernoulliTable",
     "DomainError",
     "PoleError",
     "principal_log",
@@ -64,19 +63,6 @@ class BranchedConstant:
     @property
     def value(self) -> complex:
         return self.r * cmath.exp(1j * self.theta)
-
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Bernoulli numbers B_0..B_n, B_1 = -1/2 convention."""
-
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
 
 
 def principal_log(z: complex) -> complex:
@@ -164,8 +150,8 @@ def log_gamma(z: complex) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_fractions(n_max: int) -> tuple[Fraction, ...]:
-    # defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0
+def _bernoulli_floats(n_max: int) -> tuple[float, ...]:
+    # defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0, in exact rationals
     b = [Fraction(1)]
     for n in range(1, n_max + 1):
         acc = Fraction(0)
@@ -173,13 +159,13 @@ def _bernoulli_fractions(n_max: int) -> tuple[Fraction, ...]:
             if b[j]:
                 acc += math.comb(n + 1, j) * b[j]
         b.append(-acc / (n + 1))
-    return tuple(b)
+    return tuple(float(x) for x in b)
 
 
-def bernoulli_numbers(n_max: int) -> BernoulliTable:
-    """Table of B_0..B_{n_max} (B_1 = -1/2 convention)."""
+def bernoulli_numbers(n_max: int) -> tuple[float, ...]:
+    """B_0..B_{n_max} (B_1 = -1/2 convention); the cached tuple is shared."""
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError("n_max must be a positive integer")
     if n_max > BERNOULLI_CAP:
         raise DomainError(f"n_max = {n_max} exceeds the cap of {BERNOULLI_CAP}")
-    return BernoulliTable(tuple(float(x) for x in _bernoulli_fractions(n_max)))
+    return _bernoulli_floats(n_max)

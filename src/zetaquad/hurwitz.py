@@ -7,8 +7,9 @@ The expansion is
                + (N+q)^{-s} / 2
                + sum_{j=1}^{M} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * (N+q)^{-s-2j+1}
 
-with N grown until the first neglected tail term drops below the requested
-tolerance.  Callers with Re(q) <= 0 are pre-shifted through the recurrence
+with M = 25 and N doubled from 1 until the first neglected tail term drops
+below the fixed tolerance 1e-13 (relative once |value| exceeds 1).  Callers
+with Re(q) <= 0 are pre-shifted through the recurrence
 zeta(s, q) = zeta(s, q+1) + q^{-s} automatically.  All powers use the
 principal branch fixed in complexfn.
 """
@@ -17,12 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .complexfn import PoleError, bernoulli_numbers, complex_pow, principal_log
 
 __all__ = [
-    "ZetaConfig",
     "ConvergenceError",
     "hurwitz_zeta",
     "hurwitz_zeta_ds",
@@ -34,22 +33,8 @@ class ConvergenceError(RuntimeError):
     """The asymptotic tail failed to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class ZetaConfig:
-    direct_terms: int = 1
-    tail_terms: int = 25
-    tolerance: float = 1e-13
-
-    def __post_init__(self) -> None:
-        if self.direct_terms < 1:
-            raise ValueError("direct_terms must be >= 1")
-        if not 1 <= self.tail_terms <= 30:
-            raise ValueError("tail_terms must lie in [1, 30]")
-        if not 1e-15 <= self.tolerance <= 1e-2:
-            raise ValueError("tolerance must lie in [1e-15, 1e-2]")
-
-
-_DEFAULT_CFG = ZetaConfig()
+_TAIL_TERMS = 25
+_TOLERANCE = 1e-13
 _N_CAP = 200_000
 
 
@@ -60,8 +45,7 @@ def _pow(w: complex, e: complex) -> complex:
     return cmath.exp(e * cmath.log(w))
 
 
-def _em_pass(s: complex, q: complex, n_direct: int, m_tail: int,
-             bern: tuple[float, ...],
+def _em_pass(s: complex, q: complex, n_direct: int, bern: tuple[float, ...],
              monitor_derivative: bool) -> tuple[complex, complex, float]:
     """One Euler-Maclaurin evaluation; returns (value, d/ds value, |first neglected|).
 
@@ -94,12 +78,12 @@ def _em_pass(s: complex, q: complex, n_direct: int, m_tail: int,
     step = 1.0 / (x * x)
     neglected = math.inf
     prev_mag = math.inf
-    for j in range(1, m_tail + 2):
+    for j in range(1, _TAIL_TERMS + 2):
         c = bern[2 * j] / math.factorial(2 * j)
         term = c * prod * pw
         dterm = c * (dprod - prod * lx) * pw
         mag = abs(dterm) if monitor_derivative else abs(term)
-        if j == m_tail + 1:
+        if j == _TAIL_TERMS + 1:
             neglected = mag
             break
         if j >= 3 and mag > prev_mag:
@@ -115,7 +99,7 @@ def _em_pass(s: complex, q: complex, n_direct: int, m_tail: int,
     return v, d, neglected
 
 
-def _hurwitz_pair(s: complex, q: complex, cfg: ZetaConfig,
+def _hurwitz_pair(s: complex, q: complex,
                   monitor_derivative: bool) -> tuple[complex, complex]:
     s = complex(s)
     q = complex(q)
@@ -129,12 +113,12 @@ def _hurwitz_pair(s: complex, q: complex, cfg: ZetaConfig,
         shift_v += p
         shift_d -= lq * p
         q += 1
-    bern = bernoulli_numbers(2 * cfg.tail_terms + 2).values
-    n = cfg.direct_terms
+    bern = bernoulli_numbers(2 * _TAIL_TERMS + 2)
+    n = 1
     while True:
-        v, d, neglected = _em_pass(s, q, n, cfg.tail_terms, bern, monitor_derivative)
+        v, d, neglected = _em_pass(s, q, n, bern, monitor_derivative)
         ref = abs(d) if monitor_derivative else abs(v)
-        if neglected <= cfg.tolerance * max(1.0, ref):
+        if neglected <= _TOLERANCE * max(1.0, ref):
             return v + shift_v, d + shift_d
         if n >= _N_CAP:
             raise ConvergenceError(
@@ -142,14 +126,14 @@ def _hurwitz_pair(s: complex, q: complex, cfg: ZetaConfig,
         n *= 2
 
 
-def hurwitz_zeta(s: complex, q: complex, cfg: ZetaConfig = _DEFAULT_CFG) -> complex:
+def hurwitz_zeta(s: complex, q: complex) -> complex:
     """zeta(s, q) for complex s != 1 and complex q (pre-shifted if Re(q) <= 0)."""
-    return _hurwitz_pair(s, q, cfg, monitor_derivative=False)[0]
+    return _hurwitz_pair(s, q, monitor_derivative=False)[0]
 
 
-def hurwitz_zeta_ds(s: complex, q: complex, cfg: ZetaConfig = _DEFAULT_CFG) -> complex:
+def hurwitz_zeta_ds(s: complex, q: complex) -> complex:
     """d/ds zeta(s, q), by term-by-term differentiation of the same expansion."""
-    return _hurwitz_pair(s, q, cfg, monitor_derivative=True)[1]
+    return _hurwitz_pair(s, q, monitor_derivative=True)[1]
 
 
 def zeta_neg_int_oracle(n: int, q: complex) -> complex:
@@ -160,7 +144,7 @@ def zeta_neg_int_oracle(n: int, q: complex) -> complex:
         raise ValueError(f"n = {n} exceeds the cap of 20")
     q = complex(q)
     m = n + 1
-    bern = bernoulli_numbers(m).values
+    bern = bernoulli_numbers(m)
     poly = 0j
     for j in range(m + 1):
         poly += math.comb(m, j) * bern[j] * q ** (m - j)

@@ -15,6 +15,7 @@ from typing import Callable
 __all__ = ["QuadConfig", "QuadResult", "integrate_finite", "integrate_semi_infinite"]
 
 _HALF_PI = 0.5 * math.pi
+_MAX_LEVEL = 10
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ _DEFAULT_CFG = QuadConfig()
 
 
 def _refine(sample: Callable[[float], complex], t_max: float,
-            cfg: QuadConfig, max_level: int) -> QuadResult:
+            cfg: QuadConfig) -> QuadResult:
     """Trapezoid-with-doubling driver over t in (-t_max, t_max)."""
     n_evals = 0
     h = 1.0
@@ -56,16 +57,15 @@ def _refine(sample: Callable[[float], complex], t_max: float,
     value = h * total
     err = math.inf
     converged = False
-    for _ in range(max_level):
+    for _ in range(_MAX_LEVEL):
         h *= 0.5
         n_new = int(t_max / h)
-        count = sum(1 for j in range(-n_new, n_new + 1) if j % 2 != 0)
-        if n_evals + count > cfg.max_evals:
+        odd = range(-n_new | 1, n_new + 1, 2)  # the new nodes, in ascending order
+        if n_evals + len(odd) > cfg.max_evals:
             break
-        for j in range(-n_new, n_new + 1):
-            if j % 2 != 0:
-                total += sample(j * h)
-        n_evals += count
+        for j in odd:
+            total += sample(j * h)
+        n_evals += len(odd)
         new_value = h * total
         err = abs(new_value - value)
         value = new_value
@@ -107,7 +107,7 @@ def integrate_finite(f: Callable[[float], complex], a: float, b: float,
         w = half * _HALF_PI * math.cosh(t) * sech * sech
         return f(x) * w
 
-    return _refine(sample, 4.5, cfg, 10)
+    return _refine(sample, 4.5, cfg)
 
 
 def integrate_semi_infinite(f: Callable[[float], complex],
@@ -123,4 +123,4 @@ def integrate_semi_infinite(f: Callable[[float], complex],
         x = math.exp(u)
         return f(x) * x * _HALF_PI * math.cosh(t)
 
-    return _refine(sample, 6.0, cfg, 10)
+    return _refine(sample, 6.0, cfg)

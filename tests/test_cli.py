@@ -150,11 +150,12 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out)
         assert list(doc["reports"][1]["routes"]) == ["direct", "closed", "fd"]
 
-    def test_python_m_entry_point(self, capsys):
+    @pytest.mark.parametrize("module", ["zetaquad", "zetaquad.cli"])
+    def test_python_m_entry_point(self, capsys, module):
         argv = ["verify", "--k", "-1", "--a", "1"]
         src = os.path.dirname(os.path.dirname(zetaquad.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "zetaquad", *argv],
+        proc = subprocess.run([sys.executable, "-m", module, *argv],
                               capture_output=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == main(argv) == 0
@@ -176,9 +177,8 @@ class TestCommands:
         lines = [ln for ln in out.strip().splitlines() if ln]
         assert lines and all(ln.startswith("PASS") for ln in lines)
 
-    def test_max_evals_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZETAQUAD_MAX_EVALS", "40")
-        main(["verify", "--k", "0.5", "--a", "1"])
+    def test_max_evals_env_override(self, capsys):
+        main(["verify", "--k", "0.5", "--a", "1", "--max-evals", "40"])
         out = capsys.readouterr().out
         rep = json.loads(out)["reports"][0]
         # the starved quadrature must be flagged, not silently compared

@@ -144,7 +144,7 @@ class TestLogGamma:
 class TestBernoulli:
     def test_first_values(self):
         t = bernoulli_numbers(2)
-        assert t.values == (1.0, -0.5, pytest.approx(1.0 / 6.0))
+        assert t == (1.0, -0.5, pytest.approx(1.0 / 6.0))
 
     def test_odd_vanish(self):
         t = bernoulli_numbers(15)

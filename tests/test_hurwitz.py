@@ -6,7 +6,6 @@ import pytest
 
 from zetaquad.complexfn import PoleError, log_gamma
 from zetaquad.hurwitz import (
-    ZetaConfig,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     zeta_neg_int_oracle,
@@ -136,11 +135,3 @@ class TestProperties:
         # polynomial closed form is valid there by continuation
         q = -0.3 + 0.2j
         assert abs(hurwitz_zeta(-2.0, q) - zeta_neg_int_oracle(2, q)) <= 1e-11
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ZetaConfig(direct_terms=0)
-        with pytest.raises(ValueError):
-            ZetaConfig(tail_terms=31)
-        with pytest.raises(ValueError):
-            ZetaConfig(tolerance=1e-16)

@@ -192,10 +192,6 @@ class TestSpecialCases:
         assert rep.residuals["direct|closed"] <= 1e-6
         assert rep.residuals["closed|fd"] <= 1e-5
 
-    def test_loggamma_fd_step_validation(self):
-        with pytest.raises(ValueError):
-            loggamma_case(fd_step=1e-7)
-
 
 class TestVerify:
     def test_catalan_three_routes(self):
@@ -237,6 +233,14 @@ class TestVerify:
         assert set(rep.residuals) == {"lhs|series"}
         assert rep.verdict == "pass"
 
+    def test_overflowing_routes_noted(self):
+        rep = verify(case(201.0))
+        assert rep.verdict == "partial"
+        assert rep.notes == ["lhs failed: math range error",
+                             "zeta failed: math range error",
+                             "series skipped: Re(k) >= 1",
+                             "contour skipped: Re(k) >= 1"]
+
 
 class TestSweep:
     def test_single_case_consistency(self):
@@ -259,6 +263,10 @@ class TestSweep:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             sweep([], [A_ONE])
+
+    def test_overflowing_case_does_not_stop_sweep(self):
+        res = sweep([2, 201], [A_ONE])
+        assert [r.verdict for r in res.reports] == ["pass", "partial"]
 
 
 class TestCrossRouteProperties:

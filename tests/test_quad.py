@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -74,6 +75,26 @@ class TestSemiInfinite:
         r = integrate_semi_infinite(lambda t: complex(math.exp(-t)), cfg)
         assert r.n_evals <= 50
         assert not r.converged
+
+
+@pytest.mark.parametrize("max_evals,semi,finite", [
+    (40, 25, 37), (100, 97, 73), (10 ** 7, 12_289, 9_217)])
+def test_node_counts(max_evals, semi, finite):
+    # random values never settle, so every level the budget allows is run
+    cfg = QuadConfig(atol=1e-15, rtol=1e-15, max_evals=max_evals)
+    rng = random.Random(0)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return complex(rng.random())
+
+    r = integrate_semi_infinite(f, cfg)
+    assert not r.converged
+    assert r.n_evals == len(calls) == semi
+    r = integrate_finite(f, 0.0, 1.0, cfg)
+    assert not r.converged
+    assert r.n_evals == finite
 
 
 class TestProperties:
