@@ -33,7 +33,6 @@ from .identities import (
     contour_cauchy_check,
     lhs_integral,
     loggamma_case,
-    residual_ok,
     rhs_series,
     rhs_zeta,
     sweep,
@@ -224,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quadrature absolute tolerance")
         sp.add_argument("--rtol", type=float, default=1e-10,
                         help="quadrature relative tolerance")
-        sp.add_argument("--max-evals", type=int, default=10 ** 6)
+        sp.add_argument("--max-evals", type=int, default=10 ** 6,
+                        help="evaluation budget per quadrature call, at least 13 "
+                             "(each half of the lhs integral is one call)")
         sp.add_argument("--verdict-atol", type=float, default=1e-6,
                         help="pass/fail residual rule, absolute part")
         sp.add_argument("--verdict-rtol", type=float, default=1e-6,

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
-from .complexfn import PoleError, bernoulli_numbers, complex_pow, principal_log
+from .complexfn import PoleError, bernoulli_numbers, principal_log
 
 __all__ = [
     "ConvergenceError",
@@ -45,7 +46,14 @@ def _pow(w: complex, e: complex) -> complex:
     return cmath.exp(e * cmath.log(w))
 
 
-def _em_pass(s: complex, q: complex, n_direct: int, bern: tuple[float, ...],
+@lru_cache(maxsize=None)
+def _tail_coefficients() -> tuple[float, ...]:
+    """B_{2j}/(2j)! for j = 1 .. _TAIL_TERMS + 1, at index j - 1."""
+    bern = bernoulli_numbers(2 * _TAIL_TERMS + 2)
+    return tuple(bern[2 * j] / math.factorial(2 * j) for j in range(1, _TAIL_TERMS + 2))
+
+
+def _em_pass(s: complex, q: complex, n_direct: int, coefs: tuple[float, ...],
              monitor_derivative: bool) -> tuple[complex, complex, float]:
     """One Euler-Maclaurin evaluation; returns (value, d/ds value, |first neglected|).
 
@@ -78,8 +86,7 @@ def _em_pass(s: complex, q: complex, n_direct: int, bern: tuple[float, ...],
     step = 1.0 / (x * x)
     neglected = math.inf
     prev_mag = math.inf
-    for j in range(1, _TAIL_TERMS + 2):
-        c = bern[2 * j] / math.factorial(2 * j)
+    for j, c in enumerate(coefs, 1):
         term = c * prod * pw
         dterm = c * (dprod - prod * lx) * pw
         mag = abs(dterm) if monitor_derivative else abs(term)
@@ -113,10 +120,10 @@ def _hurwitz_pair(s: complex, q: complex,
         shift_v += p
         shift_d -= lq * p
         q += 1
-    bern = bernoulli_numbers(2 * _TAIL_TERMS + 2)
+    coefs = _tail_coefficients()
     n = 1
     while True:
-        v, d, neglected = _em_pass(s, q, n, bern, monitor_derivative)
+        v, d, neglected = _em_pass(s, q, n, coefs, monitor_derivative)
         ref = abs(d) if monitor_derivative else abs(v)
         if neglected <= _TOLERANCE * max(1.0, ref):
             return v + shift_v, d + shift_d

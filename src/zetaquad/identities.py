@@ -53,7 +53,6 @@ __all__ = [
     "sweep",
 ]
 
-CATALAN = 0.9159655941772190
 _CAUCHY_NODES = 256
 
 DEFAULT_K_GRID: tuple[complex, ...] = (

@@ -177,6 +177,11 @@ class TestCommands:
         lines = [ln for ln in out.strip().splitlines() if ln]
         assert lines and all(ln.startswith("PASS") for ln in lines)
 
+    def test_max_evals_below_level_zero_is_usage_error(self, capsys):
+        # level 0 always runs 13 exp-sinh nodes, so a smaller budget is refused
+        assert main(["verify", "--k", "0.5", "--a", "1", "--max-evals", "5"]) == 2
+        assert "max_evals must lie in [13, 1e7]" in capsys.readouterr().err
+
     def test_max_evals_env_override(self, capsys):
         main(["verify", "--k", "0.5", "--a", "1", "--max-evals", "40"])
         out = capsys.readouterr().out

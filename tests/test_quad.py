@@ -97,6 +97,127 @@ def test_node_counts(max_evals, semi, finite):
     assert r.n_evals == finite
 
 
+@pytest.mark.parametrize("max_evals", [13, 14, 25, 26, 40, 100])
+def test_budget_respected(max_evals):
+    cfg = QuadConfig(atol=1e-15, rtol=1e-15, max_evals=max_evals)
+    f = lambda x: complex(math.sin(1e6 * x))  # never settles
+    assert integrate_semi_infinite(f, cfg).n_evals <= max_evals
+    assert integrate_finite(f, 0.0, 1.0, cfg).n_evals <= max_evals
+
+
+# The per-node rules the cached tables replaced: every node recomputes its
+# sinh/exp/cosh.  The tables must reproduce them bit for bit.
+
+def _reference_refine(sample, t_max, cfg):
+    n_evals = 0
+    h = 1.0
+    total = 0j
+    n0 = int(t_max / h)
+    for j in range(-n0, n0 + 1):
+        total += sample(j * h)
+        n_evals += 1
+    value = h * total
+    err = math.inf
+    converged = False
+    for _ in range(10):
+        h *= 0.5
+        n_new = int(t_max / h)
+        odd = range(-n_new | 1, n_new + 1, 2)
+        if n_evals + len(odd) > cfg.max_evals:
+            break
+        for j in odd:
+            total += sample(j * h)
+        n_evals += len(odd)
+        new_value = h * total
+        err = abs(new_value - value)
+        value = new_value
+        err = max(err, 8.0 * 2.2e-16 * abs(value))
+        if err <= cfg.atol + cfg.rtol * abs(value):
+            converged = True
+            break
+    if not math.isfinite(err):
+        err = abs(value)
+    return value, err, n_evals, converged
+
+
+def _reference_finite(f, a, b, cfg):
+    half = 0.5 * (b - a)
+
+    def sample(t):
+        u = math.pi / 2 * math.sinh(t)
+        au = abs(u)
+        eu = math.exp(-2.0 * au)
+        dist = half * 2.0 * eu / (1.0 + eu)
+        x = b - dist if t >= 0.0 else a + dist
+        if not a < x < b:
+            return 0j
+        sech = 2.0 * math.exp(-au) / (1.0 + eu)
+        return f(x) * (half * (math.pi / 2) * math.cosh(t) * sech * sech)
+
+    return _reference_refine(sample, 4.5, cfg)
+
+
+def _reference_semi_infinite(f, cfg):
+    def sample(t):
+        x = math.exp(math.pi / 2 * math.sinh(t))
+        return f(x) * x * (math.pi / 2) * math.cosh(t)
+
+    return _reference_refine(sample, 6.0, cfg)
+
+
+_CAPS = (13, 40, 100, 10 ** 4, 10 ** 7)
+_TOLS = (1e-15, 1e-10, 1e-4)
+_NEVER = lambda x: complex(math.sin(1e6 * x), math.cos(3e5 * x))
+
+
+def _recorded(f):
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    return g, seen
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: complex(math.exp(-x)),                         # smooth
+    lambda x: complex(x ** -0.5 * math.exp(-x)),             # singular at 0
+    lambda x: cmath.exp((-1.0 + 10j) * x),                   # oscillatory
+    _NEVER,
+], ids=["smooth", "singular", "oscillatory", "never"])
+def test_semi_infinite_matches_per_node_reference(f):
+    for cap in _CAPS:
+        for tol in _TOLS:
+            cfg = QuadConfig(atol=tol, rtol=tol, max_evals=cap)
+            g, seen = _recorded(f)
+            r = integrate_semi_infinite(g, cfg)
+            g_ref, seen_ref = _recorded(f)
+            ref = _reference_semi_infinite(g_ref, cfg)
+            assert (r.value, r.err_estimate, r.n_evals, r.converged) == ref
+            assert seen == seen_ref
+
+
+@pytest.mark.parametrize("make", [
+    lambda a, b: lambda x: complex(x * x - a * x + 1.0),                  # smooth
+    lambda a, b: lambda x: complex(math.log(x - a) + (b - x) ** -0.5),    # singular ends
+    lambda a, b: lambda x: cmath.exp(40j * (x - a) / (b - a)),            # oscillatory
+    lambda a, b: _NEVER,
+], ids=["smooth", "singular", "oscillatory", "never"])
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-3.0, 2.5), (1e-9, 1e-8)])
+def test_finite_matches_per_node_reference(make, a, b):
+    f = make(a, b)
+    for cap in _CAPS:
+        for tol in _TOLS:
+            cfg = QuadConfig(atol=tol, rtol=tol, max_evals=cap)
+            g, seen = _recorded(f)
+            r = integrate_finite(g, a, b, cfg)
+            g_ref, seen_ref = _recorded(f)
+            ref = _reference_finite(g_ref, a, b, cfg)
+            assert (r.value, r.err_estimate, r.n_evals, r.converged) == ref
+            assert seen == seen_ref
+
+
 class TestProperties:
     def test_additivity(self):
         f = lambda x: complex(math.sin(x) + x * x)
@@ -125,3 +246,5 @@ class TestProperties:
             QuadConfig(atol=1e-16)
         with pytest.raises(ValueError):
             QuadConfig(max_evals=10 ** 8)
+        with pytest.raises(ValueError, match=r"\[13, 1e7\]"):
+            QuadConfig(max_evals=12)
