@@ -210,23 +210,52 @@ def _half_sech(u: float) -> float:
     return math.exp(-au) / (1.0 + math.exp(-2.0 * au))
 
 
-def _u_integrand(k: complex, log_a: complex) -> Callable[[float], complex]:
-    """Integrand of -tanh(u) (log a + u)^k / (2 cosh u) on the real u line."""
+def _lhs_ray(k: complex, log_a: complex, split: float,
+             sign: float) -> Callable[[float], complex]:
+    """t -> h(split + sign t) for h(u) = -tanh(u) (log a + u)^k / (2 cosh u).
 
-    def h(u: float) -> complex:
-        w = _half_sech(u)
-        if w == 0.0:  # the power factor cannot rescue an underflowed sech
+    _half_sech and the principal power exp(k log z) are written out inline:
+    this is the hot loop of the lhs route.  A node that rounds onto the split
+    point adds nothing, as integrate_finite does for a node rounded onto an
+    endpoint; there log a + u can be exactly 0, where z^k is undefined for
+    Re(k) <= 0.
+    """
+    re, im = log_a.real, log_a.imag
+    exp, tanh, cexp, clog = math.exp, math.tanh, cmath.exp, cmath.log
+    k_is_zero = k == 0
+
+    def h(t: float) -> complex:
+        u = split + sign * t
+        au = abs(u)
+        if au > 700.0 or u == split:  # sech underflows / the split point
             return 0j
-        z = complex(log_a.real + u, log_a.imag)
-        return -math.tanh(u) * complex_pow(z, k) * w
+        w = exp(-au) / (1.0 + exp(-2.0 * au))
+        power = 1.0 + 0j if k_is_zero else cexp(k * clog(complex(re + u, im)))
+        return -tanh(u) * power * w
 
     return h
 
 
-def _split_quad(h: Callable[[float], complex], split: float,
+def _loggamma_ray(sign: float) -> Callable[[float], complex]:
+    """t -> h(sign t) for h(u) = -tanh(u) u log(u) / (2 cosh u), with the
+    logarithm of a negative u taken as ln|u| + i pi."""
+
+    def h(t: float) -> complex:
+        u = sign * t
+        w = _half_sech(u)
+        if w == 0.0:
+            return 0j
+        return -math.tanh(u) * u * cmath.log(complex(u, 0.0)) * w
+
+    return h
+
+
+def _split_quad(ray: Callable[[float], Callable[[float], complex]],
                 cfg: QuadConfig) -> QuadResult:
-    right = integrate_semi_infinite(lambda t: h(split + t), cfg)
-    left = integrate_semi_infinite(lambda t: h(split - t), cfg)
+    """The integral over the real line as the sum over the two rays out of
+    the split point: ray(1.0) runs right, ray(-1.0) left, each over t > 0."""
+    right = integrate_semi_infinite(ray(1.0), cfg)
+    left = integrate_semi_infinite(ray(-1.0), cfg)
     return QuadResult(
         right.value + left.value,
         right.err_estimate + left.err_estimate,
@@ -238,15 +267,22 @@ def _split_quad(h: Callable[[float], complex], split: float,
 def lhs_integral(case: IdentityCase) -> QuadResult:
     """The definite integral via u = log(tan y):
 
-    -integral_{-inf}^{inf} tanh(u) (log a + u)^k / (2 cosh u) du,
-    split at the branch point u = -ln(r) when theta = 0, else at u = 0.
+    -integral_{-inf}^{inf} tanh(u) (log a + u)^k / (2 cosh u) du.
+
+    The u line is split into two rays, each integrated over (0, inf) by
+    exp-sinh quadrature, which clusters nodes at the ray's start.  For
+    theta = 0 the split is the branch point u = -ln(r), where log a + u
+    vanishes and the integrand may be singular; otherwise it is u = 0, the
+    sign change of tanh.  A node that rounds onto the split point adds
+    nothing.
     """
     msg = case_violation(case.k, case.a)
     if msg is not None:
         raise CaseError(msg)
+    k = complex(case.k)
     log_a = case.a.log_value
     split = -math.log(case.a.r) if case.a.theta == 0.0 else 0.0
-    return _split_quad(_u_integrand(complex(case.k), log_a), split, case.quad_cfg)
+    return _split_quad(lambda sign: _lhs_ray(k, log_a, split, sign), case.quad_cfg)
 
 
 def rhs_zeta(case: IdentityCase) -> complex:
@@ -310,13 +346,16 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     pref = (0.25 * (cmath.exp(2j * math.pi * k) - 1.0)
             * cmath.exp(-0.5j * math.pi * k) * gamma(k + 1.0))
 
+    neg_k, neg_pi, neg_half_pi = -k, -math.pi, -0.5 * math.pi
+    exp, log, cexp = math.exp, math.log, cmath.exp
+
     def f(t: float) -> complex:
         if t > 450.0:  # sech underflows; t^{-k} may overflow
             return 0j
-        e = math.exp(-math.pi * t)
-        sech = 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + e)
-        osc = cmath.exp(complex(-t * theta, t * ln_r))
-        return osc * cmath.exp(-k * math.log(t)) * sech
+        e = exp(neg_pi * t)
+        sech = 2.0 * exp(neg_half_pi * t) / (1.0 + e)
+        osc = cexp(complex(-t * theta, t * ln_r))
+        return osc * cexp(neg_k * log(t)) * sech
 
     res = integrate_semi_infinite(f, case.quad_cfg)
     scale = abs(pref)
@@ -430,14 +469,7 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
     """
     case = IdentityCase(1.0 + 0j, BranchedConstant(1.0), quad_cfg=quad_cfg)
 
-    def h(u: float) -> complex:
-        w = _half_sech(u)
-        if w == 0.0:
-            return 0j
-        lu = cmath.log(complex(u, 0.0))  # ln|u| + i pi for u < 0
-        return -math.tanh(u) * u * lu * w
-
-    quad = _split_quad(h, 0.0, quad_cfg)
+    quad = _split_quad(_loggamma_ray, quad_cfg)
 
     g34 = gamma(-0.75 + 0j)
     g14 = gamma(-0.25 + 0j)

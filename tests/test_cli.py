@@ -182,7 +182,7 @@ class TestCommands:
         assert main(["verify", "--k", "0.5", "--a", "1", "--max-evals", "5"]) == 2
         assert "max_evals must lie in [13, 1e7]" in capsys.readouterr().err
 
-    def test_max_evals_env_override(self, capsys):
+    def test_max_evals_flag_starves_lhs(self, capsys):
         main(["verify", "--k", "0.5", "--a", "1", "--max-evals", "40"])
         out = capsys.readouterr().out
         rep = json.loads(out)["reports"][0]

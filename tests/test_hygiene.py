@@ -1,0 +1,62 @@
+"""Dead-code checks over the package source, using only the ast module.
+
+* every name a module imports is used by that module (the package's
+  ``__init__`` re-exports its imports, so it is exempt);
+* every module-level ``_private`` function is referenced somewhere in the
+  package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "zetaquad"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(tree):
+    """Names read anywhere in the tree, plus the strings listed in __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = [name for name in _imported_names(tree) if name not in used]
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def test_no_unreferenced_private_functions():
+    trees = {path.name: _tree(path) for path in MODULES}
+    used = set().union(*(_used_names(tree) for tree in trees.values()))
+    dead = [f"{name}:{node.name}"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__") and node.name not in used]
+    assert dead == [], f"private functions nothing in the package references: {dead}"

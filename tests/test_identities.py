@@ -1,10 +1,11 @@
+import cmath
 import math
 import random
 
 import pytest
 
 from zetaquad import identities
-from zetaquad.complexfn import BranchedConstant, DomainError, gamma
+from zetaquad.complexfn import BranchedConstant, DomainError, complex_pow, gamma
 from zetaquad.hurwitz import ConvergenceError
 from zetaquad.identities import (
     CaseError,
@@ -24,7 +25,7 @@ from zetaquad.identities import (
     sweep,
     verify,
 )
-from zetaquad.quad import QuadConfig, integrate_finite
+from zetaquad.quad import QuadConfig, QuadResult, integrate_finite, integrate_semi_infinite
 
 A_ONE = BranchedConstant(1.0)
 CATALAN_REF = 0.9159655941772190
@@ -86,6 +87,24 @@ class TestLhsIntegral:
     def test_invalid_case(self):
         with pytest.raises(CaseError):
             lhs_integral(case(-0.5, BranchedConstant(2.0)))
+
+    @pytest.mark.parametrize("k", [0.5j, 0j, 0.3j, -0.7j])
+    @pytest.mark.parametrize("r", [2.0, 0.5, 3.0])
+    def test_re_k_zero_with_real_a(self, k, r):
+        # Nodes near the branch point u = -ln r round onto it, where
+        # (log a + u)^k is undefined for Re(k) <= 0; they must add nothing.
+        mpmath = pytest.importorskip("mpmath")
+        res = lhs_integral(case(k, BranchedConstant(r)))
+        with mpmath.workdps(20):
+            ln_r = mpmath.log(r)
+
+            def h(u):
+                z = mpmath.mpc(ln_r + u, 0)
+                return -mpmath.tanh(u) * mpmath.power(z, k) / (2 * mpmath.cosh(u))
+
+            ref = complex(mpmath.quad(h, [-mpmath.inf, -ln_r, mpmath.inf]))
+        assert res.converged
+        assert abs(res.value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestRhsZeta:
@@ -299,6 +318,109 @@ class TestCrossRouteProperties:
                 total += integrate_finite(lambda y: integrand(y, complex(k), a),
                                           lo, hi, cfg).value
             assert abs(total - lhs_integral(c).value) <= 1e-8
+
+
+# The lhs, contour and log-Gamma integrands as composed before they were
+# fused: per-node lambdas over a u-line h calling _half_sech and complex_pow.
+# The fused integrands must reproduce them bit for bit.
+def _reference_half_sech(u):
+    au = abs(u)
+    if au > 700.0:
+        return 0.0
+    return math.exp(-au) / (1.0 + math.exp(-2.0 * au))
+
+
+def _reference_split_quad(h, split, cfg):
+    right = integrate_semi_infinite(lambda t: h(split + t), cfg)
+    left = integrate_semi_infinite(lambda t: h(split - t), cfg)
+    return QuadResult(
+        right.value + left.value,
+        right.err_estimate + left.err_estimate,
+        right.n_evals + left.n_evals,
+        right.converged and left.converged,
+    )
+
+
+def _reference_lhs(c):
+    k = complex(c.k)
+    log_a = c.a.log_value
+
+    def h(u):
+        w = _reference_half_sech(u)
+        if w == 0.0:
+            return 0j
+        z = complex(log_a.real + u, log_a.imag)
+        return -math.tanh(u) * complex_pow(z, k) * w
+
+    split = -math.log(c.a.r) if c.a.theta == 0.0 else 0.0
+    return _reference_split_quad(h, split, c.quad_cfg)
+
+
+def _reference_contour(c):
+    k = complex(c.k)
+    log_a = c.a.log_value
+    theta = log_a.imag
+    ln_r = log_a.real
+    pref = (0.25 * (cmath.exp(2j * math.pi * k) - 1.0)
+            * cmath.exp(-0.5j * math.pi * k) * gamma(k + 1.0))
+
+    def f(t):
+        if t > 450.0:
+            return 0j
+        e = math.exp(-math.pi * t)
+        sech = 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + e)
+        osc = cmath.exp(complex(-t * theta, t * ln_r))
+        return osc * cmath.exp(-k * math.log(t)) * sech
+
+    res = integrate_semi_infinite(f, c.quad_cfg)
+    scale = abs(pref)
+    return QuadResult(pref * res.value, scale * res.err_estimate,
+                      res.n_evals, res.converged)
+
+
+def _reference_loggamma_direct(cfg):
+    def h(u):
+        w = _reference_half_sech(u)
+        if w == 0.0:
+            return 0j
+        lu = cmath.log(complex(u, 0.0))
+        return -math.tanh(u) * u * lu * w
+
+    return _reference_split_quad(h, 0.0, cfg)
+
+
+def _assert_bit_identical(got, ref):
+    assert got == ref
+    assert repr(got) == repr(ref)  # also tells -0.0 from 0.0
+
+
+CAPS = (13, 40, 10 ** 6)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2, 0.5 + 0.3j, -1.99 + 0.3j, 0.995 + 0.4j])
+def test_fused_integrands_match_reference(k):
+    k = complex(k)
+    compared = 0
+    for a in (A_ONE, BranchedConstant(2.0), BranchedConstant(0.5),
+              BranchedConstant(2.0, 3.0 * math.pi / 4.0), BranchedConstant(1.3, 2.0)):
+        if k.real == 0.0 and a.theta == 0.0 and a.r != 1.0:
+            continue  # the reference raises there; see test_re_k_zero_with_real_a
+        for cap in CAPS:
+            c = case(k, a, quad_cfg=QuadConfig(max_evals=cap))
+            if case_violation(k, a) is None:
+                _assert_bit_identical(lhs_integral(c), _reference_lhs(c))
+                compared += 1
+            if identities._contour_region(k) is None:
+                _assert_bit_identical(rhs_contour(c), _reference_contour(c))
+                compared += 1
+    assert compared >= 6
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_loggamma_direct_matches_reference(cap):
+    cfg = QuadConfig(max_evals=cap)
+    _assert_bit_identical(loggamma_case(cfg).routes["direct"],
+                          _reference_loggamma_direct(cfg))
 
 
 def test_case_violation_rules():
