@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from typing import Any, Sequence
 
@@ -390,7 +391,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:
+        # The reader went away (say `zetaquad sweep | head -1`).  Point stdout
+        # at devnull so the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _CAUCHY_NODES = 256
+_EPS = 2.2e-16  # double-precision machine epsilon
 
 DEFAULT_K_GRID: tuple[complex, ...] = (
     -1.5 + 0j, -1.0 + 0j, -0.5 + 0j, 0.5 + 0j, 0.5 + 0.3j, 2.0 + 0j, 3.0 + 0j,
@@ -210,15 +211,17 @@ def _half_sech(u: float) -> float:
     return math.exp(-au) / (1.0 + math.exp(-2.0 * au))
 
 
-def _lhs_ray(k: complex, log_a: complex, split: float,
-             sign: float) -> Callable[[float], complex]:
+def _lhs_ray(k: complex, log_a: complex, split: float, sign: float,
+             subtract: bool) -> Callable[[float], complex]:
     """t -> h(split + sign t) for h(u) = -tanh(u) (log a + u)^k / (2 cosh u).
 
     _half_sech and the principal power exp(k log z) are written out inline:
     this is the hot loop of the lhs route.  A node that rounds onto the split
     point adds nothing, as integrate_finite does for a node rounded onto an
     endpoint; there log a + u can be exactly 0, where z^k is undefined for
-    Re(k) <= 0.
+    Re(k) <= 0.  With subtract (a = 1 only) the ray returns
+    h(u) - c t^{k+1} e^{-t}, written as u^k (u e^{-|u|} / 2 - tanh(u) / (2 cosh u));
+    see lhs_integral.
     """
     re, im = log_a.real, log_a.imag
     exp, tanh, cexp, clog = math.exp, math.tanh, cmath.exp, cmath.log
@@ -229,8 +232,11 @@ def _lhs_ray(k: complex, log_a: complex, split: float,
         au = abs(u)
         if au > 700.0 or u == split:  # sech underflows / the split point
             return 0j
-        w = exp(-au) / (1.0 + exp(-2.0 * au))
+        e = exp(-au)
+        w = e / (1.0 + exp(-2.0 * au))
         power = 1.0 + 0j if k_is_zero else cexp(k * clog(complex(re + u, im)))
+        if subtract:
+            return power * (0.5 * u * e - tanh(u) * w)
         return -tanh(u) * power * w
 
     return h
@@ -275,6 +281,24 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     vanishes and the integrand may be singular; otherwise it is u = 0, the
     sign change of tanh.  A node that rounds onto the split point adds
     nothing.
+
+    Ray-start singularities are subtracted in closed form (Davis and
+    Rabinowitz, Methods of Numerical Integration, 2.12).  If a ray integrand
+    f behaves like c t^p near t = 0, exp-sinh, whose smallest node is
+    x = e^{-317}, misses about x^{p+1} / |p+1| of the mass and needs every
+    level as Re p -> -1.  So for Re p < -1/2 the ray integrates
+    f(t) - c t^p e^{-t}, which is O(t^{p+1}) at the start and converges in a
+    few levels, and c Gamma(p+1), the integral of c t^p e^{-t}, is added back.
+    The smooth weight e^{-t} leaves no kink, which a cut at (0, delta] would.
+    The add-back cancels against the ray integral, so the error estimate
+    gains the rounding floor eps |c Gamma(p+1)|.  For Re p >= -1/2 the plain
+    rule converges at its usual depth and is kept unchanged.
+
+    Only a = 1 has a singular ray start: the split is u = 0 and
+    tanh(u) / (2 cosh u) = u/2 + O(u^3), so the right ray starts like
+    -t^{k+1}/2 and the left ray, where u^k = t^k e^{i pi k}, like
+    e^{i pi k} t^{k+1}/2.  Then p = k + 1, the subtraction applies for
+    Re k < -3/2, and the two add-backs sum to Gamma(k+2) (e^{i pi k} - 1) / 2.
     """
     msg = case_violation(case.k, case.a)
     if msg is not None:
@@ -282,7 +306,16 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     k = complex(case.k)
     log_a = case.a.log_value
     split = -math.log(case.a.r) if case.a.theta == 0.0 else 0.0
-    return _split_quad(lambda sign: _lhs_ray(k, log_a, split, sign), case.quad_cfg)
+    subtract = case.a.theta == 0.0 and case.a.r == 1.0 and k.real < -1.5
+    res = _split_quad(lambda sign: _lhs_ray(k, log_a, split, sign, subtract),
+                      case.quad_cfg)
+    if not subtract:
+        return res
+    half_g = 0.5 * gamma(k + 2.0)
+    turn = cmath.exp(1j * math.pi * k)
+    floor = _EPS * abs(half_g) * (1.0 + abs(turn))
+    return QuadResult(res.value + half_g * (turn - 1.0), res.err_estimate + floor,
+                      res.n_evals, res.converged)
 
 
 def rhs_zeta(case: IdentityCase) -> complex:
@@ -335,6 +368,15 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     validated against rhs_series / rhs_zeta (see the test suite).  For
     integer k the branch difference vanishes; see contour_cauchy_check.
+
+    The ray integrand starts like t^{-k}: c = 1 and p = -k.  For Re k > 1/2,
+    that is Re p < -1/2, the ray-start singularity is subtracted in closed
+    form as in lhs_integral, with the weight e^{-pi t/2} of the sech tail
+    instead of e^{-t}: the ray integrates t^{-k} (e^{i t log a}
+    sech(pi t/2) - e^{-pi t/2}), which is O(t^{1-k}) at the start, and
+    Gamma(1-k) (pi/2)^{k-1}, the integral of t^{-k} e^{-pi t/2}, is added
+    back before the prefactor.  That weight reuses the sech exponential and
+    needs fewer evaluations than e^{-t}.
     """
     k = complex(case.k)
     reason = _contour_region(k)
@@ -348,19 +390,27 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     neg_k, neg_pi, neg_half_pi = -k, -math.pi, -0.5 * math.pi
     exp, log, cexp = math.exp, math.log, cmath.exp
+    subtract = k.real > 0.5
 
     def f(t: float) -> complex:
         if t > 450.0:  # sech underflows; t^{-k} may overflow
             return 0j
         e = exp(neg_pi * t)
-        sech = 2.0 * exp(neg_half_pi * t) / (1.0 + e)
+        q = exp(neg_half_pi * t)
+        sech = 2.0 * q / (1.0 + e)
         osc = cexp(complex(-t * theta, t * ln_r))
+        if subtract:
+            return cexp(neg_k * log(t)) * (osc * sech - q)
         return osc * cexp(neg_k * log(t)) * sech
 
     res = integrate_semi_infinite(f, case.quad_cfg)
+    value, err = res.value, res.err_estimate
+    if subtract:
+        back = gamma(1.0 - k) * cexp((k - 1.0) * log(0.5 * math.pi))
+        value += back
+        err += _EPS * abs(back)
     scale = abs(pref)
-    return QuadResult(pref * res.value, scale * res.err_estimate,
-                      res.n_evals, res.converged)
+    return QuadResult(pref * value, scale * err, res.n_evals, res.converged)
 
 
 def contour_cauchy_check(y: complex, k: int) -> complex:

@@ -17,6 +17,13 @@ from zetaquad.cli import (
 )
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this zetaquad."""
+    src = os.path.dirname(os.path.dirname(zetaquad.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestParseComplex:
     @pytest.mark.parametrize("text,value", [
         ("1", 1 + 0j),
@@ -153,13 +160,43 @@ class TestCommands:
     @pytest.mark.parametrize("module", ["zetaquad", "zetaquad.cli"])
     def test_python_m_entry_point(self, capsys, module):
         argv = ["verify", "--k", "-1", "--a", "1"]
-        src = os.path.dirname(os.path.dirname(zetaquad.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", module, *argv],
-                              capture_output=True, timeout=60,
-                              env={**os.environ, "PYTHONPATH": path})
+                              capture_output=True, timeout=60, env=_child_env())
         assert proc.returncode == main(argv) == 0
         assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_closed_pipe_exits_quietly(self):
+        # `zetaquad sweep | head -1`: the reader closes the pipe early.  The
+        # report (~240 kB) is larger than the pipe buffer, so the write fails.
+        k_list = ",".join(f"0.{i}+0.{j}i" for i in range(1, 5) for j in range(1, 10))
+        a_list = "1@1,2@2,0.5@3,3@4,1.5@5"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zetaquad", "sweep", "--k-list", k_list, "--a-list", a_list],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert first == b"{\n"
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+
+    @pytest.mark.parametrize("k,a,route", [("-1.99", "1", "lhs"), ("0.999", "2@1", "contour")])
+    def test_singular_ray_start_routes_agree_with_zeta(self, capsys, k, a, route):
+        # the most singular ray starts: lhs at a = 1 near Re k = -2 and the
+        # contour near Re k = 1 must converge to the zeta value
+        assert main(["verify", "--k", k, "--a", a]) == 0
+        rep = json.loads(capsys.readouterr().out)["reports"][0]
+        got = rep["routes"][route]
+        value = complex(got["value"]["re"], got["value"]["im"])
+        zeta = complex(rep["routes"]["zeta"]["value"]["re"], rep["routes"]["zeta"]["value"]["im"])
+        assert got["converged"] is True
+        assert abs(value - zeta) <= 1e-10 * max(1.0, abs(zeta))
+        assert rep["notes"] == []
 
     def test_zeta(self, capsys):
         code = main(["zeta", "--s", "2", "--q", "1"])
