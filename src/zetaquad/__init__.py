@@ -28,6 +28,7 @@ from .identities import (
     DEFAULT_K_GRID,
     IdentityCase,
     RegionError,
+    RouteResult,
     SweepResult,
     VerificationReport,
     alternating_sum,

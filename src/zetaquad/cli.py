@@ -9,7 +9,7 @@ Commands:
 * selftest  -- run the module invariant suites
 
 Reports are JSON (default) or CSV on stdout; diagnostics go to stderr.
-Exit codes: 0 all verdicts pass, 1 any fail, 2 usage error.
+Exit codes: 0 every verdict pass, 1 any fail or partial, 2 usage error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .identities import (
     DEFAULT_A_GRID,
     DEFAULT_K_GRID,
     IdentityCase,
+    RouteResult,
     VerificationReport,
     catalan_case,
     catalan_reference,
@@ -39,7 +40,7 @@ from .identities import (
     sweep,
     verify,
 )
-from .quad import QuadConfig, QuadResult, integrate_finite, integrate_semi_infinite
+from .quad import QuadConfig, integrate_finite, integrate_semi_infinite
 
 __all__ = ["CliParseError", "parse_complex", "parse_branched", "render_complex",
            "dumps_fixed", "build_parser", "main", "entry"]
@@ -170,14 +171,13 @@ def _complex_dict(z: complex) -> dict[str, float]:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _route_dict(result: QuadResult | complex) -> dict[str, Any]:
-    if not isinstance(result, QuadResult):
-        return {"value": _complex_dict(result)}
+def _route_dict(r: RouteResult) -> dict[str, Any]:
     return {
-        "value": _complex_dict(result.value),
-        "err_estimate": result.err_estimate,
-        "n_evals": result.n_evals,
-        "converged": result.converged,
+        "value": None if r.value is None else _complex_dict(r.value),
+        "err_estimate": r.err_estimate,
+        "n_evals": r.n_evals,
+        "status": r.status,
+        "reason": r.reason,
     }
 
 
@@ -190,23 +190,22 @@ def report_to_dict(rep: VerificationReport) -> dict[str, Any]:
         "routes": {name: _route_dict(r) for name, r in rep.routes.items()},
         "residuals": {k: float(v) for k, v in rep.residuals.items()},
         "verdict": rep.verdict,
-        "notes": list(rep.notes),
     }
 
 
 def reports_to_csv(reps: Sequence[VerificationReport]) -> str:
+    """One row per route record; a record with no value has empty value cells."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k_re", "k_im", "a_r", "a_theta", "route",
-                "value_re", "value_im", "err_est", "verdict"])
+    w.writerow(["k_re", "k_im", "a_r", "a_theta", "route", "value_re", "value_im",
+                "err_est", "status", "reason", "verdict"])
     for rep in reps:
         base = [_fmt(rep.case.k.real), _fmt(rep.case.k.imag),
                 _fmt(rep.case.a.r), _fmt(rep.case.a.theta)]
         for route, r in rep.routes.items():
-            value, err = ((r.value, r.err_estimate) if isinstance(r, QuadResult)
-                          else (r, 0.0))
-            w.writerow(base + [route, _fmt(value.real), _fmt(value.imag),
-                               _fmt(err), rep.verdict])
+            cells = (["", "", ""] if r.value is None
+                     else [_fmt(r.value.real), _fmt(r.value.imag), _fmt(r.err_estimate)])
+            w.writerow(base + [route, *cells, r.status, r.reason, rep.verdict])
     return buf.getvalue()
 
 

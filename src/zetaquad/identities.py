@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .complexfn import TWO_PI, BranchedConstant, DomainError, complex_pow, gamma
@@ -31,6 +31,7 @@ from .quad import QuadConfig, QuadResult, integrate_semi_infinite
 
 __all__ = [
     "IdentityCase",
+    "RouteResult",
     "VerificationReport",
     "SweepResult",
     "RegionError",
@@ -87,21 +88,38 @@ class IdentityCase:
     verdict_rtol: float = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
+class RouteResult:
+    """What one route gave; its key in VerificationReport.routes names it.
+
+    status is ok (the value is compared), unconverged (a quadrature stopped
+    short of its tolerance; its last iterate is kept but not compared),
+    skipped (outside the route's region) or failed (the route raised), and
+    reason says why it is not ok.  value, err_estimate and n_evals are None
+    when the route did not run; a closed form has err_estimate 0.0, n_evals 0.
+    """
+
+    value: complex | None
+    err_estimate: float | None = 0.0
+    n_evals: int | None = 0
+    status: str = "ok"
+    reason: str = ""
+
+
+@dataclass(frozen=True)
 class VerificationReport:
-    """Per-route results in evaluation order: a quadrature route keeps its
-    QuadResult, a closed form its bare value."""
+    """One record per route in evaluation order, the residual of every pair
+    of ok routes, and the verdict."""
 
     case: IdentityCase
-    routes: dict[str, QuadResult | complex] = field(default_factory=dict)
-    residuals: dict[str, float] = field(default_factory=dict)
-    verdict: str = "partial"
-    notes: list[str] = field(default_factory=list)
+    routes: dict[str, RouteResult]
+    residuals: dict[str, float]
+    verdict: str
 
-    # read-only views of the four verify routes
+    # views of the verify routes: a record, or for zeta and series its value
     lhs = property(lambda self: self.routes.get("lhs"))
-    zeta_value = property(lambda self: self.routes.get("zeta"))
-    series_value = property(lambda self: self.routes.get("series"))
+    zeta_value = property(lambda self: getattr(self.routes.get("zeta"), "value", None))
+    series_value = property(lambda self: getattr(self.routes.get("series"), "value", None))
     contour_value = property(lambda self: self.routes.get("contour"))
 
 
@@ -432,26 +450,56 @@ def contour_cauchy_check(y: complex, k: int) -> complex:
     return total / _CAUCHY_NODES
 
 
-def _route_values(rep: VerificationReport) -> dict[str, complex]:
-    """The values fit for comparison: closed forms and converged quadratures."""
-    return {name: r.value if isinstance(r, QuadResult) else r
-            for name, r in rep.routes.items()
-            if not isinstance(r, QuadResult) or r.converged}
+def _run_route(case: IdentityCase, evaluate: Callable[[IdentityCase], object],
+               region: Callable[[complex], str | None] = _everywhere) -> RouteResult:
+    """Run one route on the case and record the outcome: the region's reason
+    to skip it, the exception it raised, or what it returned.  A quadrature
+    returns a QuadResult, a closed form its bare value."""
+    reason = region(complex(case.k))
+    if reason is not None:
+        return RouteResult(None, None, None, "skipped", reason)
+    try:
+        result = evaluate(case)
+    except (DomainError, ConvergenceError, OverflowError) as exc:
+        return RouteResult(None, None, None, "failed", str(exc))
+    if not isinstance(result, QuadResult):
+        return RouteResult(result)
+    if result.converged:
+        return RouteResult(result.value, result.err_estimate, result.n_evals)
+    return RouteResult(result.value, result.err_estimate, result.n_evals,
+                       "unconverged", "quadrature did not converge")
 
 
-def _fill_verdict(rep: VerificationReport, values: dict[str, complex],
-                  atol: float, rtol: float) -> None:
-    names = list(values)
-    ok = True
-    for i, x in enumerate(names):
-        for y in names[i + 1:]:
-            rep.residuals[f"{x}|{y}"] = abs(values[x] - values[y])
-            if not residual_ok(values[x], values[y], atol, rtol):
-                ok = False
-    if len(values) < 2:
-        rep.verdict = "partial"
+def _judge(case: IdentityCase, routes: dict[str, RouteResult]) -> VerificationReport:
+    """Compare every pair of ok routes by residual_ok at the case's tolerances.
+
+    The verdict is fail if any pair disagrees.  Otherwise it is pass if at
+    least two routes are ok and every route that ran is ok, else partial.
+    """
+    ok = [(name, r.value) for name, r in routes.items() if r.status == "ok"]
+    residuals = {}
+    agree = True
+    for i, (x, vx) in enumerate(ok):
+        for y, vy in ok[i + 1:]:
+            residuals[f"{x}|{y}"] = abs(vx - vy)
+            agree = agree and residual_ok(vx, vy, case.verdict_atol, case.verdict_rtol)
+    if not agree:
+        verdict = "fail"
+    elif len(ok) >= 2 and all(r.status in ("ok", "skipped") for r in routes.values()):
+        verdict = "pass"
     else:
-        rep.verdict = "pass" if ok else "fail"
+        verdict = "partial"
+    return VerificationReport(case, routes, residuals, verdict)
+
+
+def _verify_routes(case: IdentityCase) -> dict[str, RouteResult]:
+    # The route table is built per call, so that route functions replaced on
+    # the module (for instance by a tracer) are the ones that run.
+    return {name: _run_route(case, evaluate, region)
+            for name, evaluate, region in (("lhs", lhs_integral, _everywhere),
+                                           ("zeta", rhs_zeta, _everywhere),
+                                           ("series", rhs_series, _series_region),
+                                           ("contour", rhs_contour, _contour_region))}
 
 
 def verify(case: IdentityCase) -> VerificationReport:
@@ -459,50 +507,17 @@ def verify(case: IdentityCase) -> VerificationReport:
     msg = case_violation(case.k, case.a)
     if msg is not None:
         raise CaseError(msg)
-    k = complex(case.k)
-    rep = VerificationReport(case)
-    # The route table is built per call, so that route functions replaced on
-    # the module (for instance by a tracer) are the ones that run.
-    for name, evaluate, region in (("lhs", lhs_integral, _everywhere),
-                                   ("zeta", rhs_zeta, _everywhere),
-                                   ("series", rhs_series, _series_region),
-                                   ("contour", rhs_contour, _contour_region)):
-        reason = region(k)
-        if reason is not None:
-            rep.notes.append(f"{name} skipped: {reason}")
-            continue
-        try:
-            result = evaluate(case)
-        except (DomainError, ConvergenceError, OverflowError) as exc:
-            rep.notes.append(f"{name} failed: {exc}")
-            continue
-        rep.routes[name] = result
-        if isinstance(result, QuadResult) and not result.converged:
-            rep.notes.append(f"{name} quadrature did not converge")
-    values = _route_values(rep)
-    _fill_verdict(rep, values, case.verdict_atol, case.verdict_rtol)
-    return rep
+    return _judge(case, _verify_routes(case))
 
 
 def catalan_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
-    """The k = -1, a = 1 instance, checked against -4 G / pi."""
+    """The k = -1, a = 1 instance, with the route "reference" holding -4 G / pi
+    for Catalan's constant G from the accelerated series."""
     case = IdentityCase(-1.0 + 0j, BranchedConstant(1.0), quad_cfg=quad_cfg,
                         verdict_atol=1e-8, verdict_rtol=1e-8)
-    g = catalan_reference()
-    target = complex(-4.0 * g / math.pi)
-    rep = VerificationReport(case)
-    rep.notes.append(f"reference: -4G/pi with G = {g:.16f} from the accelerated series")
-    for name, evaluate in (("lhs", lhs_integral), ("zeta", rhs_zeta),
-                           ("series", rhs_series)):
-        rep.routes[name] = evaluate(case)
-    values = _route_values(rep)
-    ok = len(values) == 3
-    for name, v in values.items():
-        rep.residuals[f"{name}|reference"] = abs(v - target)
-        if not residual_ok(v, target, case.verdict_atol, case.verdict_rtol):
-            ok = False
-    rep.verdict = "pass" if ok else ("fail" if len(values) >= 2 else "partial")
-    return rep
+    routes = _verify_routes(case)
+    routes["reference"] = RouteResult(complex(-4.0 * catalan_reference() / math.pi))
+    return _judge(case, routes)
 
 
 def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
@@ -518,32 +533,17 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
       step 1e-4.
     """
     case = IdentityCase(1.0 + 0j, BranchedConstant(1.0), quad_cfg=quad_cfg)
-
-    quad = _split_quad(_loggamma_ray, quad_cfg)
-
-    g34 = gamma(-0.75 + 0j)
-    g14 = gamma(-0.25 + 0j)
-    ratio4 = (g34 / g14) ** 4
+    ratio4 = (gamma(-0.75 + 0j) / gamma(-0.25 + 0j)) ** 4
     closed = 0.25 * math.pi * (cmath.log(81.0 / (4.0 * math.pi ** 2 * math.e ** 2) * ratio4)
                                - 1j * math.pi)
-
-    def gz(kv: complex) -> complex:
-        return rhs_zeta(IdentityCase(kv, BranchedConstant(1.0), quad_cfg=quad_cfg))
-
     step = 1e-4
-    fd = (gz(1.0 + step) - gz(1.0 - step)) / (2.0 * step)
-    rep = VerificationReport(case, {"direct": quad, "closed": closed, "fd": fd})
-
-    direct = quad.value
-    rep.residuals["direct|closed"] = abs(direct - closed)
-    rep.residuals["direct|fd"] = abs(direct - fd)
-    rep.residuals["closed|fd"] = abs(closed - fd)
-    ok = (quad.converged
-          and residual_ok(direct, closed, 1e-6, 1e-6)
-          and residual_ok(direct, fd, 1e-5, 1e-5)
-          and residual_ok(closed, fd, 1e-5, 1e-5))
-    rep.verdict = "pass" if ok else "fail"
-    return rep
+    fd = (rhs_zeta(IdentityCase(1.0 + step, case.a))
+          - rhs_zeta(IdentityCase(1.0 - step, case.a))) / (2.0 * step)
+    return _judge(case, {
+        "direct": _run_route(case, lambda c: _split_quad(_loggamma_ray, c.quad_cfg)),
+        "closed": RouteResult(closed),
+        "fd": RouteResult(fd),
+    })
 
 
 def sweep(k_list: Sequence[complex], a_list: Sequence[BranchedConstant],

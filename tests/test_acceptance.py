@@ -131,7 +131,7 @@ def test_criterion_5_loggamma_case():
     def collect():
         problems = []
         rep = loggamma_case()
-        closed = rep.routes["closed"]
+        closed = rep.routes["closed"].value
         if abs(closed.imag + math.pi ** 2 / 4.0) > 1e-10:
             problems.append(f"imag part off by {abs(closed.imag + math.pi ** 2 / 4):.3e}")
         if abs(closed.real - LOGGAMMA_REAL) > 1e-9:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -92,7 +94,8 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["reports"][0]["verdict"] == "pass"
-        assert set(doc["reports"][0]["routes"]) == {"lhs", "zeta", "series"}
+        assert {name: r["status"] for name, r in doc["reports"][0]["routes"].items()} == {
+            "lhs": "ok", "zeta": "ok", "series": "ok", "contour": "skipped"}
 
     def test_verify_deterministic(self, capsys):
         main(["verify", "--k", "0.5+0.3i", "--a", "2@2.35619449019234"])
@@ -125,10 +128,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "k_re,k_im,a_r,a_theta,route,value_re,value_im,err_est,verdict"
-        routes = [ln.split(",")[4] for ln in lines[1:]]
-        assert routes == ["lhs", "zeta", "series", "lhs", "zeta"]
-        assert all(ln.endswith(",pass") for ln in lines[1:])
+        assert lines[0] == ("k_re,k_im,a_r,a_theta,route,value_re,value_im,err_est,"
+                            "status,reason,verdict")
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [row[4] for row in rows] == ["lhs", "zeta", "series", "contour"] * 2
+        assert [row[8] for row in rows] == ["ok", "ok", "ok", "skipped",
+                                            "ok", "ok", "skipped", "skipped"]
+        assert [row[9] for row in rows[2:4] + rows[6:]] == ["", "integer k",
+                                                             "Re(k) >= 1", "Re(k) >= 1"]
+        assert all(row[10] == "pass" for row in rows)
+        # a skipped route has no value, so its value cells are empty
+        assert all((row[5:8] == ["", "", ""]) == (row[8] == "skipped") for row in rows)
 
     def test_sweep_skips_noted_on_stderr(self, capsys):
         code = main(["sweep", "--k-list", "-0.5", "--a-list", "2,1"])
@@ -194,9 +204,53 @@ class TestCommands:
         got = rep["routes"][route]
         value = complex(got["value"]["re"], got["value"]["im"])
         zeta = complex(rep["routes"]["zeta"]["value"]["re"], rep["routes"]["zeta"]["value"]["im"])
-        assert got["converged"] is True
+        assert got["status"] == "ok"
         assert abs(value - zeta) <= 1e-10 * max(1.0, abs(zeta))
-        assert rep["notes"] == []
+        assert all(r["status"] == "ok" for r in rep["routes"].values())
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "0.5", "--a", "1", "--max-evals", "40"],
+        ["--k", "-1.99", "--a", "1", "--max-evals", "40"],
+        # the contour stops at 0.02+0.04i; the true value is about 1e-200
+        ["--k", "0.5+400i", "--a", "3@1"],
+    ])
+    def test_unconverged_route_makes_verdict_partial(self, capsys, argv):
+        # the remaining routes agree, but one that ran gave no trustworthy value
+        assert main(["verify", *argv]) == 1
+        rep = json.loads(capsys.readouterr().out)["reports"][0]
+        assert rep["verdict"] == "partial"
+        unconverged = {name for name, r in rep["routes"].items()
+                       if r["status"] == "unconverged"}
+        assert unconverged
+        assert all(unconverged.isdisjoint(pair.split("|")) for pair in rep["residuals"])
+
+    def test_csv_keeps_case_whose_routes_all_fail(self, capsys):
+        assert main(["verify", "--k", "150", "--a", "3@1", "--format", "csv"]) == 1
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [(row[4], row[8], row[9]) for row in rows] == [
+            ("lhs", "failed", "math range error"),
+            ("zeta", "failed", "math range error"),
+            ("series", "skipped", "Re(k) >= 1"),
+            ("contour", "skipped", "Re(k) >= 1")]
+        assert all(row[5:8] == ["", "", ""] and row[10] == "partial" for row in rows)
+
+    def test_json_and_csv_list_the_same_routes(self, capsys):
+        assert main(["sweep"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["sweep", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        from_json = []
+        for rep in doc["reports"]:
+            case = (rep["case"]["k"]["re"], rep["case"]["k"]["im"],
+                    rep["case"]["a"]["r"], rep["case"]["a"]["theta"])
+            for name, r in rep["routes"].items():
+                value = r["value"] or {"re": None, "im": None}
+                from_json.append((*case, name, value["re"], value["im"], r["err_estimate"],
+                                  r["status"], r["reason"], rep["verdict"]))
+        from_csv = [(*map(float, row[:4]), row[4],
+                     *(float(x) if x else None for x in row[5:8]), *row[8:]) for row in rows]
+        assert from_csv == from_json
+        assert {row[8] for row in rows} == {"ok", "skipped"}
 
     def test_zeta(self, capsys):
         code = main(["zeta", "--s", "2", "--q", "1"])
@@ -224,6 +278,7 @@ class TestCommands:
         out = capsys.readouterr().out
         rep = json.loads(out)["reports"][0]
         # the starved quadrature must be flagged, not silently compared
-        assert rep["routes"]["lhs"]["converged"] is False
+        assert rep["routes"]["lhs"]["status"] == "unconverged"
+        assert rep["routes"]["lhs"]["reason"] == "quadrature did not converge"
         assert rep["routes"]["lhs"]["n_evals"] <= 80
-        assert any("did not converge" in n for n in rep["notes"])
+        assert not any("lhs" in pair.split("|") for pair in rep["residuals"])
