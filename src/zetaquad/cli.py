@@ -8,8 +8,12 @@ Commands:
 * zeta      -- print hurwitz_zeta(s, q)
 * selftest  -- run the module invariant suites
 
-Reports are JSON (default) or CSV on stdout; diagnostics go to stderr.
-Exit codes: 0 every verdict pass, 1 any fail or partial, 2 usage error.
+Reports are JSON (default) or CSV, on stdout or in the --output file; the CSV
+columns are k_re, k_im, a_r, a_theta, route, value_re, value_im, err_est,
+n_evals, status, reason, verdict (one row per route).  Diagnostics go to
+stderr.  Only verify and sweep take --verdict-atol / --verdict-rtol.
+Exit codes: 0 every verdict pass, 1 any fail or partial, 2 usage error, an
+argument the engine cannot evaluate or an --output file it cannot write.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ import csv
 import io
 import math
 import os
+import re
 import sys
 from typing import Any, Sequence
 
 from .complexfn import TWO_PI, BranchedConstant, DomainError, gamma
-from .hurwitz import hurwitz_zeta, zeta_neg_int_oracle
+from .hurwitz import ConvergenceError, hurwitz_zeta, zeta_neg_int_oracle
 from .identities import (
     DEFAULT_A_GRID,
     DEFAULT_K_GRID,
@@ -47,37 +52,24 @@ __all__ = ["CliParseError", "parse_complex", "parse_branched", "render_complex",
 
 
 class CliParseError(ValueError):
-    """Malformed command-line literal; the message carries the position."""
+    """A command-line argument the CLI cannot use: a malformed literal (the
+    message carries the position) or an --output file it cannot write."""
 
 
 # ---------------------------------------------------------------------------
 # complex / polar literal grammar
 
+_NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
 def _scan_number(text: str, i: int, what: str) -> tuple[float, int]:
-    start = i
-    n = len(text)
-    if i < n and text[i] in "+-":
-        i += 1
-    digits = i
-    while i < n and text[i].isdigit():
-        i += 1
-    if i < n and text[i] == ".":
-        i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-    if i == digits or (i == digits + 1 and text[digits] == "."):
-        raise CliParseError(f"expected {what} at position {start}: {text!r}")
-    if i < n and text[i] in "eE":
-        j = i + 1
-        if j < n and text[j] in "+-":
-            j += 1
-        k = j
-        while j < n and text[j].isdigit():
-            j += 1
-        if j == k:
-            raise CliParseError(f"malformed exponent at position {i}: {text!r}")
-        i = j
-    return float(text[start:i]), i
+    m = _NUMBER.match(text, i)
+    if m is None:
+        raise CliParseError(f"expected {what} at position {i}: {text!r}")
+    end = m.end()
+    if m.group(1) is None and text.startswith(("e", "E"), end):
+        raise CliParseError(f"malformed exponent at position {end}: {text!r}")
+    return float(m.group()), end
 
 
 def parse_complex(text: str) -> complex:
@@ -198,13 +190,14 @@ def reports_to_csv(reps: Sequence[VerificationReport]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["k_re", "k_im", "a_r", "a_theta", "route", "value_re", "value_im",
-                "err_est", "status", "reason", "verdict"])
+                "err_est", "n_evals", "status", "reason", "verdict"])
     for rep in reps:
         base = [_fmt(rep.case.k.real), _fmt(rep.case.k.imag),
                 _fmt(rep.case.a.r), _fmt(rep.case.a.theta)]
         for route, r in rep.routes.items():
-            cells = (["", "", ""] if r.value is None
-                     else [_fmt(r.value.real), _fmt(r.value.imag), _fmt(r.err_estimate)])
+            cells = (["", "", "", ""] if r.value is None
+                     else [_fmt(r.value.real), _fmt(r.value.imag), _fmt(r.err_estimate),
+                           str(r.n_evals)])
             w.writerow(base + [route, *cells, r.status, r.reason, rep.verdict])
     return buf.getvalue()
 
@@ -218,18 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
                                             "cos(2y) log-power integrals")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--atol", type=float, default=1e-10,
+    def add_common(sp: argparse.ArgumentParser, verdict_flags: bool = True) -> None:
+        sp.add_argument("--atol", type=float, default=QuadConfig.atol,
                         help="quadrature absolute tolerance")
-        sp.add_argument("--rtol", type=float, default=1e-10,
+        sp.add_argument("--rtol", type=float, default=QuadConfig.rtol,
                         help="quadrature relative tolerance")
-        sp.add_argument("--max-evals", type=int, default=10 ** 6,
+        sp.add_argument("--max-evals", type=int, default=QuadConfig.max_evals,
                         help="evaluation budget per quadrature call, at least 13 "
                              "(each half of the lhs integral is one call)")
-        sp.add_argument("--verdict-atol", type=float, default=1e-6,
-                        help="pass/fail residual rule, absolute part")
-        sp.add_argument("--verdict-rtol", type=float, default=1e-6,
-                        help="pass/fail residual rule, relative part")
+        if verdict_flags:
+            sp.add_argument("--verdict-atol", type=float, default=IdentityCase.verdict_atol,
+                            help="pass/fail residual rule, absolute part")
+            sp.add_argument("--verdict-rtol", type=float, default=IdentityCase.verdict_rtol,
+                            help="pass/fail residual rule, relative part")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default=None, help="write report here instead of stdout")
 
@@ -243,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a-list", default=None, help="comma-separated constants")
     add_common(sp)
 
+    # the special cases carry their own fixed verdict tolerances
     sp = sub.add_parser("constants", help="Catalan and log-Gamma special cases")
-    add_common(sp)
+    add_common(sp, verdict_flags=False)
 
     sp = sub.add_parser("zeta", help="print hurwitz_zeta(s, q)")
     sp.add_argument("--s", required=True)
@@ -260,8 +255,12 @@ def _quad_cfg(ns: argparse.Namespace) -> QuadConfig:
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # only the file: a closed stdout (BrokenPipeError) is handled in entry()
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliParseError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -373,17 +372,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _emit_reports([catalan_case(cfg), loggamma_case(cfg)], [], ns)
 
         if cmd == "zeta":
-            print(render_complex(hurwitz_zeta(parse_complex(ns.s), parse_complex(ns.q))))
+            try:
+                value = hurwitz_zeta(parse_complex(ns.s), parse_complex(ns.q))
+            except (OverflowError, ConvergenceError) as exc:  # s beyond the engine's reach
+                raise ValueError(str(exc)) from exc
+            print(render_complex(value))
             return 0
 
-        if cmd == "selftest":
-            all_ok = True
-            for name, ok in _selftest_checks():
-                print(f"{'PASS' if ok else 'FAIL'} {name}")
-                all_ok = all_ok and ok
-            return 0 if all_ok else 1
-
-        raise CliParseError(f"unknown command {cmd!r}")
+        # selftest, the only command left
+        all_ok = True
+        for name, ok in _selftest_checks():
+            print(f"{'PASS' if ok else 'FAIL'} {name}")
+            all_ok = all_ok and ok
+        return 0 if all_ok else 1
     except (CliParseError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

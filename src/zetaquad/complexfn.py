@@ -60,10 +60,6 @@ class BranchedConstant:
     def log_value(self) -> complex:
         return complex(math.log(self.r), self.theta)
 
-    @property
-    def value(self) -> complex:
-        return self.r * cmath.exp(1j * self.theta)
-
 
 def principal_log(z: complex) -> complex:
     """ln|z| + i*Arg(z) with Arg in (-pi, pi]."""

@@ -548,8 +548,8 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
 
 def sweep(k_list: Sequence[complex], a_list: Sequence[BranchedConstant],
           quad_cfg: QuadConfig = QuadConfig(),
-          verdict_atol: float = 1e-6,
-          verdict_rtol: float = 1e-6) -> SweepResult:
+          verdict_atol: float = IdentityCase.verdict_atol,
+          verdict_rtol: float = IdentityCase.verdict_rtol) -> SweepResult:
     """Verify the Cartesian product of cases, in deterministic input order.
 
     Pairs violating the case invariants are skipped with a note.

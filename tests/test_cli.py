@@ -72,6 +72,39 @@ class TestParseBranched:
             parse_branched("-2@1.0")
 
 
+class TestLiteralGrammar:
+    @pytest.mark.parametrize("parse,text,value", [
+        (parse_complex, "5.", 5 + 0j),
+        (parse_complex, ".5", 0.5 + 0j),
+        (parse_complex, "+.5e-3", 0.0005 + 0j),
+        (parse_complex, "1E5", 100000 + 0j),
+        (parse_complex, "-0.5+2e-3i", -0.5 + 0.002j),
+        (parse_branched, "1@0", (1.0, 0.0)),
+        (parse_branched, "3+4i", (5.0, math.atan2(4.0, 3.0))),
+    ])
+    def test_accepted(self, parse, text, value):
+        got = parse(text)
+        assert (got if parse is parse_complex else (got.r, got.theta)) == value
+
+    @pytest.mark.parametrize("parse,text,message", [
+        (parse_complex, "1e", "malformed exponent at position 1: '1e'"),
+        (parse_complex, "1e+", "malformed exponent at position 1: '1e+'"),
+        (parse_complex, "1e5e5", "unexpected character at position 3: '1e5e5'"),
+        (parse_complex, ".", "expected real part at position 0: '.'"),
+        (parse_complex, "+", "expected real part at position 0: '+'"),
+        (parse_complex, "1+.i", "expected imaginary part at position 1: '1+.i'"),
+        (parse_complex, "1.5+2x", "expected trailing 'i' at position 5: '1.5+2x'"),
+        # a superscript digit is not a decimal digit
+        (parse_complex, "2\u00b2", "unexpected character at position 1: '2\u00b2'"),
+        (parse_branched, "2@-0.1", "argument must lie in [0, 2*pi): '2@-0.1'"),
+        (parse_branched, "+2@1", "modulus must be a positive decimal: '+2@1'"),
+    ])
+    def test_rejected(self, parse, text, message):
+        with pytest.raises(CliParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
 class TestRendering:
     def test_render_parse_round_trip(self):
         for z in (1.25 - 0.75j, -2 + 3j, 0.1 + 0j, -0.0001 - 1e-7j):
@@ -129,16 +162,16 @@ class TestCommands:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == ("k_re,k_im,a_r,a_theta,route,value_re,value_im,err_est,"
-                            "status,reason,verdict")
+                            "n_evals,status,reason,verdict")
         rows = [ln.split(",") for ln in lines[1:]]
         assert [row[4] for row in rows] == ["lhs", "zeta", "series", "contour"] * 2
-        assert [row[8] for row in rows] == ["ok", "ok", "ok", "skipped",
+        assert [row[9] for row in rows] == ["ok", "ok", "ok", "skipped",
                                             "ok", "ok", "skipped", "skipped"]
-        assert [row[9] for row in rows[2:4] + rows[6:]] == ["", "integer k",
-                                                             "Re(k) >= 1", "Re(k) >= 1"]
-        assert all(row[10] == "pass" for row in rows)
-        # a skipped route has no value, so its value cells are empty
-        assert all((row[5:8] == ["", "", ""]) == (row[8] == "skipped") for row in rows)
+        assert [row[10] for row in rows[2:4] + rows[6:]] == ["", "integer k",
+                                                              "Re(k) >= 1", "Re(k) >= 1"]
+        assert all(row[11] == "pass" for row in rows)
+        # a skipped route has no value, so its value and work cells are empty
+        assert all((row[5:9] == ["", "", "", ""]) == (row[9] == "skipped") for row in rows)
 
     def test_sweep_skips_noted_on_stderr(self, capsys):
         code = main(["sweep", "--k-list", "-0.5", "--a-list", "2,1"])
@@ -227,12 +260,12 @@ class TestCommands:
     def test_csv_keeps_case_whose_routes_all_fail(self, capsys):
         assert main(["verify", "--k", "150", "--a", "3@1", "--format", "csv"]) == 1
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
-        assert [(row[4], row[8], row[9]) for row in rows] == [
+        assert [(row[4], row[9], row[10]) for row in rows] == [
             ("lhs", "failed", "math range error"),
             ("zeta", "failed", "math range error"),
             ("series", "skipped", "Re(k) >= 1"),
             ("contour", "skipped", "Re(k) >= 1")]
-        assert all(row[5:8] == ["", "", ""] and row[10] == "partial" for row in rows)
+        assert all(row[5:9] == ["", "", "", ""] and row[11] == "partial" for row in rows)
 
     def test_json_and_csv_list_the_same_routes(self, capsys):
         assert main(["sweep"]) == 0
@@ -246,11 +279,12 @@ class TestCommands:
             for name, r in rep["routes"].items():
                 value = r["value"] or {"re": None, "im": None}
                 from_json.append((*case, name, value["re"], value["im"], r["err_estimate"],
-                                  r["status"], r["reason"], rep["verdict"]))
+                                  r["n_evals"], r["status"], r["reason"], rep["verdict"]))
         from_csv = [(*map(float, row[:4]), row[4],
-                     *(float(x) if x else None for x in row[5:8]), *row[8:]) for row in rows]
+                     *(float(x) if x else None for x in row[5:8]),
+                     int(row[8]) if row[8] else None, *row[9:]) for row in rows]
         assert from_csv == from_json
-        assert {row[8] for row in rows} == {"ok", "skipped"}
+        assert {row[9] for row in rows} == {"ok", "skipped"}
 
     def test_zeta(self, capsys):
         code = main(["zeta", "--s", "2", "--q", "1"])
@@ -260,6 +294,27 @@ class TestCommands:
 
     def test_zeta_pole_is_usage_error(self, capsys):
         assert main(["zeta", "--s", "1", "--q", "0.5"]) == 2
+
+    @pytest.mark.parametrize("s,message", [
+        ("-300", "error: math range error\n"),
+        ("0.5+5000000i", "error: tail term 1.630e-01 above tolerance at N = 262144\n"),
+    ])
+    def test_zeta_out_of_reach_is_usage_error(self, capsys, s, message):
+        assert main(["zeta", "--s", s, "--q", "0.5"]) == 2
+        assert capsys.readouterr() == ("", message)
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["verify", "--k", "0.5", "--a", "1", "--output", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write report: ")
+        assert str(path) in err
+
+    def test_constants_refuses_verdict_flags(self):
+        for flag in ("--verdict-atol", "--verdict-rtol"):
+            with pytest.raises(SystemExit) as exc:
+                main(["constants", flag, "1e-30"])
+            assert exc.value.code == 2
 
     def test_selftest(self, capsys):
         code = main(["selftest"])
