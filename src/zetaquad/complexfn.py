@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+EPS = 2.2e-16  # double-precision machine epsilon
 
 BERNOULLI_CAP = 200
 

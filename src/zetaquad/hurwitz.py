@@ -7,11 +7,15 @@ The expansion is
                + (N+q)^{-s} / 2
                + sum_{j=1}^{M} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * (N+q)^{-s-2j+1}
 
-with M = 25 and N doubled from 1 until the first neglected tail term drops
-below the fixed tolerance 1e-13 (relative once |value| exceeds 1).  Callers
-with Re(q) <= 0 are pre-shifted through the recurrence
-zeta(s, q) = zeta(s, q+1) + q^{-s} automatically.  All powers use the
-principal branch fixed in complexfn.
+with M = 25.  N doubles from 1 until the first neglected tail term drops
+below the fixed tolerance 1e-13, relative to the quantity being computed
+once that exceeds 1; each doubling adds only the direct terms N .. 2N-1 to
+the sum kept from the previous one.  A call sums only the quantity it
+returns: hurwitz_zeta the expansion above, hurwitz_zeta_ds its term-by-term
+s-derivative.  Arguments with Re(q) <= 0 are first shifted through the
+recurrence zeta(s, q) = zeta(s, q+1) + q^{-s}; Re(q) < -_N_CAP, which would
+take more steps than the cap on summed terms, raises DomainError.  All powers
+use the principal branch fixed in complexfn.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .complexfn import PoleError, bernoulli_numbers, principal_log
+from .complexfn import DomainError, PoleError, bernoulli_numbers, principal_log
 
 __all__ = [
     "ConvergenceError",
@@ -53,94 +57,74 @@ def _tail_coefficients() -> tuple[float, ...]:
     return tuple(bern[2 * j] / math.factorial(2 * j) for j in range(1, _TAIL_TERMS + 2))
 
 
-def _em_pass(s: complex, q: complex, n_direct: int, coefs: tuple[float, ...],
-             monitor_derivative: bool) -> tuple[complex, complex, float]:
-    """One Euler-Maclaurin evaluation; returns (value, d/ds value, |first neglected|).
-
-    The neglected-term magnitude monitors the value tail or the derivative
-    tail depending on which quantity the caller is converging.  If the
-    asymptotic tail starts increasing it is truncated at its smallest term.
-    """
-    v = 0j
-    d = 0j
-    for i in range(n_direct):
-        w = i + q
-        lw = cmath.log(w)
-        p = _pow(w, -s)
-        v += p
-        d -= lw * p
-    x = n_direct + q
-    lx = cmath.log(x)
-    xs = _pow(x, -s)
-    sm1 = s - 1.0
-    v += x * xs / sm1
-    d += x * xs * (-lx / sm1 - 1.0 / (sm1 * sm1))
-    v += 0.5 * xs
-    d -= 0.5 * lx * xs
-
-    # Bernoulli tail: term_j = B_{2j}/(2j)! * P_j(s) * x^{-(s+2j-1)}
-    # with P_j(s) = s(s+1)...(s+2j-2); (P, dP) advanced by the product rule.
-    prod = s
-    dprod = 1.0 + 0j
-    pw = _pow(x, -(s + 1.0))
-    step = 1.0 / (x * x)
-    neglected = math.inf
-    prev_mag = math.inf
-    for j, c in enumerate(coefs, 1):
-        term = c * prod * pw
-        dterm = c * (dprod - prod * lx) * pw
-        mag = abs(dterm) if monitor_derivative else abs(term)
-        if j == _TAIL_TERMS + 1:
-            neglected = mag
-            break
-        if j >= 3 and mag > prev_mag:
-            neglected = mag  # asymptotic tail turned; truncate before this term
-            break
-        v += term
-        d += dterm
-        prev_mag = mag
-        for i in (2 * j - 1, 2 * j):
-            dprod = dprod * (s + i) + prod
-            prod = prod * (s + i)
-        pw *= step
-    return v, d, neglected
-
-
-def _hurwitz_pair(s: complex, q: complex,
-                  monitor_derivative: bool) -> tuple[complex, complex]:
+def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
+    """zeta(s, q), or d/ds zeta(s, q) if derivative; see the module docstring."""
     s = complex(s)
     q = complex(q)
     if s == 1:
         raise PoleError("hurwitz zeta pole at s = 1")
-    shift_v = 0j
-    shift_d = 0j
+    if -q.real > _N_CAP:
+        raise DomainError(
+            f"Re(q) = {q.real:g} below -{_N_CAP}: too many shifts to Re(q) > 0")
+    shift = 0j
     while q.real <= 0.0:
         lq = principal_log(q)
         p = cmath.exp(-s * lq)
-        shift_v += p
-        shift_d -= lq * p
+        shift += -(lq * p) if derivative else p
         q += 1
     coefs = _tail_coefficients()
+    sm1 = s - 1.0
+    direct = 0j  # sum of the summands n < done, extended as N doubles
+    done = 0
     n = 1
     while True:
-        v, d, neglected = _em_pass(s, q, n, coefs, monitor_derivative)
-        ref = abs(d) if monitor_derivative else abs(v)
-        if neglected <= _TOLERANCE * max(1.0, ref):
-            return v + shift_v, d + shift_d
+        for i in range(done, n):
+            w = i + q
+            p = _pow(w, -s)
+            direct += -(cmath.log(w) * p) if derivative else p
+        x = n + q
+        xs = _pow(x, -s)
+        if derivative:
+            lx = cmath.log(x)
+            total = direct + x * xs * (-lx / sm1 - 1.0 / (sm1 * sm1))
+            total -= 0.5 * lx * xs
+        else:
+            total = direct + x * xs / sm1
+            total += 0.5 * xs
+        # Bernoulli tail: term_j = B_{2j}/(2j)! * P_j(s) * x^{-(s+2j-1)} with
+        # P_j(s) = s(s+1)...(s+2j-2); dP_j/ds is advanced by the product rule.
+        prod = s
+        dprod = 1.0 + 0j
+        pw = _pow(x, -(s + 1.0))
+        step = 1.0 / (x * x)
+        prev_mag = math.inf
+        for j, c in enumerate(coefs, 1):
+            term = c * (dprod - prod * lx) * pw if derivative else c * prod * pw
+            mag = abs(term)
+            if j > _TAIL_TERMS or (j >= 3 and mag > prev_mag):
+                break  # mag is the first neglected term; a turned tail stops here
+            total += term
+            prev_mag = mag
+            for i in (2 * j - 1, 2 * j):
+                if derivative:
+                    dprod = dprod * (s + i) + prod
+                prod = prod * (s + i)
+            pw *= step
+        if mag <= _TOLERANCE * max(1.0, abs(total)):
+            return total + shift
         if n >= _N_CAP:
-            raise ConvergenceError(
-                f"tail term {neglected:.3e} above tolerance at N = {n}")
-        n *= 2
+            raise ConvergenceError(f"tail term {mag:.3e} above tolerance at N = {n}")
+        done, n = n, 2 * n
 
 
 def hurwitz_zeta(s: complex, q: complex) -> complex:
     """zeta(s, q) for complex s != 1 and complex q (pre-shifted if Re(q) <= 0)."""
-    return _hurwitz_pair(s, q, monitor_derivative=False)[0]
+    return _hurwitz(s, q, derivative=False)
 
 
 def hurwitz_zeta_ds(s: complex, q: complex) -> complex:
     """d/ds zeta(s, q), by term-by-term differentiation of the same expansion."""
-    return _hurwitz_pair(s, q, monitor_derivative=True)[1]
+    return _hurwitz(s, q, derivative=True)
 
 
 def zeta_neg_int_oracle(n: int, q: complex) -> complex:

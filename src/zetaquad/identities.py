@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .complexfn import TWO_PI, BranchedConstant, DomainError, complex_pow, gamma
+from .complexfn import EPS, TWO_PI, BranchedConstant, DomainError, complex_pow, gamma
 from .hurwitz import ConvergenceError, hurwitz_zeta
 from .quad import QuadConfig, QuadResult, integrate_semi_infinite
 
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 _CAUCHY_NODES = 256
-_EPS = 2.2e-16  # double-precision machine epsilon
 
 DEFAULT_K_GRID: tuple[complex, ...] = (
     -1.5 + 0j, -1.0 + 0j, -0.5 + 0j, 0.5 + 0j, 0.5 + 0.3j, 2.0 + 0j, 3.0 + 0j,
@@ -331,7 +330,7 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
         return res
     half_g = 0.5 * gamma(k + 2.0)
     turn = cmath.exp(1j * math.pi * k)
-    floor = _EPS * abs(half_g) * (1.0 + abs(turn))
+    floor = EPS * abs(half_g) * (1.0 + abs(turn))
     return QuadResult(res.value + half_g * (turn - 1.0), res.err_estimate + floor,
                       res.n_evals, res.converged)
 
@@ -426,7 +425,7 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     if subtract:
         back = gamma(1.0 - k) * cexp((k - 1.0) * log(0.5 * math.pi))
         value += back
-        err += _EPS * abs(back)
+        err += EPS * abs(back)
     scale = abs(pref)
     return QuadResult(pref * value, scale * err, res.n_evals, res.converged)
 

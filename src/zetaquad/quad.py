@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+from .complexfn import EPS
+
 __all__ = ["QuadConfig", "QuadResult", "integrate_finite", "integrate_semi_infinite"]
 
 _HALF_PI = 0.5 * math.pi
@@ -106,7 +108,7 @@ def _refine(nodes: Callable[[int], tuple], add: Callable[[tuple, complex], compl
         new_value = h * total
         err = abs(new_value - value)
         value = new_value
-        err = max(err, 8.0 * 2.2e-16 * abs(value))
+        err = max(err, 8.0 * EPS * abs(value))
         if err <= cfg.atol + cfg.rtol * abs(value):
             converged = True
             break

@@ -303,6 +303,12 @@ class TestCommands:
         assert main(["zeta", "--s", s, "--q", "0.5"]) == 2
         assert capsys.readouterr() == ("", message)
 
+    def test_zeta_far_negative_q_is_usage_error(self, capsys):
+        # refused before the q -> q + 1 shift, which would take 10^12 steps
+        assert main(["zeta", "--s", "2", "--q=-1e12"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: Re(q) = -1e+12 below -200000: too many shifts to Re(q) > 0\n")
+
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.json"
         assert main(["verify", "--k", "0.5", "--a", "1", "--output", str(path)]) == 2

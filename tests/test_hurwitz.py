@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from zetaquad.complexfn import PoleError, log_gamma
+from zetaquad.complexfn import DomainError, PoleError, log_gamma, principal_log
 from zetaquad.hurwitz import (
+    _N_CAP,
+    _TAIL_TERMS,
+    _TOLERANCE,
+    ConvergenceError,
+    _pow,
+    _tail_coefficients,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     zeta_neg_int_oracle,
@@ -135,3 +141,128 @@ class TestProperties:
         # polynomial closed form is valid there by continuation
         q = -0.3 + 0.2j
         assert abs(hurwitz_zeta(-2.0, q) - zeta_neg_int_oracle(2, q)) <= 1e-11
+
+
+# The engine before the direct sum was extended across doublings: every pass
+# re-sums all direct terms and carries the value and the derivative together.
+# Kept verbatim as the reference for the single-quantity engine.
+def _reference_em_pass(s, q, n_direct, coefs, monitor_derivative):
+    v = 0j
+    d = 0j
+    for i in range(n_direct):
+        w = i + q
+        lw = cmath.log(w)
+        p = _pow(w, -s)
+        v += p
+        d -= lw * p
+    x = n_direct + q
+    lx = cmath.log(x)
+    xs = _pow(x, -s)
+    sm1 = s - 1.0
+    v += x * xs / sm1
+    d += x * xs * (-lx / sm1 - 1.0 / (sm1 * sm1))
+    v += 0.5 * xs
+    d -= 0.5 * lx * xs
+    prod = s
+    dprod = 1.0 + 0j
+    pw = _pow(x, -(s + 1.0))
+    step = 1.0 / (x * x)
+    neglected = math.inf
+    prev_mag = math.inf
+    for j, c in enumerate(coefs, 1):
+        term = c * prod * pw
+        dterm = c * (dprod - prod * lx) * pw
+        mag = abs(dterm) if monitor_derivative else abs(term)
+        if j == _TAIL_TERMS + 1:
+            neglected = mag
+            break
+        if j >= 3 and mag > prev_mag:
+            neglected = mag
+            break
+        v += term
+        d += dterm
+        prev_mag = mag
+        for i in (2 * j - 1, 2 * j):
+            dprod = dprod * (s + i) + prod
+            prod = prod * (s + i)
+        pw *= step
+    return v, d, neglected
+
+
+def _reference_hurwitz_pair(s, q, monitor_derivative):
+    s = complex(s)
+    q = complex(q)
+    if s == 1:
+        raise PoleError("hurwitz zeta pole at s = 1")
+    shift_v = 0j
+    shift_d = 0j
+    while q.real <= 0.0:
+        lq = principal_log(q)
+        p = cmath.exp(-s * lq)
+        shift_v += p
+        shift_d -= lq * p
+        q += 1
+    coefs = _tail_coefficients()
+    n = 1
+    while True:
+        v, d, neglected = _reference_em_pass(s, q, n, coefs, monitor_derivative)
+        ref = abs(d) if monitor_derivative else abs(v)
+        if neglected <= _TOLERANCE * max(1.0, ref):
+            return v + shift_v, d + shift_d
+        if n >= _N_CAP:
+            raise ConvergenceError(
+                f"tail term {neglected:.3e} above tolerance at N = {n}")
+        n *= 2
+
+
+def _reference_zeta(s, q):
+    return _reference_hurwitz_pair(s, q, False)[0]
+
+
+def _reference_zeta_ds(s, q):
+    return _reference_hurwitz_pair(s, q, True)[1]
+
+
+def _outcome(fn, s, q):
+    """The value's repr, or the exception's type and message."""
+    try:
+        return repr(fn(s, q))
+    except Exception as exc:  # the exception is the outcome
+        return (type(exc).__name__, str(exc))
+
+
+def _reference_points():
+    rng = random.Random(9)
+    points = [(complex(rng.uniform(-10.0, 12.0), rng.uniform(-60.0, 60.0)),
+               complex(rng.uniform(-2.5, 2.0), rng.uniform(-1.0, 1.0)))
+              for _ in range(400)]
+    points += [(complex(n), complex(q)) for n in range(-4, 5) if n != 1
+               for q in (0.25, 0.75, 1 + 0.5j)]
+    points += [(2 + 0j, -1.5 + 0j), (0.5 - 3j, -0.5 + 0j), (1 + 0j, 0.5 + 0j),
+               (2 + 0j, -2 + 0j), (2 + 0j, 0j)]
+    return points
+
+
+class TestReferenceEngine:
+    def test_outcomes_match_reference(self):
+        outcomes = set()
+        for s, q in _reference_points():
+            value = _outcome(hurwitz_zeta, s, q)
+            assert value == _outcome(_reference_zeta, s, q), (s, q)
+            derivative = _outcome(hurwitz_zeta_ds, s, q)
+            assert derivative == _outcome(_reference_zeta_ds, s, q), (s, q)
+            outcomes.update(o[0] for o in (value, derivative) if isinstance(o, tuple))
+        # the pole and the log of zero are compared, not only values
+        assert {"PoleError", "DomainError"} <= outcomes
+
+
+class TestShiftBound:
+    def test_far_negative_q_refused(self):
+        # without the bound this would step q -> q + 1 about 10^12 times
+        for fn in (hurwitz_zeta, hurwitz_zeta_ds):
+            with pytest.raises(DomainError, match="below -200000"):
+                fn(2.0, -1e12 + 0.5)
+
+    def test_bound_edge_still_shifts(self):
+        q = -float(_N_CAP) + 0.5
+        assert _outcome(hurwitz_zeta, 2.0, q) == _outcome(_reference_zeta, 2.0, q)

@@ -3,10 +3,13 @@
 * every name a module imports is used by that module (the package's
   ``__init__`` re-exports its imports, so it is exempt);
 * every module-level ``_private`` function is referenced somewhere in the
-  package.
+  package;
+* every absolute import, nested ones included, names a standard-library
+  module, so the package stays pure standard library at runtime.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,18 @@ def test_no_unreferenced_private_functions():
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and not node.name.startswith("__") and node.name not in used]
     assert dead == [], f"private functions nothing in the package references: {dead}"
+
+
+def test_imports_are_standard_library():
+    foreign = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == [], f"imports outside the standard library: {foreign}"
