@@ -69,7 +69,10 @@ def _scan_number(text: str, i: int, what: str) -> tuple[float, int]:
     end = m.end()
     if m.group(1) is None and text.startswith(("e", "E"), end):
         raise CliParseError(f"malformed exponent at position {end}: {text!r}")
-    return float(m.group()), end
+    value = float(m.group())
+    if not math.isfinite(value):
+        raise CliParseError(f"number out of range at position {i}: {text!r}")
+    return value, end
 
 
 def parse_complex(text: str) -> complex:
@@ -109,10 +112,14 @@ def parse_branched(text: str) -> BranchedConstant:
     z = parse_complex(s)
     if z == 0:
         raise CliParseError(f"constant a must be nonzero: {text!r}")
+    try:
+        r = abs(z)
+    except OverflowError:
+        raise CliParseError(f"modulus out of range: {text!r}") from None
     theta = math.atan2(z.imag, z.real)
     if theta < 0.0:
         theta += TWO_PI
-    return BranchedConstant(abs(z), theta)
+    return BranchedConstant(r, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quadrature relative tolerance")
         sp.add_argument("--max-evals", type=int, default=QuadConfig.max_evals,
                         help="evaluation budget per quadrature call, at least 13 "
-                             "(each half of the lhs integral is one call)")
+                             "(each half of the lhs integral is one call); a call "
+                             "stops after 12289, so a larger budget changes nothing")
         if verdict_flags:
             sp.add_argument("--verdict-atol", type=float, default=IdentityCase.verdict_atol,
                             help="pass/fail residual rule, absolute part")
@@ -321,7 +329,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     checks.append(("zeta negative-integer oracle", ok))
 
     r = integrate_finite(lambda x: complex(math.log(x)), 0.0, 1.0)
-    checks.append(("tanh-sinh log endpoint", r.converged and abs(r.value + 1) < 1e-10))
+    checks.append(("exp-sinh mapped log endpoint", r.converged and abs(r.value + 1) < 1e-10))
     r = integrate_semi_infinite(lambda t: complex(t ** -0.5 * math.exp(-t)))
     checks.append(("exp-sinh singular origin",
                    r.converged and abs(r.value - math.sqrt(math.pi)) < 1e-9))

@@ -74,6 +74,11 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
         q += 1
     coefs = _tail_coefficients()
     sm1 = s - 1.0
+    if derivative:
+        sq = sm1 * sm1
+        inv_sq = 1.0 / sq if sq else complex(math.inf)
+        if not cmath.isfinite(inv_sq):
+            raise OverflowError(f"1/(s - 1)^2 overflows at |s - 1| = {abs(sm1):.3g}")
     direct = 0j  # sum of the summands n < done, extended as N doubles
     done = 0
     n = 1
@@ -86,7 +91,7 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
         xs = _pow(x, -s)
         if derivative:
             lx = cmath.log(x)
-            total = direct + x * xs * (-lx / sm1 - 1.0 / (sm1 * sm1))
+            total = direct + x * xs * (-lx / sm1 - inv_sq)
             total -= 0.5 * lx * xs
         else:
             total = direct + x * xs / sm1
@@ -123,7 +128,10 @@ def hurwitz_zeta(s: complex, q: complex) -> complex:
 
 
 def hurwitz_zeta_ds(s: complex, q: complex) -> complex:
-    """d/ds zeta(s, q), by term-by-term differentiation of the same expansion."""
+    """d/ds zeta(s, q), by term-by-term differentiation of the same expansion.
+
+    Raises OverflowError for |s - 1| below about 7.5e-155, where the
+    expansion's 1/(s - 1)^2 is not a finite float."""
     return _hurwitz(s, q, derivative=True)
 
 

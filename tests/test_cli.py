@@ -98,6 +98,12 @@ class TestLiteralGrammar:
         (parse_complex, "2\u00b2", "unexpected character at position 1: '2\u00b2'"),
         (parse_branched, "2@-0.1", "argument must lie in [0, 2*pi): '2@-0.1'"),
         (parse_branched, "+2@1", "modulus must be a positive decimal: '+2@1'"),
+        # finite literals only: float() would turn these into inf
+        (parse_complex, "1e400", "number out of range at position 0: '1e400'"),
+        (parse_complex, "1-1e400i", "number out of range at position 1: '1-1e400i'"),
+        (parse_branched, "2@1e400", "number out of range at position 0: '1e400'"),
+        # each part is finite but the modulus overflows
+        (parse_branched, "1e308+1.5e308i", "modulus out of range: '1e308+1.5e308i'"),
     ])
     def test_rejected(self, parse, text, message):
         with pytest.raises(CliParseError) as exc:
@@ -321,6 +327,18 @@ class TestCommands:
             with pytest.raises(SystemExit) as exc:
                 main(["constants", flag, "1e-30"])
             assert exc.value.code == 2
+
+    def test_out_of_range_literals_are_usage_errors(self, capsys):
+        for argv in (["verify", "--k", "1e400", "--a", "1"],
+                     ["sweep", "--k-list=0.5,1e400"],
+                     ["zeta", "--s", "1e400", "--q", "0.5"],
+                     ["zeta", "--s", "2", "--q", "1e400"],
+                     ["verify", "--k", "0.5", "--a", "1e308+1.5e308i"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            literal = "1e308+1.5e308i" if "1e308" in argv[-1] else "1e400"
+            assert captured.err.startswith("error: ") and f"'{literal}'" in captured.err
 
     def test_selftest(self, capsys):
         code = main(["selftest"])

@@ -266,3 +266,16 @@ class TestShiftBound:
     def test_bound_edge_still_shifts(self):
         q = -float(_N_CAP) + 0.5
         assert _outcome(hurwitz_zeta, 2.0, q) == _outcome(_reference_zeta, 2.0, q)
+
+
+class TestDerivativeNearPole:
+    @pytest.mark.parametrize("s", [1 + 1e-161j, 1 + 1e-163j, 1 + 1e-200j])
+    def test_unrepresentable_pole_term_raises_overflow(self, s):
+        # 1/(s - 1)^2 overflows (1e-161) or divides by an underflowed 0
+        with pytest.raises(OverflowError, match="overflows"):
+            hurwitz_zeta_ds(s, 0.5)
+
+    def test_representable_pole_term_unchanged(self):
+        s = 1 + 1e-150j
+        assert _outcome(hurwitz_zeta_ds, s, 0.5) == _outcome(_reference_zeta_ds, s, 0.5)
+        assert cmath.isfinite(hurwitz_zeta_ds(s, 0.5))

@@ -2,8 +2,8 @@
 
 * every name a module imports is used by that module (the package's
   ``__init__`` re-exports its imports, so it is exempt);
-* every module-level ``_private`` function is referenced somewhere in the
-  package;
+* every module-level ``_private`` function and assigned name (a constant
+  such as ``_MAX_LEVEL``) is read somewhere in the package;
 * every absolute import, nested ones included, names a standard-library
   module, so the package stays pure standard library at runtime.
 """
@@ -26,7 +26,7 @@ def _used_names(tree):
     """Names read anywhere in the tree, plus the strings listed in __all__."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -55,14 +55,26 @@ def test_no_unused_imports(path):
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
 
 
+def _defined_names(node):
+    """The names a module-level statement defines: a function's, or the plain
+    names an assignment binds."""
+    if isinstance(node, ast.FunctionDef):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def test_no_unreferenced_private_functions():
     trees = {path.name: _tree(path) for path in MODULES}
     used = set().union(*(_used_names(tree) for tree in trees.values()))
-    dead = [f"{name}:{node.name}"
+    dead = [f"{name}:{defined}"
             for name, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-            and not node.name.startswith("__") and node.name not in used]
-    assert dead == [], f"private functions nothing in the package references: {dead}"
+            for defined in _defined_names(node)
+            if defined.startswith("_") and not defined.startswith("__")
+            and defined not in used]
+    assert dead == [], f"private names nothing in the package reads: {dead}"
 
 
 def test_imports_are_standard_library():
