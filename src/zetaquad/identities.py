@@ -86,6 +86,13 @@ class IdentityCase:
     verdict_atol: float = 1e-6
     verdict_rtol: float = 1e-6
 
+    def __post_init__(self) -> None:
+        # written so that nan fails too: every residual_ok against nan is False
+        if not 0.0 <= self.verdict_atol < math.inf:
+            raise ValueError("verdict_atol must be finite and >= 0")
+        if not 0.0 <= self.verdict_rtol < math.inf:
+            raise ValueError("verdict_rtol must be finite and >= 0")
+
 
 @dataclass(frozen=True)
 class RouteResult:
@@ -199,44 +206,24 @@ def catalan_reference() -> float:
 
 
 def integrand(y: float, k: complex, a: BranchedConstant) -> complex:
-    """cos(2y) * log^k(a tan y) at interior y, with the removable point at
-    y = pi/4 (a = 1) stabilised via cos(2y) = -tanh(log(tan y))."""
+    """cos(2y) * log^k(a tan y) at interior y, as -tanh(u) (log a + u)^k with
+    u = log(tan y).  Where log a + u = 0 exactly, complex_pow gives 0 for
+    Re(k) > 0 and raises DomainError otherwise; at a = 1 no double y hits it."""
     if not 0.0 < y < 0.5 * math.pi:
         raise DomainError("y must lie strictly inside (0, pi/2)")
-    k = complex(k)
     u = math.log(math.tan(y))
-    z = complex(math.log(a.r) + u, a.theta)
-    if z == 0:
-        if a.theta == 0.0 and a.r == 1.0:
-            if k == -1:
-                return -1.0 + 0j  # limit of -tanh(u) * u^{-1}
-            if k.real > -1.0:
-                return 0j
-        elif k.real > 0.0:
-            return 0j
-        raise DomainError("log(a tan y) = 0 with Re(k) too negative")
-    if a.theta == 0.0 and a.r == 1.0 and abs(u) < 1e-6:
-        return -math.tanh(u) * complex_pow(z, k)
-    return math.cos(2.0 * y) * complex_pow(z, k)
-
-
-def _half_sech(u: float) -> float:
-    """1 / (2 cosh u), or 0 for |u| > 700 where it underflows."""
-    au = abs(u)
-    if au > 700.0:
-        return 0.0
-    return math.exp(-au) / (1.0 + math.exp(-2.0 * au))
+    return -math.tanh(u) * complex_pow(a.log_value + u, k)
 
 
 def _lhs_ray(k: complex, log_a: complex, split: float, sign: float,
              subtract: bool) -> Callable[[float], complex]:
     """t -> h(split + sign t) for h(u) = -tanh(u) (log a + u)^k / (2 cosh u).
 
-    _half_sech and the principal power exp(k log z) are written out inline:
-    this is the hot loop of the lhs route.  A node that rounds onto the split
-    point adds nothing, as integrate_finite does for a node rounded onto an
-    endpoint; there log a + u can be exactly 0, where z^k is undefined for
-    Re(k) <= 0.  With subtract (a = 1 only) the ray returns
+    The weight 1 / (2 cosh u) and the principal power exp(k log z) are written
+    out inline: this is the hot loop of the lhs route.  A node that rounds onto
+    the split point adds nothing, as integrate_finite does for a node rounded
+    onto an endpoint; there log a + u can be exactly 0, where z^k is undefined
+    for Re(k) <= 0.  With subtract (a = 1 only) the ray returns
     h(u) - c t^{k+1} e^{-t}, written as u^k (u e^{-|u|} / 2 - tanh(u) / (2 cosh u));
     see lhs_integral.
     """
@@ -257,34 +244,6 @@ def _lhs_ray(k: complex, log_a: complex, split: float, sign: float,
         return -tanh(u) * power * w
 
     return h
-
-
-def _loggamma_ray(sign: float) -> Callable[[float], complex]:
-    """t -> h(sign t) for h(u) = -tanh(u) u log(u) / (2 cosh u), with the
-    logarithm of a negative u taken as ln|u| + i pi."""
-
-    def h(t: float) -> complex:
-        u = sign * t
-        w = _half_sech(u)
-        if w == 0.0:
-            return 0j
-        return -math.tanh(u) * u * cmath.log(complex(u, 0.0)) * w
-
-    return h
-
-
-def _split_quad(ray: Callable[[float], Callable[[float], complex]],
-                cfg: QuadConfig) -> QuadResult:
-    """The integral over the real line as the sum over the two rays out of
-    the split point: ray(1.0) runs right, ray(-1.0) left, each over t > 0."""
-    right = integrate_semi_infinite(ray(1.0), cfg)
-    left = integrate_semi_infinite(ray(-1.0), cfg)
-    return QuadResult(
-        right.value + left.value,
-        right.err_estimate + left.err_estimate,
-        right.n_evals + left.n_evals,
-        right.converged and left.converged,
-    )
 
 
 def lhs_integral(case: IdentityCase) -> QuadResult:
@@ -324,15 +283,17 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     log_a = case.a.log_value
     split = -math.log(case.a.r) if case.a.theta == 0.0 else 0.0
     subtract = case.a.theta == 0.0 and case.a.r == 1.0 and k.real < -1.5
-    res = _split_quad(lambda sign: _lhs_ray(k, log_a, split, sign, subtract),
-                      case.quad_cfg)
-    if not subtract:
-        return res
-    half_g = 0.5 * gamma(k + 2.0)
-    turn = cmath.exp(1j * math.pi * k)
-    floor = EPS * abs(half_g) * (1.0 + abs(turn))
-    return QuadResult(res.value + half_g * (turn - 1.0), res.err_estimate + floor,
-                      res.n_evals, res.converged)
+    right = integrate_semi_infinite(_lhs_ray(k, log_a, split, 1.0, subtract), case.quad_cfg)
+    left = integrate_semi_infinite(_lhs_ray(k, log_a, split, -1.0, subtract), case.quad_cfg)
+    value = right.value + left.value
+    err = right.err_estimate + left.err_estimate
+    if subtract:
+        half_g = 0.5 * gamma(k + 2.0)
+        turn = cmath.exp(1j * math.pi * k)
+        value += half_g * (turn - 1.0)
+        err += EPS * abs(half_g) * (1.0 + abs(turn))
+    return QuadResult(value, err, right.n_evals + left.n_evals,
+                      right.converged and left.converged)
 
 
 def rhs_zeta(case: IdentityCase) -> complex:
@@ -525,7 +486,9 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
     Cross-compares (route names in parentheses):
 
     * (direct) the integral of cos(2y) log(tan y) log(log(tan y)), with
-      the inner logarithm of a negative value taken as ln|.| + i pi;
+      the inner logarithm of a negative value taken as ln|.| + i pi: as
+      -tanh(u) u log(u) / (2 cosh u) over the u line, folded onto one ray
+      t = |u| as -t tanh(t) (2 ln t + i pi) / (2 cosh t);
     * (closed) the closed form (pi/4)(log(81 Gamma^4(-3/4)
       / (4 pi^2 e^2 Gamma^4(-1/4))) - pi i);
     * (fd) the central finite-difference k-derivative of rhs_zeta, with
@@ -538,8 +501,16 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
     step = 1e-4
     fd = (rhs_zeta(IdentityCase(1.0 + step, case.a))
           - rhs_zeta(IdentityCase(1.0 - step, case.a))) / (2.0 * step)
+    i_pi = 1j * math.pi
+
+    def direct(t: float) -> complex:
+        if t > 700.0:  # sech underflows
+            return 0j
+        w = math.exp(-t) / (1.0 + math.exp(-2.0 * t))
+        return -t * math.tanh(t) * (2.0 * cmath.log(t) + i_pi) * w
+
     return _judge(case, {
-        "direct": _run_route(case, lambda c: _split_quad(_loggamma_ray, c.quad_cfg)),
+        "direct": _run_route(case, lambda c: integrate_semi_infinite(direct, c.quad_cfg)),
         "closed": RouteResult(closed),
         "fd": RouteResult(fd),
     })
@@ -559,13 +530,12 @@ def sweep(k_list: Sequence[complex], a_list: Sequence[BranchedConstant],
     notes: list[str] = []
     for k in k_list:
         for a in a_list:
-            msg = case_violation(complex(k), a)
-            if msg is not None:
-                notes.append(f"skipped k={k}, a=(r={a.r}, theta={a.theta}): {msg}")
-                continue
-            reports.append(verify(IdentityCase(
-                complex(k), a, quad_cfg=quad_cfg,
-                verdict_atol=verdict_atol, verdict_rtol=verdict_rtol)))
+            case = IdentityCase(complex(k), a, quad_cfg=quad_cfg,
+                                verdict_atol=verdict_atol, verdict_rtol=verdict_rtol)
+            try:
+                reports.append(verify(case))
+            except CaseError as exc:
+                notes.append(f"skipped k={k}, a=(r={a.r}, theta={a.theta}): {exc}")
     if not reports:
         notes.append("no valid cases after invariant filtering")
     return SweepResult(reports, notes)

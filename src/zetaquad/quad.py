@@ -36,10 +36,11 @@ class QuadConfig:
     max_evals: int = 10 ** 6
 
     def __post_init__(self) -> None:
-        if self.atol < 1e-15:
-            raise ValueError("atol must be >= 1e-15")
-        if self.rtol < 1e-15:
-            raise ValueError("rtol must be >= 1e-15")
+        # written so that nan fails too
+        if not 1e-15 <= self.atol < math.inf:
+            raise ValueError("atol must be finite and >= 1e-15")
+        if not 1e-15 <= self.rtol < math.inf:
+            raise ValueError("rtol must be finite and >= 1e-15")
         if not _MIN_EVALS <= self.max_evals <= 10 ** 7:
             raise ValueError(f"max_evals must lie in [{_MIN_EVALS}, 1e7]")
 

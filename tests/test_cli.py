@@ -101,7 +101,10 @@ class TestLiteralGrammar:
         # finite literals only: float() would turn these into inf
         (parse_complex, "1e400", "number out of range at position 0: '1e400'"),
         (parse_complex, "1-1e400i", "number out of range at position 1: '1-1e400i'"),
-        (parse_branched, "2@1e400", "number out of range at position 0: '1e400'"),
+        (parse_branched, "2@1e400", "number out of range at position 2: '2@1e400'"),
+        # positions and the echoed literal refer to the whole polar literal
+        (parse_branched, "@1", "expected modulus at position 0: '@1'"),
+        (parse_branched, "2@", "expected argument at position 2: '2@'"),
         # each part is finite but the modulus overflows
         (parse_branched, "1e308+1.5e308i", "modulus out of range: '1e308+1.5e308i'"),
     ])
@@ -339,6 +342,15 @@ class TestCommands:
             assert captured.out == ""
             literal = "1e308+1.5e308i" if "1e308" in argv[-1] else "1e400"
             assert captured.err.startswith("error: ") and f"'{literal}'" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--atol", "--rtol", "--verdict-atol", "--verdict-rtol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, flag, value):
+        # --atol inf made a 0.24-off lhs ok; --verdict-atol nan made agreeing routes fail
+        assert main(["verify", "--k", "0.5", "--a", "1", flag, value]) == 2
+        out, err = capsys.readouterr()
+        name = flag.lstrip("-").replace("-", "_")
+        assert out == "" and err.startswith(f"error: {name} must be finite and >= ")
 
     def test_selftest(self, capsys):
         code = main(["selftest"])

@@ -298,6 +298,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([], [A_ONE])
 
+    @pytest.mark.parametrize("field", ["verdict_atol", "verdict_rtol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-9])
+    def test_verdict_tolerances_must_be_finite(self, field, value):
+        # a nan tolerance would make every residual comparison False
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            case(0.5, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            sweep([complex(-0.5)], [BranchedConstant(2.0)], **{field: value})
+
     def test_overflowing_case_does_not_stop_sweep(self):
         res = sweep([2, 201], [A_ONE])
         assert [r.verdict for r in res.reports] == ["pass", "partial"]
@@ -335,11 +344,12 @@ class TestCrossRouteProperties:
             assert abs(total - lhs_integral(c).value) <= 1e-8
 
 
-# The lhs, contour and log-Gamma integrands as composed before they were
-# fused: per-node lambdas over a u-line h calling _half_sech and complex_pow.
-# The fused integrands must reproduce them bit for bit, except where the
+# The lhs and contour integrands as composed before they were fused: per-node
+# lambdas over a u-line h calling a half-sech helper and complex_pow.  The
+# fused integrands must reproduce them bit for bit, except where the
 # ray-start singularity is subtracted (lhs at a = 1 with Re k < -3/2, contour
-# with Re k > 1/2), which changes the values on purpose.
+# with Re k > 1/2), which changes the values on purpose.  The log-Gamma
+# integrand is compared with its one-ray fold built from the same helper.
 def _reference_half_sech(u):
     au = abs(u)
     if au > 700.0:
@@ -396,14 +406,16 @@ def _reference_contour(c):
 
 
 def _reference_loggamma_direct(cfg):
-    def h(u):
-        w = _reference_half_sech(u)
+    # h(t) + h(-t) for h(u) = -tanh(u) u log(u) / (2 cosh u), where
+    # log(-t) = log(t) + i pi
+    def f(t):
+        w = _reference_half_sech(t)
         if w == 0.0:
             return 0j
-        lu = cmath.log(complex(u, 0.0))
-        return -math.tanh(u) * u * lu * w
+        lt = cmath.log(complex(t, 0.0))
+        return -t * math.tanh(t) * (2.0 * lt + 1j * math.pi) * w
 
-    return _reference_split_quad(h, 0.0, cfg)
+    return integrate_semi_infinite(f, cfg)
 
 
 def _assert_bit_identical(got, ref):
@@ -470,11 +482,14 @@ def test_subtracted_rays_match_zeta_oracle():
 @pytest.mark.parametrize("cap", CAPS)
 def test_loggamma_direct_matches_reference(cap):
     cfg = QuadConfig(max_evals=cap)
-    got = loggamma_case(cfg).routes["direct"]
+    routes = loggamma_case(cfg).routes
+    got = routes["direct"]
     ref = _reference_loggamma_direct(cfg)
     _assert_bit_identical((got.value, got.err_estimate, got.n_evals),
                           (ref.value, ref.err_estimate, ref.n_evals))
     assert got.status == ("ok" if ref.converged else "unconverged")
+    if cfg == QuadConfig():
+        assert abs(got.value - routes["closed"].value) <= got.err_estimate
 
 
 def test_case_violation_rules():

@@ -242,8 +242,10 @@ class TestProperties:
         assert r.err_estimate <= CFG.atol + CFG.rtol * abs(r.value)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadConfig(atol=1e-16)
+        for field in ("atol", "rtol"):
+            for value in (1e-16, math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be finite and >= 1e-15"):
+                    QuadConfig(**{field: value})
         with pytest.raises(ValueError):
             QuadConfig(max_evals=10 ** 8)
         with pytest.raises(ValueError, match=r"\[13, 1e7\]"):
