@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-evals", type=int, default=QuadConfig.max_evals,
                         help="evaluation budget per quadrature call, at least 13 "
                              "(each half of the lhs integral is one call); a call "
-                             "stops after 12289, so a larger budget changes nothing")
+                             "evaluates at most 12289 nodes, so a larger budget "
+                             "changes nothing")
         if verdict_flags:
             sp.add_argument("--verdict-atol", type=float, default=IdentityCase.verdict_atol,
                             help="pass/fail residual rule, absolute part")

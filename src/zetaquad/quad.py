@@ -8,6 +8,13 @@ by y = a + (b - a) x / (1 + x), which makes the same rule double-exponential
 at both ends (Takahasi-Mori 1974; Mori-Sugihara 2001).  Endpoints are never
 evaluated; nodes are strictly interior by construction.
 
+Level 0 (step 1 in t) also decides where the later levels sample.  A unit
+interval of t at either end whose two level-0 end terms are both below EPS
+times the L1 norm of the level-0 terms is never refined.  This assumes the
+weighted integrand is unimodal at the scale of one step (see
+integrate_semi_infinite), and the error estimate pays for every interval
+skipped.  n_evals counts only the nodes evaluated.
+
 The nodes and weights do not depend on the integrand, so the rule keeps one
 table per level, built on first use and shared by every later call.
 """
@@ -27,6 +34,7 @@ __all__ = ["QuadConfig", "QuadResult", "integrate_finite", "integrate_semi_infin
 _HALF_PI = 0.5 * math.pi
 _MAX_LEVEL = 10
 _MIN_EVALS = 13  # the level-0 node count, always evaluated
+_SPAN = _MIN_EVALS - 1  # unit intervals of t in [-6, 6]
 
 
 @dataclass(frozen=True)
@@ -36,11 +44,12 @@ class QuadConfig:
     max_evals: int = 10 ** 6
 
     def __post_init__(self) -> None:
-        # written so that nan fails too
-        if not 1e-15 <= self.atol < math.inf:
-            raise ValueError("atol must be finite and >= 1e-15")
-        if not 1e-15 <= self.rtol < math.inf:
-            raise ValueError("rtol must be finite and >= 1e-15")
+        # written so that nan fails too; a tolerance above 1e-3 lets level 1
+        # pass a value that is still far off
+        if not 1e-15 <= self.atol <= 1e-3:
+            raise ValueError("atol must lie in [1e-15, 1e-3]")
+        if not 1e-15 <= self.rtol <= 1e-3:
+            raise ValueError("rtol must lie in [1e-15, 1e-3]")
         if not _MIN_EVALS <= self.max_evals <= 10 ** 7:
             raise ValueError(f"max_evals must lie in [{_MIN_EVALS}, 1e7]")
 
@@ -77,24 +86,49 @@ def integrate_semi_infinite(f: Callable[[float], complex],
 
     f must decay at least exponentially at infinity; an integrable
     singularity at the origin is allowed.  Refinement stops after
-    _MAX_LEVEL levels (12,289 evaluations), or earlier at cfg.max_evals.
+    _MAX_LEVEL levels (at most 12,289 evaluations), or earlier at
+    cfg.max_evals.
+
+    Tail trim: let thr = EPS * sum |term_j| over the 13 level-0 terms
+    term_j = f(x_j) x_j (pi/2) cosh t_j, t_j = j, and let t_lo, t_hi be the
+    outermost level-0 nodes with |term| > thr.  Every later level evaluates
+    only its new nodes strictly inside (t_lo - 1, t_hi + 1), so a unit
+    interval of t is dropped only when the terms at both its ends are
+    <= thr.  If no term exceeds thr, nothing is trimmed.  This is safe when
+    |term(t)| is unimodal at the scale of the level-0 step: its peak then
+    lies within one step of the largest level-0 term, so on a dropped
+    interval |term| is bounded by the interval's inner end, which is <= thr.
+    The error estimate gains thr for each dropped interval, and n_evals
+    (which the cfg.max_evals budget counts) counts only evaluated nodes.
     """
+    xs, coshs = _nodes(0)
+    terms = [f(x) * x * _HALF_PI * cosh_t for x, cosh_t in zip(xs, coshs)]
     total = 0j
-    value = 0j
-    n_evals = 0
+    for term in terms:
+        total += term
+    mags = [abs(term) for term in terms]
+    thr = EPS * sum(mags)
+    kept = [j for j, mag in enumerate(mags) if mag > thr]
+    # the kept window in level-0 steps: unit intervals [lo, hi) of [0, _SPAN)
+    lo, hi = (max(kept[0] - 1, 0), min(kept[-1] + 1, _SPAN)) if kept else (0, _SPAN)
+    dropped = lo + _SPAN - hi
+    trim_err = dropped * thr if dropped else 0.0
+    value = total
+    n_evals = len(terms)
     err = math.inf
     converged = False
-    for level in range(_MAX_LEVEL + 1):
+    for level in range(1, _MAX_LEVEL + 1):
+        # a level's new nodes are 2^(level-1) per unit interval, ascending
         xs, coshs = _nodes(level)
-        if n_evals + len(xs) > cfg.max_evals:
+        per_unit = 1 << (level - 1)
+        start, stop = lo * per_unit, hi * per_unit
+        if n_evals + stop - start > cfg.max_evals:
             break
-        for x, cosh_t in zip(xs, coshs):
+        for x, cosh_t in zip(xs[start:stop], coshs[start:stop]):
             total += f(x) * x * _HALF_PI * cosh_t
-        n_evals += len(xs)
+        n_evals += stop - start
         value, prev = math.ldexp(1.0, -level) * total, value
-        if level == 0:
-            continue
-        err = max(abs(value - prev), 8.0 * EPS * abs(value))
+        err = max(abs(value - prev), 8.0 * EPS * abs(value)) + trim_err
         if err <= cfg.atol + cfg.rtol * abs(value):
             converged = True
             break
@@ -110,6 +144,8 @@ def integrate_finite(f: Callable[[float], complex], a: float, b: float,
 
     Endpoint algebraic/logarithmic singularities are tolerated; interior
     singular points must be handled by the caller splitting the interval.
+    The ray's tail trim applies to the mapped integrand: nodes that round
+    onto an endpoint add exact zeros, so such tails are skipped after level 0.
     """
     if not a < b:
         raise ValueError("requires a < b")

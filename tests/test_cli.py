@@ -350,7 +350,16 @@ class TestCommands:
         assert main(["verify", "--k", "0.5", "--a", "1", flag, value]) == 2
         out, err = capsys.readouterr()
         name = flag.lstrip("-").replace("-", "_")
-        assert out == "" and err.startswith(f"error: {name} must be finite and >= ")
+        rule = "must be finite and >= " if "verdict" in flag else "must lie in [1e-15, 1e-3]"
+        assert out == "" and err.startswith(f"error: {name} {rule}")
+
+    @pytest.mark.parametrize("argv", [["--atol", "1e300"], ["--rtol", "0.5"]])
+    def test_loose_quadrature_tolerance_is_usage_error(self, capsys, argv):
+        # --atol 1e300 reported a 0.24-off lhs as ok after 50 evaluations
+        assert main(["verify", "--k", "0.5", "--a", "1", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {argv[0][2:]} must lie in [1e-15, 1e-3]\n"
 
     def test_selftest(self, capsys):
         code = main(["selftest"])

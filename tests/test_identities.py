@@ -559,3 +559,24 @@ def test_region_map_large_re_k_ok_routes_match_oracle():
         rep = verify(case(k, a))
         wrong += [(k, a, name) for name, _ in _wrong_ok_routes(rep, ref)]
     assert wrong == []
+
+
+@pytest.mark.parametrize("k", [0.5, 2.5])
+@pytest.mark.parametrize("log_r,theta", [(30.0, 0.0), (-30.0, 0.0), (300.0, 1.0), (-300.0, 1.0)])
+def test_lhs_far_from_unit_a_matches_zeta(k, log_r, theta):
+    # the lhs rays peak near t = |ln r|, far out on the exp-sinh mesh, where
+    # the quadrature trims its tails after level 0
+    rep = verify(case(k, BranchedConstant(math.exp(log_r), theta)))
+    lhs, zeta = rep.routes["lhs"], rep.routes["zeta"]
+    assert lhs.status == "ok"
+    assert abs(lhs.value - zeta.value) <= 1e-12 * abs(zeta.value)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 9: at theta = 0 and |ln r| >~ 100 the lhs ray's "
+                          "sech peak sits between two level-0 nodes, so levels 0 and 1 "
+                          "agree on a value near 0 and the lhs reports ok")
+def test_lhs_far_split_real_a_is_not_ok_and_wrong():
+    lhs = verify(case(0.5, BranchedConstant(2.7e43))).routes["lhs"]
+    ref = -0.0785453571381444  # mpmath; zeta and series agree
+    assert lhs.status != "ok" or abs(lhs.value - ref) <= 1e-12
