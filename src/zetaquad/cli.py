@@ -383,7 +383,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if cmd == "zeta":
             try:
                 value = hurwitz_zeta(parse_complex(ns.s), parse_complex(ns.q))
-            except (OverflowError, ConvergenceError) as exc:  # s beyond the engine's reach
+            except (ArithmeticError, ConvergenceError) as exc:  # s beyond the engine's reach
                 raise ValueError(str(exc)) from exc
             print(render_complex(value))
             return 0

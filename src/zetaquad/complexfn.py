@@ -2,8 +2,10 @@
 
 Every other module builds on the conventions fixed here:
 
-* the principal argument lives in (-pi, pi], closed on top;
-* complex powers are exp(k * principal_log(z));
+* the principal argument lives in (-pi, pi], closed on top; a negative real
+  with imaginary part -0.0 takes argument -pi, as cmath.log does;
+* complex powers are Python's principal z ** k = exp(k * principal_log(z)),
+  integral exponents up to 100 in magnitude by repeated multiplication;
 * Bernoulli numbers use the B_1 = -1/2 sign convention.
 """
 
@@ -71,16 +73,16 @@ def principal_log(z: complex) -> complex:
 
 
 def complex_pow(z: complex, k: complex) -> complex:
-    """z**k on the principal branch; 0**k = 0 when Re(k) > 0."""
+    """Python's principal z ** k = exp(k * principal_log(z)), integral k up to
+    100 in magnitude by repeated multiplication (-2 - 0.0i has argument -pi);
+    0**k = 0 when Re(k) > 0."""
     z = complex(z)
     k = complex(k)
     if z == 0:
         if k.real > 0.0:
             return 0j
         raise DomainError("0**k undefined for Re(k) <= 0")
-    if k == 0:
-        return 1.0 + 0j
-    return cmath.exp(k * principal_log(z))
+    return z ** k
 
 
 # Lanczos rational approximation, g = 671/128 (Numerical Recipes set);

@@ -15,7 +15,7 @@ returns: hurwitz_zeta the expansion above, hurwitz_zeta_ds its term-by-term
 s-derivative.  Arguments with Re(q) <= 0 are first shifted through the
 recurrence zeta(s, q) = zeta(s, q+1) + q^{-s}; Re(q) < -_N_CAP, which would
 take more steps than the cap on summed terms, raises DomainError.  All powers
-use the principal branch fixed in complexfn.
+are Python's principal ``**``, the branch fixed in complexfn.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ _TOLERANCE = 1e-13
 _N_CAP = 200_000
 
 
-def _pow(w: complex, e: complex) -> complex:
-    """w**e with an exact-ish fast path for small real integer exponents."""
-    if e.imag == 0.0 and e.real == round(e.real) and abs(e.real) <= 64.0:
-        return w ** int(e.real)
-    return cmath.exp(e * cmath.log(w))
-
-
 @lru_cache(maxsize=None)
 def _tail_coefficients() -> tuple[float, ...]:
     """B_{2j}/(2j)! for j = 1 .. _TAIL_TERMS + 1, at index j - 1."""
@@ -69,7 +62,7 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     shift = 0j
     while q.real <= 0.0:
         lq = principal_log(q)
-        p = cmath.exp(-s * lq)
+        p = q ** -s
         shift += -(lq * p) if derivative else p
         q += 1
     coefs = _tail_coefficients()
@@ -85,10 +78,10 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     while True:
         for i in range(done, n):
             w = i + q
-            p = _pow(w, -s)
+            p = w ** -s
             direct += -(cmath.log(w) * p) if derivative else p
         x = n + q
-        xs = _pow(x, -s)
+        xs = x ** -s
         if derivative:
             lx = cmath.log(x)
             total = direct + x * xs * (-lx / sm1 - inv_sq)
@@ -100,7 +93,7 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
         # P_j(s) = s(s+1)...(s+2j-2); dP_j/ds is advanced by the product rule.
         prod = s
         dprod = 1.0 + 0j
-        pw = _pow(x, -(s + 1.0))
+        pw = x ** -(s + 1.0)
         step = 1.0 / (x * x)
         prev_mag = math.inf
         for j, c in enumerate(coefs, 1):

@@ -100,6 +100,9 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     interval |term| is bounded by the interval's inner end, which is <= thr.
     The error estimate gains thr for each dropped interval, and n_evals
     (which the cfg.max_evals budget counts) counts only evaluated nodes.
+    The estimate leaves out the mass below the smallest node x = e^{-317}:
+    x^{-0.9} e^{-1000 x} comes out 1.0e-13 short with an estimate of 5.4e-14
+    (a strict xfail of test_trim_keeps_scaled_gamma_integrals).
     """
     xs, coshs = _nodes(0)
     terms = [f(x) * x * _HALF_PI * cosh_t for x, cosh_t in zip(xs, coshs)]

@@ -81,6 +81,8 @@ class TestLiteralGrammar:
         (parse_complex, "-0.5+2e-3i", -0.5 + 0.002j),
         (parse_branched, "1@0", (1.0, 0.0)),
         (parse_branched, "3+4i", (5.0, math.atan2(4.0, 3.0))),
+        # a negative principal argument is moved into [0, 2*pi)
+        (parse_branched, "1-1i", (math.sqrt(2.0), math.atan2(-1.0, 1.0) + 2 * math.pi)),
     ])
     def test_accepted(self, parse, text, value):
         got = parse(text)
@@ -98,6 +100,7 @@ class TestLiteralGrammar:
         (parse_complex, "2\u00b2", "unexpected character at position 1: '2\u00b2'"),
         (parse_branched, "2@-0.1", "argument must lie in [0, 2*pi): '2@-0.1'"),
         (parse_branched, "+2@1", "modulus must be a positive decimal: '+2@1'"),
+        (parse_branched, "2@1x", "trailing input in argument: '2@1x'"),
         # finite literals only: float() would turn these into inf
         (parse_complex, "1e400", "number out of range at position 0: '1e400'"),
         (parse_complex, "1-1e400i", "number out of range at position 1: '1-1e400i'"),
@@ -127,6 +130,14 @@ class TestRendering:
     def test_dumps_fixed_is_json(self):
         doc = {"x": 0.1, "y": {"nested": [1, 2.0]}, "s": 'quo"te'}
         assert json.loads(dumps_fixed(doc)) == doc
+        empty = {"e": {}, "l": [], "f": False}
+        assert json.loads(dumps_fixed(empty)) == empty
+
+    def test_unrenderable_values_rejected(self):
+        with pytest.raises(ValueError, match="non-finite value in report"):
+            render_complex(complex(math.inf, 0.0))
+        with pytest.raises(TypeError):
+            dumps_fixed(object())
 
 
 class TestCommands:
@@ -270,8 +281,8 @@ class TestCommands:
         assert main(["verify", "--k", "150", "--a", "3@1", "--format", "csv"]) == 1
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
         assert [(row[4], row[9], row[10]) for row in rows] == [
-            ("lhs", "failed", "math range error"),
-            ("zeta", "failed", "math range error"),
+            ("lhs", "failed", "complex exponentiation"),
+            ("zeta", "failed", "complex exponentiation"),
             ("series", "skipped", "Re(k) >= 1"),
             ("contour", "skipped", "Re(k) >= 1")]
         assert all(row[5:9] == ["", "", "", ""] and row[11] == "partial" for row in rows)
@@ -305,12 +316,19 @@ class TestCommands:
         assert main(["zeta", "--s", "1", "--q", "0.5"]) == 2
 
     @pytest.mark.parametrize("s,message", [
-        ("-300", "error: math range error\n"),
+        ("-300", "error: complex exponentiation\n"),
         ("0.5+5000000i", "error: tail term 1.630e-01 above tolerance at N = 262144\n"),
     ])
     def test_zeta_out_of_reach_is_usage_error(self, capsys, s, message):
         assert main(["zeta", "--s", s, "--q", "0.5"]) == 2
         assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("q", ["1e-200", "-1e-200"])
+    def test_zeta_underflowing_power_is_usage_error(self, capsys, q):
+        # q^2 underflows to 0 in the integral power q^-2, which Python reports
+        # as a division by zero; it is the engine's reach, not a traceback
+        assert main(["zeta", "--s", "2", f"--q={q}"]) == 2
+        assert capsys.readouterr() == ("", "error: 0.0 to a negative or complex power\n")
 
     def test_zeta_far_negative_q_is_usage_error(self, capsys):
         # refused before the q -> q + 1 shift, which would take 10^12 steps

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zetaquad.complexfn import (
+    EPS,
     BranchedConstant,
     DomainError,
     PoleError,
@@ -52,6 +53,9 @@ class TestComplexPow:
 
     def test_principal_square_root(self):
         assert complex_pow(-1.0, 0.5) == pytest.approx(1j)
+        # the sign of a zero imaginary part picks the side of the cut, as in cmath.log
+        assert complex_pow(complex(-2.0, -0.0), 0.5).imag == pytest.approx(-math.sqrt(2.0))
+        assert complex_pow(complex(-2.0, 0.0), 0.5).imag == pytest.approx(math.sqrt(2.0))
 
     def test_i_to_zero(self):
         # the k + 1 exponent of the closed form at k = -1
@@ -78,6 +82,34 @@ class TestComplexPow:
                 direct = 1 / direct
             got = complex_pow(z, complex(m))
             assert abs(got - direct) <= 1e-12 * abs(direct)
+
+    def test_matches_mpmath_principal_power(self):
+        # |z| log-uniform over the double range with a random argument, a
+        # fifth of the draws on the real axis of either sign (imaginary part
+        # +0.0); Re k in [-2, 8], real k for a third of the draws.  A power
+        # carries the rounding of k log z, so the bound grows with |k log z|.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(23)
+        compared = 0
+        worst = 0.0
+        with mpmath.workdps(30):
+            for i in range(4000):
+                mod = 10.0 ** rng.uniform(-300.0, 300.0)
+                if i % 5 == 0:
+                    z = complex(rng.choice((-mod, mod)), 0.0)
+                else:
+                    z = cmath.rect(mod, rng.uniform(-math.pi, math.pi))
+                k = complex(rng.uniform(-2.0, 8.0), 0.0 if i % 3 == 0 else rng.uniform(-5.0, 5.0))
+                ref = mpmath.mpc(z) ** mpmath.mpc(k)
+                if not 1e-290 <= abs(ref) <= 1e290:
+                    continue
+                ref = complex(ref)
+                ratio = abs(complex_pow(z, k) - ref) / (
+                    4.0 * EPS * abs(ref) * (1.0 + abs(k * cmath.log(z))))
+                worst = max(worst, ratio)
+                compared += 1
+        assert compared >= 1800
+        assert worst <= 1.0, worst
 
 
 class TestGamma:

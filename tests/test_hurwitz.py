@@ -10,7 +10,6 @@ from zetaquad.hurwitz import (
     _TAIL_TERMS,
     _TOLERANCE,
     ConvergenceError,
-    _pow,
     _tail_coefficients,
     hurwitz_zeta,
     hurwitz_zeta_ds,
@@ -101,6 +100,8 @@ class TestNegIntOracle:
     def test_cap(self):
         with pytest.raises(ValueError):
             zeta_neg_int_oracle(21, 0.5)
+        with pytest.raises(ValueError):
+            zeta_neg_int_oracle(-1, 0.5)
 
     def test_agreement_with_engine(self):
         for n in range(5):
@@ -145,19 +146,20 @@ class TestProperties:
 
 # The engine before the direct sum was extended across doublings: every pass
 # re-sums all direct terms and carries the value and the derivative together.
-# Kept verbatim as the reference for the single-quantity engine.
+# Kept as the reference for the single-quantity engine, with its powers
+# written as the engine writes them, Python's principal **.
 def _reference_em_pass(s, q, n_direct, coefs, monitor_derivative):
     v = 0j
     d = 0j
     for i in range(n_direct):
         w = i + q
         lw = cmath.log(w)
-        p = _pow(w, -s)
+        p = w ** -s
         v += p
         d -= lw * p
     x = n_direct + q
     lx = cmath.log(x)
-    xs = _pow(x, -s)
+    xs = x ** -s
     sm1 = s - 1.0
     v += x * xs / sm1
     d += x * xs * (-lx / sm1 - 1.0 / (sm1 * sm1))
@@ -165,7 +167,7 @@ def _reference_em_pass(s, q, n_direct, coefs, monitor_derivative):
     d -= 0.5 * lx * xs
     prod = s
     dprod = 1.0 + 0j
-    pw = _pow(x, -(s + 1.0))
+    pw = x ** -(s + 1.0)
     step = 1.0 / (x * x)
     neglected = math.inf
     prev_mag = math.inf
@@ -198,7 +200,7 @@ def _reference_hurwitz_pair(s, q, monitor_derivative):
     shift_d = 0j
     while q.real <= 0.0:
         lq = principal_log(q)
-        p = cmath.exp(-s * lq)
+        p = q ** -s
         shift_v += p
         shift_d -= lq * p
         q += 1

@@ -5,7 +5,9 @@
 * every module-level ``_private`` function and assigned name (a constant
   such as ``_MAX_LEVEL``) is read somewhere in the package;
 * every absolute import, nested ones included, names a standard-library
-  module, so the package stays pure standard library at runtime.
+  module, so the package stays pure standard library at runtime;
+* no power is written as exp(k * log(z)): Python's principal ``z ** k`` is
+  the one way the package raises a number to a complex power.
 """
 
 import ast
@@ -90,3 +92,34 @@ def test_imports_are_standard_library():
             foreign += [f"{path.name}:{name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == [], f"imports outside the standard library: {foreign}"
+
+
+def _call_name(node):
+    """The name a call's function is spelled with: f for f(...) and m.f(...)."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _factors(node):
+    """The factors of a product, through nested products and negations."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _factors(node.operand)
+    return [node]
+
+
+def test_powers_are_not_written_as_exp_of_log():
+    # exp(k * log z) is z ** k with a second rounding and a second spelling;
+    # gamma's exp((z + 1/2) log t - t) is a difference and passes
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.Call) and _call_name(node).endswith("exp")
+                    and len(node.args) == 1):
+                continue
+            factors = _factors(node.args[0])
+            if len(factors) > 1 and any(isinstance(f, ast.Call) and _call_name(f).endswith("log")
+                                        for f in factors):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"powers written as exp(k * log z), use z ** k: {found}"
