@@ -32,6 +32,7 @@ from .identities import (
     SweepResult,
     VerificationReport,
     alternating_sum,
+    case_violation,
     catalan_case,
     catalan_reference,
     contour_cauchy_check,

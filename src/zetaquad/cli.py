@@ -12,6 +12,8 @@ Reports are JSON (default) or CSV, on stdout or in the --output file; the CSV
 columns are k_re, k_im, a_r, a_theta, route, value_re, value_im, err_est,
 n_evals, status, reason, verdict (one row per route).  Diagnostics go to
 stderr.  Only verify and sweep take --verdict-atol / --verdict-rtol.
+A negative literal other than a plain decimal (-0.5+0.3i, -1e-3) must be
+attached with '=', as in --k=-0.5+0.3i, or argparse reads it as an option.
 Exit codes: 0 every verdict pass, 1 any fail or partial, 2 usage error, an
 argument the engine cannot evaluate or an --output file it cannot write.
 """
@@ -368,9 +370,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if cmd == "sweep":
             k_list = ([parse_complex(t) for t in ns.k_list.split(",")]
-                      if ns.k_list else list(DEFAULT_K_GRID))
+                      if ns.k_list is not None else list(DEFAULT_K_GRID))
             a_list = ([parse_branched(t) for t in ns.a_list.split(",")]
-                      if ns.a_list else list(DEFAULT_A_GRID))
+                      if ns.a_list is not None else list(DEFAULT_A_GRID))
             res = sweep(k_list, a_list, quad_cfg=_quad_cfg(ns),
                         verdict_atol=ns.verdict_atol,
                         verdict_rtol=ns.verdict_rtol)

@@ -112,26 +112,12 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
-def _lanczos_series(z: complex) -> complex:
-    y = z
-    ser = _LANCZOS_C0 + 0j
-    for c in _LANCZOS_COF:
-        y += 1
-        ser += c / y
-    return ser
-
-
 def gamma(z: complex) -> complex:
-    """Gamma(z); reflection formula for Re(z) < 1/2."""
+    """Gamma(z) = exp(log_gamma(z)), one exponential of the whole log Gamma."""
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        # keeps the rational approximation in its accurate half-plane
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-    t = z + _LANCZOS_G
-    ser = _lanczos_series(z)
-    return cmath.exp((z + 0.5) * cmath.log(t) - t) * _SQRT_TWO_PI * ser / z
+    return cmath.exp(log_gamma(z))
 
 
 def log_gamma(z: complex) -> complex:
@@ -144,7 +130,11 @@ def log_gamma(z: complex) -> complex:
         shift += principal_log(z)
         z += 1
     t = z + _LANCZOS_G
-    ser = _lanczos_series(z)
+    y = z
+    ser = _LANCZOS_C0 + 0j
+    for c in _LANCZOS_COF:
+        y += 1
+        ser += c / y
     return (z + 0.5) * cmath.log(t) - t + cmath.log(_SQRT_TWO_PI * ser / z) - shift
 
 

@@ -7,15 +7,17 @@ The expansion is
                + (N+q)^{-s} / 2
                + sum_{j=1}^{M} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * (N+q)^{-s-2j+1}
 
-with M = 25.  N doubles from 1 until the first neglected tail term drops
+with M = 25.  Let m count the direct terms with Re(n + q) <= 0 (none when
+Re(q) > 0).  N - m doubles from 1 until the first neglected tail term drops
 below the fixed tolerance 1e-13, relative to the quantity being computed
-once that exceeds 1; each doubling adds only the direct terms N .. 2N-1 to
-the sum kept from the previous one.  A call sums only the quantity it
-returns: hurwitz_zeta the expansion above, hurwitz_zeta_ds its term-by-term
-s-derivative.  Arguments with Re(q) <= 0 are first shifted through the
-recurrence zeta(s, q) = zeta(s, q+1) + q^{-s}; Re(q) < -_N_CAP, which would
-take more steps than the cap on summed terms, raises DomainError.  All powers
-are Python's principal ``**``, the branch fixed in complexfn.
+once that exceeds 1, so the tail always starts at Re(N + q) > 1; each
+doubling adds only the new direct terms to the sum kept from the previous
+one, and N - m reaching _N_CAP unconverged raises ConvergenceError.  A call
+sums only the quantity it returns: hurwitz_zeta the expansion above,
+hurwitz_zeta_ds its term-by-term s-derivative.  A non-positive integer q,
+where a direct term has no value, and Re(q) < -_N_CAP, which would take
+more direct terms than the cap on summed terms, raise DomainError.  All
+powers are Python's principal ``**``, the branch fixed in complexfn.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .complexfn import DomainError, PoleError, bernoulli_numbers, principal_log
+from .complexfn import DomainError, PoleError, _is_nonpositive_integer, bernoulli_numbers
 
 __all__ = [
     "ConvergenceError",
@@ -59,12 +61,9 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     if -q.real > _N_CAP:
         raise DomainError(
             f"Re(q) = {q.real:g} below -{_N_CAP}: too many shifts to Re(q) > 0")
-    shift = 0j
-    while q.real <= 0.0:
-        lq = principal_log(q)
-        p = q ** -s
-        shift += -(lq * p) if derivative else p
-        q += 1
+    if _is_nonpositive_integer(q):
+        raise DomainError(
+            f"hurwitz zeta undefined at non-positive integer q = {int(q.real)}")
     coefs = _tail_coefficients()
     sm1 = s - 1.0
     if derivative:
@@ -74,7 +73,8 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
             raise OverflowError(f"1/(s - 1)^2 overflows at |s - 1| = {abs(sm1):.3g}")
     direct = 0j  # sum of the summands n < done, extended as N doubles
     done = 0
-    n = 1
+    m = max(0, math.floor(-q.real) + 1)  # how many direct terms have Re(n + q) <= 0
+    n = m + 1
     while True:
         for i in range(done, n):
             w = i + q
@@ -109,14 +109,14 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
                 prod = prod * (s + i)
             pw *= step
         if mag <= _TOLERANCE * max(1.0, abs(total)):
-            return total + shift
-        if n >= _N_CAP:
+            return total
+        if n - m >= _N_CAP:
             raise ConvergenceError(f"tail term {mag:.3e} above tolerance at N = {n}")
-        done, n = n, 2 * n
+        done, n = n, 2 * n - m
 
 
 def hurwitz_zeta(s: complex, q: complex) -> complex:
-    """zeta(s, q) for complex s != 1 and complex q (pre-shifted if Re(q) <= 0)."""
+    """zeta(s, q) for complex s != 1 and complex q not a non-positive integer."""
     return _hurwitz(s, q, derivative=False)
 
 

@@ -331,10 +331,23 @@ class TestCommands:
         assert capsys.readouterr() == ("", "error: 0.0 to a negative or complex power\n")
 
     def test_zeta_far_negative_q_is_usage_error(self, capsys):
-        # refused before the q -> q + 1 shift, which would take 10^12 steps
+        # refused before the direct sum, which would need about 10^12 terms
         assert main(["zeta", "--s", "2", "--q=-1e12"]) == 2
         assert capsys.readouterr() == (
             "", "error: Re(q) = -1e+12 below -200000: too many shifts to Re(q) > 0\n")
+
+    @pytest.mark.parametrize("q", ["0", "-3"])
+    def test_zeta_non_positive_integer_q_is_usage_error(self, capsys, q):
+        # the direct term (n + q)^(-s) at n = -q has no value
+        assert main(["zeta", "--s", "2", f"--q={q}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: hurwitz zeta undefined at non-positive integer q = {q}\n")
+
+    @pytest.mark.parametrize("flag", ["--k-list=", "--a-list="])
+    def test_sweep_empty_list_is_usage_error(self, capsys, flag):
+        # an empty list is a malformed literal, not a request for the default grid
+        assert main(["sweep", flag]) == 2
+        assert capsys.readouterr() == ("", "error: empty complex literal: ''\n")
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.json"

@@ -141,6 +141,17 @@ class TestGamma:
             lhs = gamma(z + 1)
             assert abs(lhs - z * gamma(z)) <= 1e-12 * abs(lhs)
 
+    def test_near_poles_match_mpmath(self):
+        # exp of the whole log Gamma: no rounded sin(pi z) from a reflection
+        # (which was 3.3e-11 off at n = 30, delta = 1e-4)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for n in range(1, 31):
+                for delta in (1e-2, -1e-2, 1e-4, -1e-4, 0.3, -0.3):
+                    z = -n + delta
+                    ref = complex(mpmath.gamma(mpmath.mpf(z)))
+                    assert abs(gamma(z) - ref) <= 1e-12 * abs(ref), (n, delta)
+
     def test_conjugation(self):
         rng = random.Random(13)
         for z in _sample_points(50, rng):

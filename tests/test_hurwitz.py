@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zetaquad.complexfn import DomainError, PoleError, log_gamma, principal_log
+from zetaquad.complexfn import DomainError, PoleError, log_gamma
 from zetaquad.hurwitz import (
     _N_CAP,
     _TAIL_TERMS,
@@ -138,8 +138,9 @@ class TestProperties:
             assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
     def test_preshift_region(self):
-        # Re(q) <= 0 handled through the recurrence; the Bernoulli
-        # polynomial closed form is valid there by continuation
+        # Re(q) <= 0: the direct sum runs from n = 0 past the first n with
+        # Re(n + q) > 0; the Bernoulli polynomial closed form is valid there
+        # by continuation
         q = -0.3 + 0.2j
         assert abs(hurwitz_zeta(-2.0, q) - zeta_neg_int_oracle(2, q)) <= 1e-11
 
@@ -196,25 +197,20 @@ def _reference_hurwitz_pair(s, q, monitor_derivative):
     q = complex(q)
     if s == 1:
         raise PoleError("hurwitz zeta pole at s = 1")
-    shift_v = 0j
-    shift_d = 0j
-    while q.real <= 0.0:
-        lq = principal_log(q)
-        p = q ** -s
-        shift_v += p
-        shift_d -= lq * p
-        q += 1
+    if q.imag == 0.0 and q.real <= 0.0 and q.real == math.floor(q.real):
+        raise DomainError(f"hurwitz zeta undefined at non-positive integer q = {int(q.real)}")
     coefs = _tail_coefficients()
-    n = 1
+    m = max(0, math.floor(-q.real) + 1)
+    n = m + 1
     while True:
         v, d, neglected = _reference_em_pass(s, q, n, coefs, monitor_derivative)
         ref = abs(d) if monitor_derivative else abs(v)
         if neglected <= _TOLERANCE * max(1.0, ref):
-            return v + shift_v, d + shift_d
-        if n >= _N_CAP:
+            return v, d
+        if n - m >= _N_CAP:
             raise ConvergenceError(
                 f"tail term {neglected:.3e} above tolerance at N = {n}")
-        n *= 2
+        n = 2 * n - m
 
 
 def _reference_zeta(s, q):
@@ -254,13 +250,13 @@ class TestReferenceEngine:
             derivative = _outcome(hurwitz_zeta_ds, s, q)
             assert derivative == _outcome(_reference_zeta_ds, s, q), (s, q)
             outcomes.update(o[0] for o in (value, derivative) if isinstance(o, tuple))
-        # the pole and the log of zero are compared, not only values
+        # the pole and the non-positive integer q are compared, not only values
         assert {"PoleError", "DomainError"} <= outcomes
 
 
 class TestShiftBound:
     def test_far_negative_q_refused(self):
-        # without the bound this would step q -> q + 1 about 10^12 times
+        # without the bound the direct sum would take about 10^12 terms
         for fn in (hurwitz_zeta, hurwitz_zeta_ds):
             with pytest.raises(DomainError, match="below -200000"):
                 fn(2.0, -1e12 + 0.5)
@@ -268,6 +264,36 @@ class TestShiftBound:
     def test_bound_edge_still_shifts(self):
         q = -float(_N_CAP) + 0.5
         assert _outcome(hurwitz_zeta, 2.0, q) == _outcome(_reference_zeta, 2.0, q)
+        # the terms n + q run over the half-integers from -199999.5 up, so
+        # the sum is pi^2 less the tail beyond 200000, about 5e-6
+        assert abs(hurwitz_zeta(2.0, q) - (math.pi ** 2 - 5e-6)) <= 1e-10
+
+
+    @pytest.mark.parametrize("fn,s,q", [(hurwitz_zeta, 2.0, 0.0), (hurwitz_zeta, 2.0, -3.0),
+                                        (hurwitz_zeta_ds, -2.0, -1.0)])
+    def test_non_positive_integer_q_refused(self, fn, s, q):
+        with pytest.raises(DomainError, match="non-positive integer q"):
+            fn(s, q)
+
+
+class TestNonPositiveQOracle:
+    def test_matches_mpmath(self):
+        # Re(q) in [-3, 0], where the direct sum starts below Re(n + q) = 0;
+        # a quarter of the draws on the real axis, none near a pole in s or q
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(31)
+        compared = 0
+        with mpmath.workdps(30):
+            for i in range(150):
+                s = complex(rng.uniform(-6.0, 8.0), rng.uniform(-20.0, 20.0))
+                q = complex(rng.uniform(-3.0, 0.0), 0.0 if i % 4 == 0 else rng.uniform(-1.0, 1.0))
+                if abs(s - 1) < 0.2 or min(abs(q + m) for m in range(4)) < 0.05:
+                    continue
+                for fn, d in ((hurwitz_zeta, 0), (hurwitz_zeta_ds, 1)):
+                    ref = complex(mpmath.zeta(s, q, d))
+                    assert abs(fn(s, q) - ref) <= 1e-8 * max(1.0, abs(ref)), (fn.__name__, s, q)
+                compared += 1
+        assert compared >= 120
 
 
 class TestDerivativeNearPole:

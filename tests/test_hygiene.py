@@ -7,14 +7,18 @@
 * every absolute import, nested ones included, names a standard-library
   module, so the package stays pure standard library at runtime;
 * no power is written as exp(k * log(z)): Python's principal ``z ** k`` is
-  the one way the package raises a number to a complex power.
+  the one way the package raises a number to a complex power;
+* the package re-exports every public name of its library modules.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+import zetaquad
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "zetaquad"
 MODULES = sorted(SRC.glob("*.py"))
@@ -110,8 +114,7 @@ def _factors(node):
 
 
 def test_powers_are_not_written_as_exp_of_log():
-    # exp(k * log z) is z ** k with a second rounding and a second spelling;
-    # gamma's exp((z + 1/2) log t - t) is a difference and passes
+    # exp(k * log z) is z ** k with a second rounding and a second spelling
     found = []
     for path in MODULES:
         for node in ast.walk(_tree(path)):
@@ -123,3 +126,10 @@ def test_powers_are_not_written_as_exp_of_log():
                                         for f in factors):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], f"powers written as exp(k * log z), use z ** k: {found}"
+
+
+@pytest.mark.parametrize("module", ["complexfn", "hurwitz", "quad", "identities"])
+def test_package_exports_every_public_name(module):
+    names = importlib.import_module(f"zetaquad.{module}").__all__
+    missing = [name for name in names if not hasattr(zetaquad, name)]
+    assert missing == [], f"zetaquad does not re-export {module}.{missing}"

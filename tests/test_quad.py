@@ -84,7 +84,7 @@ class TestSemiInfinite:
 
 @pytest.mark.parametrize("max_evals,count", [(40, 25), (100, 97), (10 ** 7, 12_289)])
 def test_node_counts(max_evals, count):
-    # random terms f(x) x (pi/2) cosh t of one size never settle and are
+    # random terms f(x) w of one size never settle and are
     # never trimmed, so every level the budget allows is run in full
     cfg = QuadConfig(atol=1e-15, rtol=1e-15, max_evals=max_evals)
     rng = random.Random(0)
@@ -181,7 +181,7 @@ def _finite_sample(f, a, b):
         r = 1.0 / (1.0 + x)
         y = a + (b - a) * x * r if x < 1.0 else b - (b - a) * r
         g = f(y) * ((b - a) * r * r) if a < y < b else 0j
-        return g * x * (math.pi / 2) * math.cosh(t)
+        return g * (x * (math.pi / 2) * math.cosh(t))
 
     return sample
 
@@ -189,7 +189,7 @@ def _finite_sample(f, a, b):
 def _semi_infinite_sample(f):
     def sample(t):
         x = math.exp(math.pi / 2 * math.sinh(t))
-        return f(x) * x * (math.pi / 2) * math.cosh(t)
+        return f(x) * (x * (math.pi / 2) * math.cosh(t))
 
     return sample
 
