@@ -106,6 +106,7 @@ _LANCZOS_COF = (
     0.368991826595316234e-5,
 )
 _SQRT_TWO_PI = 2.5066282746310005
+_SHIFT_CAP = 200_000  # log_gamma refuses Re(z) < -_SHIFT_CAP rather than shift that often
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -113,7 +114,8 @@ def _is_nonpositive_integer(z: complex) -> bool:
 
 
 def gamma(z: complex) -> complex:
-    """Gamma(z) = exp(log_gamma(z)), one exponential of the whole log Gamma."""
+    """Gamma(z) = exp(log_gamma(z)), one exponential of the whole log Gamma;
+    a negative real z gets a rounding-level imaginary part (i*pi per shift)."""
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
@@ -125,6 +127,8 @@ def log_gamma(z: complex) -> complex:
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z = {z}")
+    if z.real < -_SHIFT_CAP:
+        raise DomainError(f"log_gamma: Re(z) = {z.real} below -{_SHIFT_CAP}: too many shifts")
     shift = 0j
     while z.real < 1.5:
         shift += principal_log(z)

@@ -228,6 +228,15 @@ class TestCommands:
         assert proc.returncode == main(argv) == 0
         assert proc.stdout == capsys.readouterr().out.encode()
 
+    def test_far_negative_k_fails_contour_promptly(self):
+        # Gamma(k + 1) in the contour prefactor would shift 1e15 times
+        argv = ["verify", "--k=-1e15+0.5i", "--a", "2@1"]
+        proc = subprocess.run([sys.executable, "-m", "zetaquad", *argv],
+                              capture_output=True, text=True, timeout=60, env=_child_env())
+        contour = json.loads(proc.stdout)["reports"][0]["routes"]["contour"]
+        assert contour["status"] == "failed"
+        assert "too many shifts" in contour["reason"]
+
     def test_closed_pipe_exits_quietly(self):
         # `zetaquad sweep | head -1`: the reader closes the pipe early.  The
         # report (~240 kB) is larger than the pipe buffer, so the write fails.

@@ -183,6 +183,19 @@ class TestLogGamma:
         with pytest.raises(PoleError):
             log_gamma(-2.0)
 
+    def test_shift_cap(self):
+        # the recurrence would shift |Re z| times; beyond the cap it refuses
+        mpmath = pytest.importorskip("mpmath")
+        z = -199999.5 + 0.5j
+        with mpmath.workdps(30):
+            ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+        assert abs(log_gamma(z) - ref) <= 1e-12 * abs(ref)
+        for z in (-200000.5 + 0.5j, -1e15 + 0.5j):
+            with pytest.raises(DomainError, match="too many shifts"):
+                log_gamma(z)
+            with pytest.raises(DomainError, match="too many shifts"):
+                gamma(z)
+
 
 class TestBernoulli:
     def test_first_values(self):
