@@ -8,11 +8,14 @@ The expansion is
                + sum_{j=1}^{M} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * (N+q)^{-s-2j+1}
 
 with M = 25.  Let m count the direct terms with Re(n + q) <= 0 (none when
-Re(q) > 0).  N - m doubles from 1 until the first neglected tail term drops
-below the fixed tolerance 1e-13, relative to the quantity being computed
-once that exceeds 1, so the tail always starts at Re(N + q) > 1; each
-doubling adds only the new direct terms to the sum kept from the previous
-one, and N - m reaching _N_CAP unconverged raises ConvergenceError.  A call
+Re(q) > 0).  N - m runs through the powers of two, so the tail always
+starts at Re(N + q) > 1.  The first N tried is the first at which
+2 pi |N + q| reaches |Im s|, plus ln(1/tolerance) when Re(s) >= 1: a tail
+seldom converges below it.  N - m then doubles until the first neglected
+tail term drops below the fixed tolerance 1e-13, relative to the quantity
+being computed once that exceeds 1; each doubling adds only the new direct
+terms to the sum kept from the previous one.  N - m reaching _N_CAP
+unconverged, or a nan tail term, raises ConvergenceError.  A call
 sums only the quantity it returns: hurwitz_zeta the expansion above,
 hurwitz_zeta_ds its term-by-term s-derivative.  A non-positive integer q,
 where a direct term has no value, and Re(q) < -_N_CAP, which would take
@@ -43,6 +46,7 @@ class ConvergenceError(RuntimeError):
 _TAIL_TERMS = 25
 _TOLERANCE = 1e-13
 _N_CAP = 200_000
+_MARGIN = math.log(1.0 / _TOLERANCE)
 
 
 @lru_cache(maxsize=None)
@@ -75,6 +79,17 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     done = 0
     m = max(0, math.floor(-q.real) + 1)  # how many direct terms have Re(n + q) <= 0
     n = m + 1
+    # Skip, without summing a tail, the doublings at which no tail can meet
+    # the tolerance.  A tail term shrinks by about |s + 2j|^2 / (2 pi |N + q|)^2
+    # per step, so a tail needs 2 pi |N + q| > |Im s|, and for Re s >= 1 about
+    # ln(1/tolerance) more, as its smallest term is near e^{-2 pi |N + q|}
+    # relative to the sum.  Below Re s = 1 the terms also carry a factor
+    # 1/Gamma(s), which vanishes at the non-positive integers, so a tail can
+    # converge well inside that margin, and every direct term past that point
+    # adds to the direct sum's cancellation: there only |Im s| is relied on.
+    reach = abs(s.imag) + (_MARGIN if s.real >= 1.0 else 0.0)
+    while n - m < _N_CAP and 2.0 * math.pi * abs(n + q) < reach:
+        n = 2 * n - m
     while True:
         for i in range(done, n):
             w = i + q
@@ -99,14 +114,24 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
         for j, c in enumerate(coefs, 1):
             term = c * (dprod - prod * lx) * pw if derivative else c * prod * pw
             mag = abs(term)
+            if math.isnan(mag):
+                # an overflowed x^{-s} or x^{-(s+1)}, or an overflowed P_j(s)
+                # times an underflowed power: a larger N only makes the
+                # power worse and leaves P_j(s) as it is, so do not double
+                raise ConvergenceError(f"tail term nan above tolerance at N = {n}")
             if j > _TAIL_TERMS or (j >= 3 and mag > prev_mag):
                 break  # mag is the first neglected term; a turned tail stops here
             total += term
             prev_mag = mag
-            for i in (2 * j - 1, 2 * j):
-                if derivative:
-                    dprod = dprod * (s + i) + prod
-                prod = prod * (s + i)
+            a = s + (2 * j - 1)
+            b = s + 2 * j
+            if derivative:
+                dprod = dprod * a + prod
+                prod = prod * a
+                dprod = dprod * b + prod
+                prod = prod * b
+            else:
+                prod = prod * a * b
             pw *= step
         if mag <= _TOLERANCE * max(1.0, abs(total)):
             return total

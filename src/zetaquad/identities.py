@@ -100,9 +100,10 @@ class RouteResult:
 
     status is ok (the value is compared), unconverged (a quadrature stopped
     short of its tolerance; its last iterate is kept but not compared),
-    skipped (outside the route's region) or failed (the route raised), and
-    reason says why it is not ok.  value, err_estimate and n_evals are None
-    when the route did not run; a closed form has err_estimate 0.0, n_evals 0.
+    skipped (outside the route's region) or failed (the route raised or gave
+    a value that is not finite), and reason says why it is not ok.  value,
+    err_estimate and n_evals are None when the route did not run or failed;
+    a closed form has err_estimate 0.0, n_evals 0.
     """
 
     value: complex | None
@@ -410,7 +411,8 @@ def _run_route(case: IdentityCase, evaluate: Callable[[IdentityCase], object],
                region: Callable[[complex], str | None] = _everywhere) -> RouteResult:
     """Run one route on the case and record the outcome: the region's reason
     to skip it, the exception it raised, or what it returned.  A quadrature
-    returns a QuadResult, a closed form its bare value."""
+    returns a QuadResult, a closed form its bare value; a value or estimate
+    that is not finite (an overflowed prefactor, say) fails the route."""
     reason = region(complex(case.k))
     if reason is not None:
         return RouteResult(None, None, None, "skipped", reason)
@@ -418,8 +420,10 @@ def _run_route(case: IdentityCase, evaluate: Callable[[IdentityCase], object],
         result = evaluate(case)
     except (DomainError, ConvergenceError, ArithmeticError) as exc:
         return RouteResult(None, None, None, "failed", str(exc))
-    if not isinstance(result, QuadResult):
-        return RouteResult(result)
+    if not isinstance(result, QuadResult):  # a closed form: exact, no evaluations
+        result = QuadResult(result, 0.0, 0, True)
+    if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
+        return RouteResult(None, None, None, "failed", "non-finite value")
     if result.converged:
         return RouteResult(result.value, result.err_estimate, result.n_evals)
     return RouteResult(result.value, result.err_estimate, result.n_evals,

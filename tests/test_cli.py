@@ -296,6 +296,16 @@ class TestCommands:
             ("contour", "skipped", "Re(k) >= 1")]
         assert all(row[5:9] == ["", "", "", ""] and row[11] == "partial" for row in rows)
 
+    @pytest.mark.parametrize("k", ["130", "140", "145"])
+    def test_non_finite_route_value_fails_the_route(self, capsys, k):
+        # the prefactor 2^(k-1) k pi^k times zeta(1 - k, .) overflows to a
+        # non-finite value, which would otherwise stop the report rendering
+        assert main(["verify", "--k", k, "--a", "2"]) == 1
+        rep = json.loads(capsys.readouterr().out)["reports"][0]
+        assert rep["routes"]["zeta"] == {"value": None, "err_estimate": None, "n_evals": None,
+                                         "status": "failed", "reason": "non-finite value"}
+        assert rep["verdict"] == "partial"
+
     def test_json_and_csv_list_the_same_routes(self, capsys):
         assert main(["sweep"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -331,6 +341,12 @@ class TestCommands:
     def test_zeta_out_of_reach_is_usage_error(self, capsys, s, message):
         assert main(["zeta", "--s", s, "--q", "0.5"]) == 2
         assert capsys.readouterr() == ("", message)
+
+    def test_zeta_nan_tail_term_is_refused_at_once(self, capsys):
+        # (1e155 + 1)^-2 overflows to nan in Python's integral power, and a
+        # larger N only makes it worse: the first tail refuses, without doubling
+        assert main(["zeta", "--s", "2", "--q", "1e155"]) == 2
+        assert capsys.readouterr() == ("", "error: tail term nan above tolerance at N = 1\n")
 
     @pytest.mark.parametrize("q", ["1e-200", "-1e-200"])
     def test_zeta_underflowing_power_is_usage_error(self, capsys, q):

@@ -202,6 +202,9 @@ def _reference_hurwitz_pair(s, q, monitor_derivative):
     coefs = _tail_coefficients()
     m = max(0, math.floor(-q.real) + 1)
     n = m + 1
+    reach = abs(s.imag) + (math.log(1.0 / _TOLERANCE) if s.real >= 1.0 else 0.0)
+    while n - m < _N_CAP and 2.0 * math.pi * abs(n + q) < reach:
+        n = 2 * n - m
     while True:
         v, d, neglected = _reference_em_pass(s, q, n, coefs, monitor_derivative)
         ref = abs(d) if monitor_derivative else abs(v)
@@ -294,6 +297,21 @@ class TestNonPositiveQOracle:
                     assert abs(fn(s, q) - ref) <= 1e-8 * max(1.0, abs(ref)), (fn.__name__, s, q)
                 compared += 1
         assert compared >= 120
+
+
+class TestWorkloadRegionOracle:
+    def test_matches_mpmath(self):
+        # the region of the benchmark's zeta map: Re s in [-6, 10],
+        # |Im s| <= 50, Re q in [0.25, 1.75], |Im q| <= 0.25
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(43)
+        with mpmath.workdps(30):
+            for _ in range(200):
+                s = complex(rng.uniform(-6.0, 10.0), rng.uniform(-50.0, 50.0))
+                q = complex(rng.uniform(0.25, 1.75), rng.uniform(-0.25, 0.25))
+                for fn, d in ((hurwitz_zeta, 0), (hurwitz_zeta_ds, 1)):
+                    ref = complex(mpmath.zeta(s, q, d))
+                    assert abs(fn(s, q) - ref) <= 1e-9 * max(1.0, abs(ref)), (fn.__name__, s, q)
 
 
 class TestDerivativeNearPole:
