@@ -170,40 +170,38 @@ def _contour_region(k: complex) -> str | None:
     return None
 
 
-def alternating_sum(term: Callable[[int], complex], rtol: float = 1e-13,
-                    n_cap: int = 500) -> complex:
-    """Accelerated sum_{n>=0} (-1)^n term(n) by iterated averaging of partial sums.
-
-    The averaging table applies binomial weights to the partial sums, which
-    converges geometrically for smooth alternating terms.
+def alternating_sum(term: Callable[[int], complex]) -> complex:
+    """sum_{j>=0} (-1)^j term(j) by Algorithm 1 of Cohen, Villegas and Zagier,
+    "Convergence acceleration of alternating series", Exp. Math. 9 (2000):
+    one O(n) pass with fixed weights c_j / d, its error about 5.8^-n for
+    moment sequences.  Complex terms are not moments, so passes run at
+    n = 20, 40, ..., 320 over cached terms (each term(j) is called once), and
+    the sum is the first pass within 1e-13 relative of the one before.  The
+    cap is 320 because d = cosh(n log(3+sqrt 8)) overflows past n = 402.
     """
-    row: list[complex] = []
-    partial = 0j
-    sign = 1.0
+    terms: list[complex] = []
     prev = None
-    hits = 0
-    for n in range(n_cap):
-        partial += sign * term(n)
-        sign = -sign
-        new = [partial]
-        for v in row:
-            new.append(0.5 * (new[-1] + v))
-        row = new
-        est = row[-1]
-        if prev is not None and n >= 6:
-            if abs(est - prev) <= rtol * max(1e-300, abs(est)):
-                hits += 1
-                if hits >= 2:
-                    return est
-            else:
-                hits = 0
+    for n in (20, 40, 80, 160, 320):  # d overflows a double past n = 402
+        terms.extend(term(j) for j in range(len(terms), n))
+        d = (3.0 + math.sqrt(8.0)) ** n
+        d = 0.5 * (d + 1.0 / d)
+        b = -1.0
+        c = -d
+        s = 0j
+        for j, a in enumerate(terms):
+            c = b - c
+            s += c * a
+            b = (j + n) * (j - n) * b / ((j + 0.5) * (j + 1))
+        est = s / d
+        if prev is not None and abs(est - prev) <= 1e-13 * abs(est):
+            return est
         prev = est
-    raise ConvergenceError(f"alternating series acceleration stalled after {n_cap} terms")
+    raise ConvergenceError("alternating series acceleration stalled after 320 terms")
 
 
 def catalan_reference() -> float:
     """Catalan's constant from the accelerated series sum (-1)^n / (2n+1)^2."""
-    return alternating_sum(lambda n: complex(1.0 / (2 * n + 1) ** 2), 1e-14, 200).real
+    return alternating_sum(lambda n: complex(1.0 / (2 * n + 1) ** 2)).real
 
 
 def integrand(y: float, k: complex, a: BranchedConstant) -> complex:
@@ -311,12 +309,13 @@ def rhs_zeta(case: IdentityCase) -> complex:
 
 
 def rhs_series(case: IdentityCase) -> complex:
-    """The accelerated alternating series
+    """The alternating series
 
     -pi * k * sum_{n>=0} (-1)^n (pi i (2n+1)/2 + log a)^{k-1},
 
-    valid for Re(k) < 1.  The Gamma(k+1)/Gamma(k) ratio has been simplified
-    analytically to k, so non-positive integer k needs no special casing.
+    valid for Re(k) < 1; if 320 terms do not settle it, alternating_sum
+    raises ConvergenceError and the route fails.  The Gamma(k+1)/Gamma(k)
+    ratio is simplified to k, so non-positive integer k needs no special case.
     """
     k = complex(case.k)
     reason = _series_region(k)
@@ -329,7 +328,7 @@ def rhs_series(case: IdentityCase) -> complex:
     def term(n: int) -> complex:
         return complex_pow(0.5j * math.pi * (2 * n + 1) + log_a, k - 1.0)
 
-    return -math.pi * k * alternating_sum(term, 1e-13, 500)
+    return -math.pi * k * alternating_sum(term)
 
 
 def rhs_contour(case: IdentityCase) -> QuadResult:
