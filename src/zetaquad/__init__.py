@@ -26,6 +26,7 @@ from .identities import (
     CaseError,
     DEFAULT_A_GRID,
     DEFAULT_K_GRID,
+    DEFAULT_VERDICT_TOL,
     IdentityCase,
     RegionError,
     RouteResult,

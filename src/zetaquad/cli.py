@@ -34,6 +34,7 @@ from .hurwitz import ConvergenceError, hurwitz_zeta, zeta_neg_int_oracle
 from .identities import (
     DEFAULT_A_GRID,
     DEFAULT_K_GRID,
+    DEFAULT_VERDICT_TOL,
     IdentityCase,
     RouteResult,
     VerificationReport,
@@ -219,21 +220,22 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Multi-route verification of "
                                             "cos(2y) log-power integrals")
     sub = p.add_subparsers(dest="command", required=True)
+    quad_defaults = QuadConfig()
 
     def add_common(sp: argparse.ArgumentParser, verdict_flags: bool = True) -> None:
-        sp.add_argument("--atol", type=float, default=QuadConfig.atol,
+        sp.add_argument("--atol", type=float, default=quad_defaults.atol,
                         help="quadrature absolute tolerance")
-        sp.add_argument("--rtol", type=float, default=QuadConfig.rtol,
+        sp.add_argument("--rtol", type=float, default=quad_defaults.rtol,
                         help="quadrature relative tolerance")
-        sp.add_argument("--max-evals", type=int, default=QuadConfig.max_evals,
+        sp.add_argument("--max-evals", type=int, default=quad_defaults.max_evals,
                         help="evaluation budget per quadrature call, at least 13 "
                              "(each half of the lhs integral is one call); a call "
                              "evaluates at most 12289 nodes, so a larger budget "
                              "changes nothing")
         if verdict_flags:
-            sp.add_argument("--verdict-atol", type=float, default=IdentityCase.verdict_atol,
+            sp.add_argument("--verdict-atol", type=float, default=DEFAULT_VERDICT_TOL,
                             help="pass/fail residual rule, absolute part")
-            sp.add_argument("--verdict-rtol", type=float, default=IdentityCase.verdict_rtol,
+            sp.add_argument("--verdict-rtol", type=float, default=DEFAULT_VERDICT_TOL,
                             help="pass/fail residual rule, relative part")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default=None, help="write report here instead of stdout")

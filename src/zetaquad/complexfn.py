@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "BranchedConstant",
@@ -42,22 +41,31 @@ class PoleError(DomainError):
     """Evaluation requested exactly at a pole."""
 
 
-@dataclass(frozen=True)
-class BranchedConstant:
+class _BranchedConstant(NamedTuple):
+    r: float
+    theta: float
+
+
+class BranchedConstant(_BranchedConstant):
     """A nonzero constant stored in polar form so its logarithm is branch-fixed.
 
     The logarithm is ln(r) + i*theta with theta kept in [0, 2*pi); it is
     never re-reduced to the principal sheet.
     """
 
-    r: float
-    theta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.r > 0.0:
-            raise DomainError(f"modulus must be positive, got {self.r}")
-        if not 0.0 <= self.theta < TWO_PI:
-            raise DomainError(f"argument must lie in [0, 2*pi), got {self.theta}")
+    def __new__(cls, r: float, theta: float = 0.0) -> BranchedConstant:
+        if not r > 0.0:
+            raise DomainError(f"modulus must be positive, got {r}")
+        if r == math.inf:
+            raise DomainError(f"modulus must be finite, got {r}")
+        if not 0.0 <= theta < TWO_PI:
+            raise DomainError(f"argument must lie in [0, 2*pi), got {theta}")
+        return super().__new__(cls, r, theta)
+
+    # _replace builds through _make; route it through the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def log_value(self) -> complex:
@@ -144,15 +152,22 @@ def log_gamma(z: complex) -> complex:
 
 @lru_cache(maxsize=None)
 def _bernoulli_floats(n_max: int) -> tuple[float, ...]:
-    # defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0, in exact rationals
-    b = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(n):
-            if b[j]:
-                acc += math.comb(n + 1, j) * b[j]
-        b.append(-acc / (n + 1))
-    return tuple(float(x) for x in b)
+    # B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent numbers T_m,
+    # built in exact integers by the in-place recurrence of Brent and Harvey,
+    # "Fast computation of Bernoulli, Tangent and Secant numbers" (2011),
+    # arXiv:1108.0286.  int / int rounds correctly, so each B_n is the double
+    # nearest the exact rational
+    m_max = n_max // 2
+    t = [0, 1] + [0] * (m_max - 1)  # t[m] = T_m, 1-based
+    for m in range(2, m_max + 1):
+        t[m] = (m - 1) * t[m - 1]
+    for k in range(2, m_max + 1):
+        for j in range(k, m_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    b = [1.0, -0.5] + [0.0] * (n_max - 1)
+    for m in range(1, m_max + 1):
+        b[2 * m] = (-1) ** (m - 1) * 2 * m * t[m] / (4 ** m * (4 ** m - 1))
+    return tuple(b)
 
 
 def bernoulli_numbers(n_max: int) -> tuple[float, ...]:

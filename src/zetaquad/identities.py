@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .complexfn import EPS, TWO_PI, BranchedConstant, DomainError, complex_pow, gamma
 from .hurwitz import ConvergenceError, hurwitz_zeta
@@ -38,6 +37,7 @@ __all__ = [
     "CaseError",
     "DEFAULT_K_GRID",
     "DEFAULT_A_GRID",
+    "DEFAULT_VERDICT_TOL",
     "case_violation",
     "residual_ok",
     "alternating_sum",
@@ -66,6 +66,7 @@ DEFAULT_A_GRID: tuple[BranchedConstant, ...] = (
     BranchedConstant(1.0, math.pi / 3.0),
     BranchedConstant(2.0, 3.0 * math.pi / 4.0),
 )
+DEFAULT_VERDICT_TOL = 1e-6  # both parts of the verdict rule, unless set per case
 
 
 class RegionError(ValueError):
@@ -76,26 +77,37 @@ class CaseError(ValueError):
     """The (k, a) pair violates a case invariant."""
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    """One (k, a) instance of the identity plus its evaluation configuration."""
-
+class _IdentityCase(NamedTuple):
     k: complex
     a: BranchedConstant
-    quad_cfg: QuadConfig = QuadConfig()
-    verdict_atol: float = 1e-6
-    verdict_rtol: float = 1e-6
+    quad_cfg: QuadConfig
+    verdict_atol: float
+    verdict_rtol: float
 
-    def __post_init__(self) -> None:
+
+class IdentityCase(_IdentityCase):
+    """One (k, a) instance of the identity plus its evaluation configuration."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: complex, a: BranchedConstant, quad_cfg: QuadConfig = QuadConfig(),
+                verdict_atol: float = DEFAULT_VERDICT_TOL,
+                verdict_rtol: float = DEFAULT_VERDICT_TOL) -> IdentityCase:
+        # a nan or infinite k has no route; refuse it before any route runs
+        if not cmath.isfinite(k):
+            raise ValueError(f"k must be finite, got {k}")
         # written so that nan fails too: every residual_ok against nan is False
-        if not 0.0 <= self.verdict_atol < math.inf:
+        if not 0.0 <= verdict_atol < math.inf:
             raise ValueError("verdict_atol must be finite and >= 0")
-        if not 0.0 <= self.verdict_rtol < math.inf:
+        if not 0.0 <= verdict_rtol < math.inf:
             raise ValueError("verdict_rtol must be finite and >= 0")
+        return super().__new__(cls, k, a, quad_cfg, verdict_atol, verdict_rtol)
+
+    # _replace builds through _make; route it through the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     """What one route gave; its key in VerificationReport.routes names it.
 
     status is ok (the value is compared), unconverged (a quadrature stopped
@@ -113,8 +125,7 @@ class RouteResult:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One record per route in evaluation order, the residual of every pair
     of ok routes, and the verdict."""
 
@@ -130,8 +141,7 @@ class VerificationReport:
     contour_value = property(lambda self: self.routes.get("contour"))
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     reports: list[VerificationReport]
     notes: list[str]
 
@@ -517,8 +527,8 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
 
 def sweep(k_list: Sequence[complex], a_list: Sequence[BranchedConstant],
           quad_cfg: QuadConfig = QuadConfig(),
-          verdict_atol: float = IdentityCase.verdict_atol,
-          verdict_rtol: float = IdentityCase.verdict_rtol) -> SweepResult:
+          verdict_atol: float = DEFAULT_VERDICT_TOL,
+          verdict_rtol: float = DEFAULT_VERDICT_TOL) -> SweepResult:
     """Verify the Cartesian product of cases, in deterministic input order.
 
     Pairs violating the case invariants are skipped with a note.

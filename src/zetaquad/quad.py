@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .complexfn import EPS
 
@@ -37,25 +36,32 @@ _MIN_EVALS = 13  # the level-0 node count, always evaluated
 _SPAN = _MIN_EVALS - 1  # unit intervals of t in [-6, 6]
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    atol: float = 1e-10
-    rtol: float = 1e-10
-    max_evals: int = 10 ** 6
+class _QuadConfig(NamedTuple):
+    atol: float
+    rtol: float
+    max_evals: int
 
-    def __post_init__(self) -> None:
+
+class QuadConfig(_QuadConfig):
+    __slots__ = ()
+
+    def __new__(cls, atol: float = 1e-10, rtol: float = 1e-10,
+                max_evals: int = 10 ** 6) -> QuadConfig:
         # written so that nan fails too; a tolerance above 1e-3 lets level 1
         # pass a value that is still far off
-        if not 1e-15 <= self.atol <= 1e-3:
+        if not 1e-15 <= atol <= 1e-3:
             raise ValueError("atol must lie in [1e-15, 1e-3]")
-        if not 1e-15 <= self.rtol <= 1e-3:
+        if not 1e-15 <= rtol <= 1e-3:
             raise ValueError("rtol must lie in [1e-15, 1e-3]")
-        if not _MIN_EVALS <= self.max_evals <= 10 ** 7:
+        if not _MIN_EVALS <= max_evals <= 10 ** 7:
             raise ValueError(f"max_evals must lie in [{_MIN_EVALS}, 1e7]")
+        return super().__new__(cls, atol, rtol, max_evals)
+
+    # _replace builds through _make; route it through the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: complex
     err_estimate: float
     n_evals: int

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from zetaquad.complexfn import (
     log_gamma,
     principal_log,
 )
+from zetaquad.hurwitz import _tail_coefficients
 
 # >= 15-digit reference values
 GAMMA_QUARTER = 3.6256099082219083
@@ -197,7 +199,33 @@ class TestLogGamma:
                 gamma(z)
 
 
+@functools.lru_cache(maxsize=None)
+def _bernoulli_reference(n_max):
+    """B_0..B_{n_max} from the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0
+    in exact rationals, each rounded once to a float."""
+    b = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        acc = Fraction(0)
+        for j in range(n):
+            if b[j]:
+                acc += math.comb(n + 1, j) * b[j]
+        b.append(-acc / (n + 1))
+    return tuple(float(x) for x in b)
+
+
 class TestBernoulli:
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 52, 53, 200])
+    def test_bit_identical_to_exact_recurrence(self, n_max):
+        # the tangent-number table rounds each B_n once, as float(Fraction) does
+        ref = _bernoulli_reference(200)[:n_max + 1]
+        assert [repr(x) for x in bernoulli_numbers(n_max)] == [repr(x) for x in ref]
+
+    def test_tail_coefficients_unchanged(self):
+        # hurwitz's B_2j / (2j)! for j = 1 .. 26, from the reference table
+        ref = _bernoulli_reference(200)
+        expected = [ref[2 * j] / math.factorial(2 * j) for j in range(1, 27)]
+        assert [repr(x) for x in _tail_coefficients()] == [repr(x) for x in expected]
+
     def test_first_values(self):
         t = bernoulli_numbers(2)
         assert t == (1.0, -0.5, pytest.approx(1.0 / 6.0))
@@ -244,3 +272,11 @@ class TestBranchedConstant:
             BranchedConstant(1.0, -0.1)
         with pytest.raises(DomainError):
             BranchedConstant(1.0, 2 * math.pi)
+
+    @pytest.mark.parametrize("r,message", [(math.inf, "modulus must be finite, got inf"),
+                                           (math.nan, "modulus must be positive, got nan")])
+    def test_non_finite_modulus_rejected(self, r, message):
+        # an infinite r used to be accepted, and verify then raised
+        # "cannot convert float NaN to integer"
+        with pytest.raises(DomainError, match=message):
+            BranchedConstant(r)

@@ -1,4 +1,4 @@
-"""Dead-code checks over the package source, using only the ast module.
+"""Dead-code and start-up checks over the package source.
 
 * every name a module imports is used by that module (the package's
   ``__init__`` re-exports its imports, so it is exempt);
@@ -8,11 +8,16 @@
   module, so the package stays pure standard library at runtime;
 * no power is written as exp(k * log(z)): Python's principal ``z ** k`` is
   the one way the package raises a number to a complex power;
-* the package re-exports every public name of its library modules.
+* the package re-exports every public name of its library modules;
+* importing the CLI loads none of the standard-library modules that made
+  start-up slow (dataclasses, which pulls in inspect, and fractions, which
+  pulls in decimal).
 """
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -133,3 +138,16 @@ def test_package_exports_every_public_name(module):
     names = importlib.import_module(f"zetaquad.{module}").__all__
     missing = [name for name in names if not hasattr(zetaquad, name)]
     assert missing == [], f"zetaquad does not re-export {module}.{missing}"
+
+
+def test_cli_import_leaves_slow_modules_out():
+    # Compared with the modules the bare interpreter has already loaded, since
+    # site may load some (typing, say) before any package code runs.
+    code = ("import sys; bare = set(sys.modules); import zetaquad.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    added = set(out.split())
+    assert "zetaquad.cli" in added
+    assert added & {"dataclasses", "inspect", "fractions", "decimal"} == set()

@@ -330,6 +330,16 @@ class TestSweep:
         with pytest.raises(ValueError, match=field):
             sweep([complex(-0.5)], [BranchedConstant(2.0)], **{field: value})
 
+    @pytest.mark.parametrize("k", [complex(math.nan), complex(0.5, math.inf),
+                                   complex(math.inf, 0.3)])
+    def test_non_finite_k_rejected(self, k):
+        # verify used to raise "cannot convert float NaN to integer" or "math
+        # domain error" from inside a route
+        with pytest.raises(ValueError, match=r"k must be finite, got \("):
+            IdentityCase(k, A_ONE)
+        with pytest.raises(ValueError, match="k must be finite"):
+            sweep([k], [A_ONE])
+
     def test_overflowing_case_does_not_stop_sweep(self):
         res = sweep([2, 201], [A_ONE])
         assert [r.verdict for r in res.reports] == ["pass", "partial"]
@@ -568,12 +578,20 @@ MAIN_REGION = (7, 100, (-1.95, 8.0))
 
 def test_region_map_ok_routes_match_oracle():
     # Aim 3 across every route's region: a route either meets the tolerance
-    # against the oracle or reports a status other than ok.
+    # against the oracle or reports a status other than ok.  An ok quadrature
+    # (lhs, contour) must also lie within its own error estimate of the
+    # oracle, with no slack (ROADMAP item 7's gate).
     wrong = []
+    outside = []
     for k, a, ref in _region_map(*MAIN_REGION):
         rep = verify(case(k, a))
         wrong += [(k, a, name, value, ref) for name, value in _wrong_ok_routes(rep, ref)]
+        outside += [(k, a, name, abs(r.value - ref), r.err_estimate)
+                    for name, r in rep.routes.items()
+                    if name in ("lhs", "contour") and r.status == "ok"
+                    and abs(r.value - ref) > r.err_estimate]
     assert wrong == []
+    assert outside == []
 
 
 @pytest.mark.parametrize("cap", [40, 400])

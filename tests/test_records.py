@@ -1,0 +1,139 @@
+"""What callers rely on in the package's records, which are named tuples:
+the repr, equality and hash by field, immutability, and the checks that the
+validated records run however they are built."""
+
+import math
+
+import pytest
+
+from zetaquad.cli import build_parser
+from zetaquad.complexfn import BranchedConstant, DomainError
+from zetaquad.identities import (
+    DEFAULT_VERDICT_TOL,
+    IdentityCase,
+    RouteResult,
+    SweepResult,
+    VerificationReport,
+    sweep,
+)
+from zetaquad.quad import QuadConfig, QuadResult
+
+A = BranchedConstant(2.0, 0.5)
+CASE = IdentityCase(0.5 + 0.3j, A, QuadConfig(max_evals=400))
+ROUTE = RouteResult(None, None, None, "skipped", "Re(k) >= 1")
+REPORT = VerificationReport(CASE, {"series": ROUTE}, {}, "partial")
+
+RECORDS = [A, QuadConfig(), QuadResult(1j, 0.0, 13, True), CASE, ROUTE, REPORT,
+           SweepResult([], ["none"])]
+
+
+REPRS = [
+    (A, "BranchedConstant(r=2.0, theta=0.5)"),
+    (QuadConfig(), "QuadConfig(atol=1e-10, rtol=1e-10, max_evals=1000000)"),
+    (QuadResult(1j, 0.0, 13, True),
+     "QuadResult(value=1j, err_estimate=0.0, n_evals=13, converged=True)"),
+    (CASE, "IdentityCase(k=(0.5+0.3j), a=BranchedConstant(r=2.0, theta=0.5), "
+           "quad_cfg=QuadConfig(atol=1e-10, rtol=1e-10, max_evals=400), "
+           "verdict_atol=1e-06, verdict_rtol=1e-06)"),
+    (RouteResult(0.5j),
+     "RouteResult(value=0.5j, err_estimate=0.0, n_evals=0, status='ok', reason='')"),
+    (REPORT, "VerificationReport(case=" + repr(CASE) + ", routes={'series': "
+             "RouteResult(value=None, err_estimate=None, n_evals=None, status='skipped', "
+             "reason='Re(k) >= 1')}, residuals={}, verdict='partial')"),
+    (SweepResult([], ["none"]), "SweepResult(reports=[], notes=['none'])"),
+]
+
+
+@pytest.mark.parametrize("record,text", REPRS, ids=[type(r).__name__ for r, _ in REPRS])
+def test_repr(record, text):
+    assert repr(record) == text
+
+
+def test_equality_and_hash_by_field():
+    assert BranchedConstant(2.0, 0.5) == A and hash(BranchedConstant(2.0, 0.5)) == hash(A)
+    assert BranchedConstant(1.0) == BranchedConstant(1.0, 0.0)
+    assert BranchedConstant(2.0, 0.25) != A
+    assert QuadConfig(max_evals=400) == QuadConfig(1e-10, 1e-10, 400)
+    assert hash(QuadConfig(max_evals=400)) == hash(QuadConfig(1e-10, 1e-10, 400))
+    assert IdentityCase(0.5 + 0.3j, A, QuadConfig(max_evals=400)) == CASE
+    assert hash(IdentityCase(0.5 + 0.3j, A, QuadConfig(max_evals=400))) == hash(CASE)
+    assert IdentityCase(0.5 + 0.3j, A) != CASE
+    assert RouteResult(0.5j) == RouteResult(0.5j, 0.0, 0, "ok", "")
+    # a named tuple is iterable and equals the plain tuple of its fields
+    assert tuple(A) == (2.0, 0.5) and A == (2.0, 0.5)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_immutable(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("cls,args,kwargs,exc,message", [
+    (BranchedConstant, (0.0,), {}, DomainError, "modulus must be positive, got 0.0"),
+    (BranchedConstant, (), {"r": -1.0}, DomainError, "modulus must be positive, got -1.0"),
+    (BranchedConstant, (1.0, 7.0), {}, DomainError, r"argument must lie in \[0, 2\*pi\)"),
+    (BranchedConstant, (1.0,), {"theta": -0.1}, DomainError, "argument must lie in"),
+    (QuadConfig, (1e-2,), {}, ValueError, r"atol must lie in \[1e-15, 1e-3\]"),
+    (QuadConfig, (), {"atol": math.nan}, ValueError, "atol must lie in"),
+    (QuadConfig, (1e-10, 0.5), {}, ValueError, r"rtol must lie in \[1e-15, 1e-3\]"),
+    (QuadConfig, (), {"rtol": 0.0}, ValueError, "rtol must lie in"),
+    (QuadConfig, (1e-10, 1e-10, 12), {}, ValueError, r"max_evals must lie in \[13, 1e7\]"),
+    (QuadConfig, (), {"max_evals": 10 ** 8}, ValueError, "max_evals must lie in"),
+    (IdentityCase, (math.nan, A), {}, ValueError, "k must be finite, got nan"),
+    (IdentityCase, (), {"k": complex(0.5, math.inf), "a": A}, ValueError, "k must be finite"),
+    (IdentityCase, (0.5, A, QuadConfig(), -1.0), {}, ValueError,
+     "verdict_atol must be finite and >= 0"),
+    (IdentityCase, (0.5, A), {"verdict_atol": math.inf}, ValueError,
+     "verdict_atol must be finite and >= 0"),
+    (IdentityCase, (0.5, A, QuadConfig(), 0.0, math.nan), {}, ValueError,
+     "verdict_rtol must be finite and >= 0"),
+    (IdentityCase, (0.5, A), {"verdict_rtol": -1e-9}, ValueError,
+     "verdict_rtol must be finite and >= 0"),
+])
+def test_validation(cls, args, kwargs, exc, message):
+    with pytest.raises(exc, match=message):
+        cls(*args, **kwargs)
+
+
+def test_replace_runs_the_checks():
+    with pytest.raises(DomainError, match="modulus must be positive"):
+        A._replace(r=0.0)
+    with pytest.raises(ValueError, match="max_evals must lie in"):
+        QuadConfig()._replace(max_evals=1)
+    with pytest.raises(ValueError, match="verdict_atol must be finite"):
+        CASE._replace(verdict_atol=math.nan)
+
+
+def test_replace_keeps_the_class():
+    assert A._replace(theta=1.0) == BranchedConstant(2.0, 1.0)
+    assert type(QuadConfig()._replace(atol=1e-12)) is QuadConfig
+
+
+def test_report_views():
+    routes = {"lhs": RouteResult(1j, 1e-12, 26), "zeta": RouteResult(2j),
+              "series": ROUTE}
+    rep = VerificationReport(CASE, routes, {}, "pass")
+    assert rep.lhs is routes["lhs"]
+    assert rep.zeta_value == 2j
+    assert rep.series_value is None
+    assert rep.contour_value is None
+
+
+@pytest.mark.parametrize("argv", [["verify", "--k", "1", "--a", "1"], ["sweep"],
+                                  ["constants"]])
+def test_cli_defaults_match_the_records(argv):
+    ns = build_parser().parse_args(argv)
+    assert QuadConfig(ns.atol, ns.rtol, ns.max_evals) == QuadConfig()
+    if argv[0] != "constants":
+        default_case = IdentityCase(0.5, A)
+        assert ns.verdict_atol == default_case.verdict_atol == DEFAULT_VERDICT_TOL == 1e-6
+        assert ns.verdict_rtol == default_case.verdict_rtol == 1e-6
+
+
+def test_sweep_default_verdict_tolerances():
+    (rep,) = sweep([2.0], [BranchedConstant(1.0)]).reports
+    assert (rep.case.verdict_atol, rep.case.verdict_rtol) == (1e-6, 1e-6)
