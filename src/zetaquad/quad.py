@@ -2,10 +2,13 @@
 
 One double-exponential rule does both jobs: the exp-sinh trapezoid rule on
 (0, inf), x = exp(pi/2 sinh t), with level doubling.  Each refinement halves
-the mesh and reuses the previous nodes, and the level-to-level difference
-supplies the error estimate.  A finite interval (a, b) is mapped onto the ray
-by y = a + (b - a) x / (1 + x), which makes the same rule double-exponential
-at both ends (Takahasi-Mori 1974; Mori-Sugihara 2001).  Endpoints are never
+the mesh and reuses the previous nodes.  The level-to-level difference
+supplies the error estimate; once three differences in a row contract, it is
+extrapolated one level ahead (Borwein-Bailey-Girgensohn), so a call need not
+run the level that would only confirm it.  The estimate also counts the mass
+below the smallest node.  A finite interval (a, b) is mapped onto the ray by
+y = a + (b - a) x / (1 + x), which makes the same rule double-exponential at
+both ends (Takahasi-Mori 1974; Mori-Sugihara 2001).  Endpoints are never
 evaluated; nodes are strictly interior by construction.
 
 Level 0 (step 1 in t) also decides where the later levels sample.  A unit
@@ -108,9 +111,23 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     bounded by the interval's inner end, which is <= thr.
     The error estimate gains thr for each dropped interval, and n_evals
     (which the cfg.max_evals budget counts) counts only evaluated nodes.
-    The estimate leaves out the mass below the smallest node x = e^{-317}:
-    x^{-0.9} e^{-1000 x} comes out 1.0e-13 short with an estimate of 5.4e-14
-    (a strict xfail of test_trim_keeps_scaled_gamma_integrals).
+
+    Mass below the smallest node x0 = e^{-317}: |f| = c x^p fitted through
+    the two smallest level-0 nodes puts c x0^(p+1) / (p+1) on (0, x0), and
+    the estimate gains it (no bound, so no convergence, when p <= -1).
+    For x^{-0.9} e^{-1000 x} that mass is 1.0e-13, twice what the level
+    differences alone would estimate.
+
+    Stop rule.  Let d, d1, d2 be the differences between the last four level
+    values, newest first.  The estimate is d, but when d < d1 < d2 it is
+    min(d, max(d * max(d/d1, d1/d2), n_evals * thr)): the next difference,
+    predicted from the worse of the last two contraction ratios, so that DE
+    convergence that zig-zags (a ray whose differences shrink by 1e-5 and
+    then by only 8e-3) is not taken at its best ratio.  Its floor
+    n_evals * thr = n EPS sum|term| bounds the rounding of the n-term sum
+    (Higham), and the cap d keeps it from ever exceeding the plain
+    difference, so no call refines deeper than it would on d alone.
+    8 EPS |value| and the trim and below-node terms are added on top.
     """
     xs, ws = _nodes(0)
     terms = [f(x) * w for x, w in zip(xs, ws)]
@@ -124,9 +141,15 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     lo, hi = (max(kept[0] - 1, 0), min(kept[-1] + 1, _SPAN)) if kept else (0, _SPAN)
     dropped = lo + _SPAN - hi
     trim_err = dropped * thr if dropped else 0.0
+    # the mass below the smallest node, from |f| = c x^p through the first two
+    f0, f1 = mags[0] / ws[0], mags[1] / ws[1]
+    if f0 and f1:
+        p1 = (math.log(f1) - math.log(f0)) / math.log(xs[1] / xs[0]) + 1.0
+        trim_err += f0 * xs[0] / p1 if p1 > 0.0 else math.inf
     value = total
     n_evals = len(terms)
     err = math.inf
+    d1 = d2 = math.nan  # the two previous level differences, newest first
     converged = False
     for level in range(1, _MAX_LEVEL + 1):
         # a level's new nodes are 2^(level-1) per unit interval, ascending
@@ -139,7 +162,11 @@ def integrate_semi_infinite(f: Callable[[float], complex],
             total += f(x) * w
         n_evals += stop - start
         value, prev = math.ldexp(1.0, -level) * total, value
-        err = max(abs(value - prev), 8.0 * EPS * abs(value)) + trim_err
+        d = est = abs(value - prev)
+        if d < d1 < d2:
+            est = min(d, max(d * max(d / d1, d1 / d2), n_evals * thr))
+        d1, d2 = d, d1
+        err = max(est, 8.0 * EPS * abs(value)) + trim_err
         if err <= cfg.atol + cfg.rtol * abs(value):
             converged = True
             break

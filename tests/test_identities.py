@@ -508,8 +508,8 @@ def test_subtracted_rays_match_zeta_oracle():
         res = route(case(k, a))
         ref = _zeta_oracle(mpmath, k, a)
         assert res.converged, (route.__name__, k, a)
-        assert abs(res.value - ref) <= max(res.err_estimate, 1e-10 * max(1.0, abs(ref))), \
-            (route.__name__, k, a, res, ref)
+        # ROADMAP item 7's gate: within its own estimate, with no slack
+        assert abs(res.value - ref) <= res.err_estimate, (route.__name__, k, a, res, ref)
 
 
 def test_series_matches_zeta_oracle():
@@ -576,15 +576,19 @@ def _wrong_ok_routes(rep, ref):
 MAIN_REGION = (7, 100, (-1.95, 8.0))
 
 
-def test_region_map_ok_routes_match_oracle():
+@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(atol=1e-8, rtol=1e-8)],
+                         ids=["default", "1e-8"])
+def test_region_map_ok_routes_match_oracle(cfg):
     # Aim 3 across every route's region: a route either meets the tolerance
     # against the oracle or reports a status other than ok.  An ok quadrature
     # (lhs, contour) must also lie within its own error estimate of the
-    # oracle, with no slack (ROADMAP item 7's gate).
+    # oracle, with no slack (ROADMAP item 7's gate).  The looser tolerance
+    # stops the quadrature at shallower levels, where the extrapolated stop
+    # leans hardest on its contraction ratios.
     wrong = []
     outside = []
     for k, a, ref in _region_map(*MAIN_REGION):
-        rep = verify(case(k, a))
+        rep = verify(case(k, a, quad_cfg=cfg))
         wrong += [(k, a, name, value, ref) for name, value in _wrong_ok_routes(rep, ref)]
         outside += [(k, a, name, abs(r.value - ref), r.err_estimate)
                     for name, r in rep.routes.items()

@@ -75,6 +75,16 @@ class TestSemiInfinite:
         assert r.converged
         assert abs(r.value - math.sqrt(math.pi)) <= 1e-9
 
+    def test_non_integrable_origin(self):
+        # like 1/x at 0 the mass below the smallest node is unbounded, so
+        # the call never converges and its estimate says so; an integrand
+        # that overflows there must not raise
+        r = integrate_semi_infinite(lambda t: complex(math.exp(-t) / t))
+        assert not r.converged
+        assert r.err_estimate >= abs(r.value)
+        r = integrate_semi_infinite(lambda t: complex(math.inf if t < 1e-100 else math.exp(-t)))
+        assert not r.converged
+
     def test_max_evals_cap(self):
         cfg = QuadConfig(atol=1e-15, rtol=1e-15, max_evals=50)
         r = integrate_semi_infinite(lambda t: complex(math.exp(-t)), cfg)
@@ -132,8 +142,10 @@ def test_budget_respected(max_evals):
 
 # The per-node rules the cached tables replaced: every node recomputes its
 # sinh/exp/cosh, and the tail trim tests each node against the window.  The
-# tables must reproduce them bit for bit.  With trim=False the reference is
-# the rule before the trim: every node of every level is evaluated.
+# tables must reproduce them bit for bit, with the same stop rule: the level
+# difference, extrapolated once the last three contract, and the mass below
+# the smallest node.  With trim=False the reference is the rule before the
+# trim: every node of every level is evaluated.
 
 def _reference_refine(sample, t_max, cfg, trim=True):
     h = 1.0
@@ -149,6 +161,15 @@ def _reference_refine(sample, t_max, cfg, trim=True):
     t_lo, t_hi = (big[0], big[-1]) if trim and big else (-math.inf, math.inf)
     dropped = sum(1 for m in range(-n0, n0) if m + 1 <= t_lo - 1 or m >= t_hi + 1)
     trim_err = dropped * thr if dropped else 0.0
+    # fit |f| = c x^p through the two smallest nodes and add its integral
+    # over (0, x(-t_max))
+    x0, x1 = (math.exp(math.pi / 2 * math.sinh(t)) for t in (-n0, 1 - n0))
+    f0 = abs(terms[0]) / (x0 * (math.pi / 2) * math.cosh(-n0))
+    f1 = abs(terms[1]) / (x1 * (math.pi / 2) * math.cosh(1 - n0))
+    if f0 != 0.0 and f1 != 0.0:
+        p = (math.log(f1) - math.log(f0)) / math.log(x1 / x0)
+        trim_err += f0 * x0 / (p + 1.0) if p + 1.0 > 0.0 else math.inf
+    diffs = []
     err = math.inf
     converged = False
     level = 0
@@ -163,8 +184,14 @@ def _reference_refine(sample, t_max, cfg, trim=True):
         n_evals += len(odd)
         level += 1
         new_value = h * total
-        err = abs(new_value - value)
+        diffs.append(abs(new_value - value))
         value = new_value
+        err = diffs[-1]
+        if len(diffs) >= 3 and diffs[-3] > diffs[-2] > err:
+            # the worse of the last two contraction ratios, floored at the
+            # rounding of the n_evals-term sum
+            ratio = max(err / diffs[-2], diffs[-2] / diffs[-3])
+            err = min(err, max(err * ratio, n_evals * thr))
         err = max(err, 8.0 * 2.2e-16 * abs(value)) + trim_err
         if err <= cfg.atol + cfg.rtol * abs(value):
             converged = True
@@ -224,17 +251,20 @@ def _check_against_reference(run, sample, f):
 
 def _check_trim_keeps_value(sample):
     """Uncapped, the trimmed rule stops at the same level as the untrimmed
-    one with the same value, no more evaluations and no smaller estimate.
+    one with the same value and no more evaluations.  Its estimate is no
+    smaller, except by the rounding floor's share thr of each node it skips:
+    the floor n_evals * thr counts only evaluated nodes.
     At tolerance 1e-15 the trim's own share of the estimate (up to 12 EPS
     times the level-0 L1 norm) can exceed the tolerance, so the trimmed rule
     refines further and the two are not compared there."""
+    thr = 2.2e-16 * sum(abs(sample(float(j))) for j in range(-6, 7))
     for tol in (1e-10, 1e-4):
         cfg = QuadConfig(atol=tol, rtol=tol)
         trimmed, level = _reference_refine(sample, 6.0, cfg)
         full, full_level = _reference_refine(sample, 6.0, cfg, trim=False)
         assert level == full_level
         assert trimmed[0] == full[0]
-        assert trimmed[1] >= full[1]
+        assert trimmed[1] >= full[1] - (full[2] - trimmed[2]) * thr
         assert trimmed[2] <= full[2]
 
 
@@ -270,15 +300,13 @@ def test_finite_matches_per_node_reference(make, a, b):
 
 
 @pytest.mark.parametrize("c,p", [
-    pytest.param(1e-3, -0.9, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the part below the smallest node x = e^-317 (about 1e-13 for "
-               "x^-0.9) is missing from the estimate, trimmed or not")),
-    (1e-3, 0.0), (1e-3, 2.0), (1.0, -0.9), (1.0, 0.0), (1.0, 2.0),
+    (1e-3, -0.9), (1e-3, 0.0), (1e-3, 2.0), (1.0, -0.9), (1.0, 0.0), (1.0, 2.0),
     (1e8, -0.9), (1e8, 0.0), (1e8, 2.0)])
 def test_trim_keeps_scaled_gamma_integrals(c, p):
     # x^p e^(-x/c) puts its mass anywhere from x ~ 1e-3 to x ~ 1e8, so the
-    # level-0 window moves with c; the trimmed tails must never cut into it
+    # level-0 window moves with c; the trimmed tails must never cut into it.
+    # At c = 1e-3, p = -0.9 the 1e-13 below the smallest node x = e^-317
+    # must be in the estimate
     r = integrate_semi_infinite(lambda x: complex(x ** p * math.exp(-x / c)))
     truth = math.gamma(p + 1) * c ** (p + 1)
     assert r.converged
