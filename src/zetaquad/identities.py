@@ -236,7 +236,6 @@ def _lhs_ray(k: complex, log_a: complex, split: float, sign: float,
     (a = 1 only) the ray returns h(u) - c t^{k+1} e^{-t}, written as
     u^k (u e^{-|u|} / 2 - tanh(u) / (2 cosh u)); see lhs_integral.
     """
-    re, im = log_a.real, log_a.imag
     exp, tanh = math.exp, math.tanh
 
     def h(t: float) -> complex:
@@ -246,7 +245,7 @@ def _lhs_ray(k: complex, log_a: complex, split: float, sign: float,
             return 0j
         e = exp(-au)
         w = e / (1.0 + exp(-2.0 * au))
-        power = complex(re + u, im) ** k
+        power = (log_a + u) ** k
         if subtract:
             return power * (0.5 * u * e - tanh(u) * w)
         return -tanh(u) * power * w
@@ -367,8 +366,7 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     if reason is not None:
         raise RegionError(f"contour route does not apply: {reason}")
     log_a = case.a.log_value
-    theta = log_a.imag
-    ln_r = log_a.real
+    i_log_a = complex(-log_a.imag, log_a.real)  # i log a, built once
     pref = (0.25 * (cmath.exp(2j * math.pi * k) - 1.0)
             * cmath.exp(-0.5j * math.pi * k) * gamma(k + 1.0))
 
@@ -382,7 +380,7 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
         e = exp(neg_pi * t)
         q = exp(neg_half_pi * t)
         sech = 2.0 * q / (1.0 + e)
-        osc = cexp(complex(-t * theta, t * ln_r))
+        osc = cexp(t * i_log_a)
         if subtract:
             return t ** neg_k * (osc * sech - q)
         return osc * t ** neg_k * sech
