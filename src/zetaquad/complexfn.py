@@ -62,7 +62,9 @@ class BranchedConstant(_BranchedConstant):
             raise DomainError(f"modulus must be finite, got {r}")
         if not 0.0 <= theta < TWO_PI:
             raise DomainError(f"argument must lie in [0, 2*pi), got {theta}")
-        return super().__new__(cls, r, theta)
+        # -0.0 passes the check above but would put log a + u on the lower
+        # edge of the cut, where a negative real takes argument -pi
+        return super().__new__(cls, r, theta + 0.0)
 
     # _replace builds through _make; route it through the checks above
     _make = classmethod(lambda cls, fields: cls(*fields))

@@ -157,6 +157,16 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("a", ["2-0i", "2@-0"])
+    def test_negative_zero_argument_reads_as_zero(self, capsys, a):
+        # both spellings used to print "theta": -0 and fail the verdict
+        assert main(["verify", "--k", "0.5", "--a", "2"]) == 0
+        ref = capsys.readouterr().out
+        assert main(["verify", "--k", "0.5", "--a", a]) == 0
+        out = capsys.readouterr().out
+        assert out == ref
+        assert '"theta": 0\n' in out
+
     def test_verify_forced_fail(self, capsys):
         code = main(["verify", "--k", "0.5", "--a", "1",
                      "--verdict-atol", "1e-18", "--verdict-rtol", "1e-18"])

@@ -273,6 +273,13 @@ class TestBranchedConstant:
         with pytest.raises(DomainError):
             BranchedConstant(1.0, 2 * math.pi)
 
+    def test_negative_zero_argument_normalised(self):
+        # -0.0 passes 0 <= theta; kept, it would put log a + u on the lower
+        # edge of the cut, where a negative real takes argument -pi
+        for a in (BranchedConstant(2.0, -0.0), BranchedConstant(2.0)._replace(theta=-0.0)):
+            assert math.copysign(1.0, a.theta) == 1.0
+            assert math.copysign(1.0, a.log_value.imag) == 1.0
+
     @pytest.mark.parametrize("r,message", [(math.inf, "modulus must be finite, got inf"),
                                            (math.nan, "modulus must be positive, got nan")])
     def test_non_finite_modulus_rejected(self, r, message):

@@ -258,6 +258,14 @@ class TestVerify:
         with pytest.raises(CaseError):
             verify(case(-1.0, BranchedConstant(0.5)))
 
+    @pytest.mark.parametrize("k,r", [(0.5 + 0.3j, 1.0), (0.5, 2.0), (-1.7 + 0.2j, 1.0)])
+    def test_negative_zero_theta_is_theta_zero(self, k, r):
+        # the left lhs ray took argument -pi at theta = -0.0: the lhs came
+        # out as the conjugate of zeta's value and the verdict was fail
+        rep = verify(case(k, BranchedConstant(r, -0.0)))
+        assert rep == verify(case(k, BranchedConstant(r)))
+        assert rep.verdict == "pass"
+
     def test_skip_notes(self):
         skipped = RouteResult(None, None, None, "skipped", "Re(k) >= 1")
         routes = verify(case(3.0)).routes
