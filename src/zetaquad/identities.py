@@ -224,31 +224,56 @@ def integrand(y: float, k: complex, a: BranchedConstant) -> complex:
     return -math.tanh(u) * complex_pow(a.log_value + u, k)
 
 
-def _lhs_ray(k: complex, log_a: complex, split: float, sign: float,
-             subtract: bool) -> Callable[[float], complex]:
-    """t -> h(split + sign t) for h(u) = -tanh(u) (log a + u)^k / (2 cosh u).
+def _lhs_weight(u: float) -> float:
+    """-tanh(u) / (2 cosh u), the lhs's weight: odd in u, and 0 where
+    |u| > 700, where sech underflows."""
+    au = abs(u)
+    if au > 700.0:
+        return 0.0
+    e = math.exp(-au)
+    return -math.tanh(u) * (e / (1.0 + math.exp(-2.0 * au)))
 
-    The weight 1 / (2 cosh u) is written out inline, and the power is Python's
-    principal z ** k rather than a complex_pow call: this is the hot loop of
-    the lhs route.  A node that rounds onto the split point adds nothing, as
-    integrate_finite does for a node rounded onto an endpoint; there log a + u
-    can be exactly 0, where z^k is undefined for Re(k) <= 0.  With subtract
-    (a = 1 only) the ray returns h(u) - c t^{k+1} e^{-t}, written as
-    u^k (u e^{-|u|} / 2 - tanh(u) / (2 cosh u)); see lhs_integral.
+
+def _lhs_weight_sub(u: float) -> float:
+    """_lhs_weight(u) + u e^{-|u|} / 2: the weight with the ray-start
+    singularity of a = 1 subtracted (see lhs_integral); also odd in u."""
+    return _lhs_weight(u) + 0.5 * u * math.exp(-abs(u))
+
+
+def _lhs_ray(k: complex, log_a: complex, split: float,
+             sign: float) -> Callable[[float], complex]:
+    """The ray t -> h(split + sign t) of h(u) = (log a + u)^k g(u), where g is
+    _lhs_weight, or _lhs_weight_sub for the subtracted a = 1 rays.
+
+    At split 0 the weight is the same on every call, and since g is odd,
+    h(-t) = -(log a - t)^k g(t): both rays integrate against g(t), which
+    integrate_semi_infinite takes as its weight and keeps in its node table,
+    so the ray returns (log a + t)^k or -(log a - t)^k alone.  Past t = 700
+    g is 0 while the power may overflow, so the ray returns 0 there.  At
+    split != 0 (theta = 0, r != 1) the weight depends on the split, and the
+    ray multiplies by g(u) itself; a node that rounds onto the split point
+    adds nothing, as integrate_finite does for a node rounded onto an
+    endpoint, for there log a + u can be exactly 0, where z^k is undefined
+    for Re(k) <= 0.  The power is Python's principal z ** k rather than a
+    complex_pow call: this is the hot loop of the lhs route.
     """
-    exp, tanh = math.exp, math.tanh
+    if split == 0.0:
+        if sign > 0.0:
+            def right(t: float) -> complex:
+                return 0j if t > 700.0 else (log_a + t) ** k
+
+            return right
+
+        def left(t: float) -> complex:
+            return 0j if t > 700.0 else -((log_a - t) ** k)
+
+        return left
 
     def h(t: float) -> complex:
         u = split + sign * t
-        au = abs(u)
-        if au > 700.0 or u == split:  # sech underflows / the split point
+        if abs(u) > 700.0 or u == split:  # the weight underflows / the split point
             return 0j
-        e = exp(-au)
-        w = e / (1.0 + exp(-2.0 * au))
-        power = (log_a + u) ** k
-        if subtract:
-            return power * (0.5 * u * e - tanh(u) * w)
-        return -tanh(u) * power * w
+        return (log_a + u) ** k * _lhs_weight(u)
 
     return h
 
@@ -262,8 +287,9 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     exp-sinh quadrature, which clusters nodes at the ray's start.  For
     theta = 0 the split is the branch point u = -ln(r), where log a + u
     vanishes and the integrand may be singular; otherwise it is u = 0, the
-    sign change of tanh.  A node that rounds onto the split point adds
-    nothing.
+    sign change of tanh.  At u = 0 both rays integrate against the fixed
+    weight -tanh(t) / (2 cosh t), which the quadrature keeps in its node
+    table (see _lhs_ray).
 
     Ray-start singularities are subtracted in closed form (Davis and
     Rabinowitz, Methods of Numerical Integration, 2.12).  If a ray integrand
@@ -282,6 +308,9 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     -t^{k+1}/2 and the left ray, where u^k = t^k e^{i pi k}, like
     e^{i pi k} t^{k+1}/2.  Then p = k + 1, the subtraction applies for
     Re k < -3/2, and the two add-backs sum to Gamma(k+2) (e^{i pi k} - 1) / 2.
+    On both rays the subtraction is the weight _lhs_weight_sub, which adds
+    t e^{-t} / 2 to the weight of the right ray, and by oddness the same
+    term to the left one's.
     """
     msg = case_violation(case.k, case.a)
     if msg is not None:
@@ -290,8 +319,11 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     log_a = case.a.log_value
     split = -math.log(case.a.r) if case.a.theta == 0.0 else 0.0
     subtract = case.a.theta == 0.0 and case.a.r == 1.0 and k.real < -1.5
-    right = integrate_semi_infinite(_lhs_ray(k, log_a, split, 1.0, subtract), case.quad_cfg)
-    left = integrate_semi_infinite(_lhs_ray(k, log_a, split, -1.0, subtract), case.quad_cfg)
+    weight = None if split else (_lhs_weight_sub if subtract else _lhs_weight)
+    right = integrate_semi_infinite(_lhs_ray(k, log_a, split, 1.0), case.quad_cfg,
+                                    weight=weight)
+    left = integrate_semi_infinite(_lhs_ray(k, log_a, split, -1.0), case.quad_cfg,
+                                   weight=weight)
     value = right.value + left.value
     err = right.err_estimate + left.err_estimate
     if subtract:
@@ -495,7 +527,8 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
     * (direct) the integral of cos(2y) log(tan y) log(log(tan y)), with
       the inner logarithm of a negative value taken as ln|.| + i pi: as
       -tanh(u) u log(u) / (2 cosh u) over the u line, folded onto one ray
-      t = |u| as -t tanh(t) (2 ln t + i pi) / (2 cosh t);
+      t = |u| as t (2 ln t + i pi) against the lhs's weight
+      -tanh(t) / (2 cosh t);
     * (closed) the closed form (pi/4)(log(81 Gamma^4(-3/4)
       / (4 pi^2 e^2 Gamma^4(-1/4))) - pi i);
     * (fd) the central finite-difference k-derivative of rhs_zeta, with
@@ -511,13 +544,11 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
     i_pi = 1j * math.pi
 
     def direct(t: float) -> complex:
-        if t > 700.0:  # sech underflows
-            return 0j
-        w = math.exp(-t) / (1.0 + math.exp(-2.0 * t))
-        return -t * math.tanh(t) * (2.0 * cmath.log(t) + i_pi) * w
+        return t * (2.0 * math.log(t) + i_pi)
 
     return _judge(case, {
-        "direct": _run_route(case, lambda c: integrate_semi_infinite(direct, c.quad_cfg)),
+        "direct": _run_route(case, lambda c: integrate_semi_infinite(
+            direct, c.quad_cfg, weight=_lhs_weight)),
         "closed": RouteResult(closed),
         "fd": RouteResult(fd),
     })

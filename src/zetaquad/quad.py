@@ -19,7 +19,11 @@ integrate_semi_infinite), and the error estimate pays for every interval
 skipped.  n_evals counts only the nodes evaluated.
 
 The nodes and weights do not depend on the integrand, so the rule keeps one
-table per level, built on first use and shared by every later call.
+table per level, built on first use and shared by every later call.  A
+caller whose integrand is f(x) g(x) with a fixed real weight g, the same in
+every call (the lhs's -tanh(u) / (2 cosh u)), passes g separately: the rule
+keeps a second table per level with the weights w g(x) folded in, so each
+node then costs one evaluation of f alone.
 """
 
 from __future__ import annotations
@@ -75,10 +79,16 @@ _DEFAULT_CFG = QuadConfig()
 
 
 @lru_cache(maxsize=None)
-def _nodes(level: int) -> tuple[array, array]:
+def _nodes(level: int, weight: Callable[[float], float] | None) -> tuple[array, array]:
     """Columns x = exp(pi/2 sinh t) and weight w = x (pi/2) cosh t = dx/dt for
     the t = j*h, h = 2^-level, that a level adds over [-6, 6], ascending:
-    every j at level 0, odd j after."""
+    every j at level 0, odd j after.  Given a weight g, the second column is
+    w g(x) instead, next to the same x column.  One table is kept per level
+    and weight object, so g should be a module-level function.  The weight
+    has no default: the cache keys _nodes(0) and _nodes(0, None) apart."""
+    if weight is not None:
+        xs, ws = _nodes(level, None)
+        return xs, array("d", [w * weight(x) for x, w in zip(xs, ws)])
     h = math.ldexp(1.0, -level)
     n = int(6.0 / h)
     xs = array("d")
@@ -92,8 +102,15 @@ def _nodes(level: int) -> tuple[array, array]:
 
 
 def integrate_semi_infinite(f: Callable[[float], complex],
-                            cfg: QuadConfig = _DEFAULT_CFG) -> QuadResult:
-    """Integral of f over (0, inf) by exp-sinh quadrature.
+                            cfg: QuadConfig = _DEFAULT_CFG,
+                            weight: Callable[[float], float] | None = None) -> QuadResult:
+    """Integral of f over (0, inf) by exp-sinh quadrature, or of f * weight.
+
+    A real weight g that does not depend on the call is folded into the
+    node table once (see _nodes), so each node costs one f(x) evaluation
+    and one multiplication; everything below applies to the product f g,
+    whose terms are f(x) (w g(x)).  Where g is 0, f must still be finite:
+    inf * 0 is nan.
 
     f must decay at least exponentially at infinity; an integrable
     singularity at the origin is allowed.  Refinement stops after
@@ -101,8 +118,8 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     cfg.max_evals.
 
     Tail trim: let thr = EPS * sum |term_j| over the 13 level-0 terms
-    term_j = f(x_j) w_j at t_j = j, and let t_lo, t_hi be the outermost
-    level-0 nodes with |term| > thr.  Every later level evaluates only its
+    term_j = f(x_j) w_j at t_j = j (f g when weighted), and let t_lo, t_hi
+    be the outermost level-0 nodes with |term| > thr.  Every later level evaluates only its
     new nodes strictly inside (t_lo - 1, t_hi + 1), so a unit interval of t
     is dropped only when the terms at both its ends are <= thr.  If no term
     exceeds thr, nothing is trimmed.  This is safe when |term(t)| is
@@ -112,7 +129,7 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     The error estimate gains thr for each dropped interval, and n_evals
     (which the cfg.max_evals budget counts) counts only evaluated nodes.
 
-    Mass below the smallest node x0 = e^{-317}: |f| = c x^p fitted through
+    Mass below the smallest node x0 = e^{-317}: |f g| = c x^p fitted through
     the two smallest level-0 nodes puts c x0^(p+1) / (p+1) on (0, x0), and
     the estimate gains it (no bound, so no convergence, when p <= -1).
     For x^{-0.9} e^{-1000 x} that mass is 1.0e-13, twice what the level
@@ -129,7 +146,7 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     difference, so no call refines deeper than it would on d alone.
     8 EPS |value| and the trim and below-node terms are added on top.
     """
-    xs, ws = _nodes(0)
+    xs, ws = _nodes(0, weight)
     terms = [f(x) * w for x, w in zip(xs, ws)]
     total = 0j
     for term in terms:
@@ -141,8 +158,10 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     lo, hi = (max(kept[0] - 1, 0), min(kept[-1] + 1, _SPAN)) if kept else (0, _SPAN)
     dropped = lo + _SPAN - hi
     trim_err = dropped * thr if dropped else 0.0
-    # the mass below the smallest node, from |f| = c x^p through the first two
-    f0, f1 = mags[0] / ws[0], mags[1] / ws[1]
+    # the mass below the smallest node, from |f g| = c x^p through the first
+    # two; the unweighted dx/dt column divides the terms back to |f g|
+    dxdt = _nodes(0, None)[1]
+    f0, f1 = mags[0] / dxdt[0], mags[1] / dxdt[1]
     if f0 and f1:
         p1 = (math.log(f1) - math.log(f0)) / math.log(xs[1] / xs[0]) + 1.0
         trim_err += f0 * xs[0] / p1 if p1 > 0.0 else math.inf
@@ -153,7 +172,7 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     converged = False
     for level in range(1, _MAX_LEVEL + 1):
         # a level's new nodes are 2^(level-1) per unit interval, ascending
-        xs, ws = _nodes(level)
+        xs, ws = _nodes(level, weight)
         per_unit = 1 << (level - 1)
         start, stop = lo * per_unit, hi * per_unit
         if n_evals + stop - start > cfg.max_evals:

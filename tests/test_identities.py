@@ -387,10 +387,13 @@ class TestCrossRouteProperties:
 
 # The lhs and contour integrands as composed before they were fused: per-node
 # lambdas over a u-line h calling a half-sech helper and complex_pow.  The
-# fused integrands must reproduce them bit for bit, except where the
-# ray-start singularity is subtracted (lhs at a = 1 with Re k < -3/2, contour
-# with Re k > 1/2), which changes the values on purpose.  The log-Gamma
-# integrand is compared with its one-ray fold built from the same helper.
+# fused integrands must reproduce them bit for bit, except where the contour's
+# ray-start singularity is subtracted (Re k > 1/2), which changes the values
+# on purpose.  The lhs reference is h(u) = power(u) g(u) for a per-node weight
+# g built from the helper: at split 0 both rays pass g as the quadrature's
+# weight, and g with the a = 1 subtraction (Re k < -3/2) is just another
+# weight.  The log-Gamma integrand is compared with its one-ray fold built
+# from the same weight.
 def _reference_half_sech(u):
     au = abs(u)
     if au > 700.0:
@@ -398,30 +401,47 @@ def _reference_half_sech(u):
     return math.exp(-au) / (1.0 + math.exp(-2.0 * au))
 
 
-def _reference_split_quad(h, split, cfg):
-    right = integrate_semi_infinite(lambda t: h(split + t), cfg)
-    left = integrate_semi_infinite(lambda t: h(split - t), cfg)
-    return QuadResult(
-        right.value + left.value,
-        right.err_estimate + left.err_estimate,
-        right.n_evals + left.n_evals,
-        right.converged and left.converged,
-    )
+def _reference_weight(u):
+    return -math.tanh(u) * _reference_half_sech(u)
+
+
+def _reference_weight_sub(u):
+    # minus the ray-start term c t^{k+1} e^{-t} of each ray, over u^k
+    return _reference_weight(u) + 0.5 * u * math.exp(-abs(u))
 
 
 def _reference_lhs(c):
     k = complex(c.k)
     log_a = c.a.log_value
+    subtract = c.a == A_ONE and k.real < -1.5
+    g = _reference_weight_sub if subtract else _reference_weight
 
-    def h(u):
-        w = _reference_half_sech(u)
-        if w == 0.0:
-            return 0j
-        z = complex(log_a.real + u, log_a.imag)
-        return -math.tanh(u) * complex_pow(z, k) * w
+    def power(u):
+        return complex_pow(complex(log_a.real + u, log_a.imag), k)
 
     split = -math.log(c.a.r) if c.a.theta == 0.0 else 0.0
-    return _reference_split_quad(h, split, c.quad_cfg)
+    if split == 0.0:
+        # g is odd: h(-t) = -power(-t) g(t); past t = 700 g is 0
+        right = integrate_semi_infinite(lambda t: 0j if t > 700.0 else power(t),
+                                        c.quad_cfg, weight=g)
+        left = integrate_semi_infinite(lambda t: 0j if t > 700.0 else -power(-t),
+                                       c.quad_cfg, weight=g)
+    else:
+        def h(u):
+            w = g(u)
+            return 0j if w == 0.0 else power(u) * w
+
+        right = integrate_semi_infinite(lambda t: h(split + t), c.quad_cfg)
+        left = integrate_semi_infinite(lambda t: h(split - t), c.quad_cfg)
+    value = right.value + left.value
+    err = right.err_estimate + left.err_estimate
+    if subtract:  # the closed-form add-back of both rays
+        half_g = 0.5 * gamma(k + 2.0)
+        turn = cmath.exp(1j * math.pi * k)
+        value += half_g * (turn - 1.0)
+        err += 2.2e-16 * abs(half_g) * (1.0 + abs(turn))
+    return QuadResult(value, err, right.n_evals + left.n_evals,
+                      right.converged and left.converged)
 
 
 def _reference_contour(c):
@@ -448,15 +468,9 @@ def _reference_contour(c):
 
 def _reference_loggamma_direct(cfg):
     # h(t) + h(-t) for h(u) = -tanh(u) u log(u) / (2 cosh u), where
-    # log(-t) = log(t) + i pi
-    def f(t):
-        w = _reference_half_sech(t)
-        if w == 0.0:
-            return 0j
-        lt = cmath.log(complex(t, 0.0))
-        return -t * math.tanh(t) * (2.0 * lt + 1j * math.pi) * w
-
-    return integrate_semi_infinite(f, cfg)
+    # log(-t) = log(t) + i pi, as t (2 log t + i pi) against the lhs weight
+    return integrate_semi_infinite(lambda t: t * (2.0 * math.log(t) + 1j * math.pi),
+                                   cfg, weight=_reference_weight)
 
 
 def _assert_bit_identical(got, ref):
@@ -476,10 +490,9 @@ def test_fused_integrands_match_reference(k):
               BranchedConstant(2.0, 3.0 * math.pi / 4.0), BranchedConstant(1.3, 2.0)):
         if k.real == 0.0 and a.theta == 0.0 and a.r != 1.0:
             continue  # the reference raises there; see test_re_k_zero_with_real_a
-        lhs_subtracted = a == A_ONE and k.real < -1.5
         for cap in CAPS:
             c = case(k, a, quad_cfg=QuadConfig(max_evals=cap))
-            if case_violation(k, a) is None and not lhs_subtracted:
+            if case_violation(k, a) is None:
                 _assert_bit_identical(lhs_integral(c), _reference_lhs(c))
                 compared += 1
             if identities._contour_region(k) is None and k.real <= 0.5:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from zetaquad.quad import QuadConfig, integrate_finite, integrate_semi_infinite
+from zetaquad.identities import DEFAULT_A_GRID, DEFAULT_K_GRID, sweep
+from zetaquad.quad import QuadConfig, _nodes, integrate_finite, integrate_semi_infinite
 
 CFG = QuadConfig()
 
@@ -311,6 +312,55 @@ def test_trim_keeps_scaled_gamma_integrals(c, p):
     truth = math.gamma(p + 1) * c ** (p + 1)
     assert r.converged
     assert abs(r.value - truth) <= r.err_estimate
+
+
+# Weights for the weighted rule, one object each, since the rule keeps one
+# node table per weight object.
+_DECAY = {c: (lambda x, c=c: math.exp(-x / c)) for c in (1e-3, 1.0, 1e8)}
+_INVERSE_POWER = lambda x: x ** -0.9
+
+
+@pytest.mark.parametrize("level", [0, 1, 4])
+def test_weighted_nodes_share_the_x_column(level):
+    g = _DECAY[1.0]
+    xs, ws = _nodes(level, None)
+    weighted_xs, weighted_ws = _nodes(level, g)
+    assert weighted_xs is xs
+    assert list(weighted_ws) == [w * g(x) for x, w in zip(xs, ws)]
+
+
+@pytest.mark.parametrize("c,p", [
+    (1e-3, -0.9), (1e-3, 0.0), (1e-3, 2.0), (1.0, -0.9), (1.0, 0.0), (1.0, 2.0),
+    (1e8, -0.9), (1e8, 0.0), (1e8, 2.0)])
+def test_weight_runs_like_the_unsplit_integrand(c, p):
+    # x^p e^(-x/c) as f = x^p against the weight e^(-x/c): the same levels,
+    # the same convergence, and an estimate that bounds the true error
+    whole = integrate_semi_infinite(lambda x: complex(x ** p * math.exp(-x / c)))
+    split = integrate_semi_infinite(lambda x: complex(x ** p), weight=_DECAY[c])
+    truth = math.gamma(p + 1) * c ** (p + 1)
+    assert (split.n_evals, split.converged) == (whole.n_evals, whole.converged)
+    assert abs(split.value - truth) <= split.err_estimate
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e8])
+def test_weight_below_node_fit_sees_the_weight(c):
+    # the singular factor in the weight: the fit must divide the terms by the
+    # unweighted dx/dt, or it sees |f| ~ 1 and misses the 1e-13 below the
+    # smallest node at c = 1e-3
+    whole = integrate_semi_infinite(lambda x: complex(x ** -0.9 * math.exp(-x / c)))
+    split = integrate_semi_infinite(lambda x: complex(math.exp(-x / c)),
+                                    weight=_INVERSE_POWER)
+    truth = math.gamma(0.1) * c ** 0.1
+    assert (split.n_evals, split.converged) == (whole.n_evals, whole.converged)
+    assert abs(split.value - truth) <= split.err_estimate
+
+
+def test_weighted_tables_are_built_once():
+    # the lhs passes module-level weights, so a second sweep adds no table
+    sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
+    size = _nodes.cache_info().currsize
+    sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
+    assert _nodes.cache_info().currsize == size
 
 
 class TestProperties:
