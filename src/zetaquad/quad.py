@@ -119,13 +119,13 @@ def integrate_semi_infinite(f: Callable[[float], complex],
 
     Tail trim: let thr = EPS * sum |term_j| over the 13 level-0 terms
     term_j = f(x_j) w_j at t_j = j (f g when weighted), and let t_lo, t_hi
-    be the outermost level-0 nodes with |term| > thr.  Every later level evaluates only its
-    new nodes strictly inside (t_lo - 1, t_hi + 1), so a unit interval of t
-    is dropped only when the terms at both its ends are <= thr.  If no term
-    exceeds thr, nothing is trimmed.  This is safe when |term(t)| is
-    unimodal at the scale of the level-0 step: its peak then lies within one
-    step of the largest level-0 term, so on a dropped interval |term| is
-    bounded by the interval's inner end, which is <= thr.
+    be the outermost level-0 nodes with |term| > thr.  Every later level
+    evaluates only its new nodes strictly inside (t_lo - 1, t_hi + 1), so a
+    unit interval of t is dropped only when the terms at both its ends are
+    <= thr.  If no term exceeds thr, nothing is trimmed.  This is safe when
+    |term(t)| is unimodal at the scale of the level-0 step: its peak then
+    lies within one step of the largest level-0 term, so on a dropped
+    interval |term| is bounded by the interval's inner end, which is <= thr.
     The error estimate gains thr for each dropped interval, and n_evals
     (which the cfg.max_evals budget counts) counts only evaluated nodes.
 

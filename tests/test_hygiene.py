@@ -8,6 +8,9 @@
   module, so the package stays pure standard library at runtime;
 * no power is written as exp(k * log(z)): Python's principal ``z ** k`` is
   the one way the package raises a number to a complex power;
+* no function nested in a function of identities.py or quad.py (the
+  integrands, called once per quadrature node) calls the complex(...)
+  constructor, which costs about as much as the power it would feed;
 * the package re-exports every public name of its library modules;
 * importing the CLI loads none of the standard-library modules that made
   start-up slow (dataclasses, which pulls in inspect, and fractions, which
@@ -131,6 +134,23 @@ def test_powers_are_not_written_as_exp_of_log():
                                         for f in factors):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], f"powers written as exp(k * log z), use z ** k: {found}"
+
+
+@pytest.mark.parametrize("name", ["identities.py", "quad.py"])
+def test_integrands_do_not_build_complex_numbers(name):
+    # (log_a + u) ** k gives the bits of complex(re + u, im) ** k without
+    # the constructor; build a constant outside the integrand, once per call
+    found = []
+    for outer in ast.walk(_tree(SRC / name)):
+        if not isinstance(outer, ast.FunctionDef):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, ast.FunctionDef):
+                continue
+            found += [f"{name}:{inner.name}:{node.lineno}" for node in ast.walk(inner)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "complex"]
+    assert found == [], f"complex(...) built inside an integrand: {found}"
 
 
 @pytest.mark.parametrize("module", ["complexfn", "hurwitz", "quad", "identities"])
