@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quadrature relative tolerance")
         sp.add_argument("--max-evals", type=int, default=quad_defaults.max_evals,
                         help="evaluation budget per quadrature call, at least 13 "
-                             "(each half of the lhs integral is one call); a call "
+                             "(the lhs integral is one call, or one per half-line "
+                             "when a is a positive real other than 1); a call "
                              "evaluates at most 12289 nodes, so a larger budget "
                              "changes nothing")
         if verdict_flags:

@@ -240,40 +240,21 @@ def _lhs_weight_sub(u: float) -> float:
     return _lhs_weight(u) + 0.5 * u * math.exp(-abs(u))
 
 
-def _lhs_ray(k: complex, log_a: complex, split: float,
-             sign: float) -> Callable[[float], complex]:
-    """The ray t -> h(split + sign t) of h(u) = (log a + u)^k g(u), where g is
-    _lhs_weight, or _lhs_weight_sub for the subtracted a = 1 rays.
-
-    At split 0 the weight is the same on every call, and since g is odd,
-    h(-t) = -(log a - t)^k g(t): both rays integrate against g(t), which
-    integrate_semi_infinite takes as its weight and keeps in its node table,
-    so the ray returns (log a + t)^k or -(log a - t)^k alone.  Past t = 700
-    g is 0 while the power may overflow, so the ray returns 0 there.  At
-    split != 0 (theta = 0, r != 1) the weight depends on the split, and the
-    ray multiplies by g(u) itself; a node that rounds onto the split point
-    adds nothing, as integrate_finite does for a node rounded onto an
-    endpoint, for there log a + u can be exactly 0, where z^k is undefined
-    for Re(k) <= 0.  The power is Python's principal z ** k rather than a
+def _lhs_ray(k: complex, split: float, sign: float) -> Callable[[float], complex]:
+    """The ray t -> h(split + sign t) of h(u) = (log a + u)^k g(u) at
+    theta = 0, r != 1, where g is _lhs_weight and split = -ln r is the branch
+    point.  There log a + u is sign t exactly, so the ray raises sign t + 0j:
+    -t + 0j has argument pi, as log a + u does, and no node can round onto
+    the branch point.  The weight depends on the split, so the ray multiplies
+    by g(u) itself; past |u| = 700 g is 0 while the power may overflow, so the
+    ray returns 0 there.  The power is Python's principal z ** k rather than a
     complex_pow call: this is the hot loop of the lhs route.
     """
-    if split == 0.0:
-        if sign > 0.0:
-            def right(t: float) -> complex:
-                return 0j if t > 700.0 else (log_a + t) ** k
-
-            return right
-
-        def left(t: float) -> complex:
-            return 0j if t > 700.0 else -((log_a - t) ** k)
-
-        return left
-
     def h(t: float) -> complex:
         u = split + sign * t
-        if abs(u) > 700.0 or u == split:  # the weight underflows / the split point
+        if abs(u) > 700.0:  # the weight underflows
             return 0j
-        return (log_a + u) ** k * _lhs_weight(u)
+        return (sign * t + 0j) ** k * _lhs_weight(u)
 
     return h
 
@@ -281,15 +262,18 @@ def _lhs_ray(k: complex, log_a: complex, split: float,
 def lhs_integral(case: IdentityCase) -> QuadResult:
     """The definite integral via u = log(tan y):
 
-    -integral_{-inf}^{inf} tanh(u) (log a + u)^k / (2 cosh u) du.
+    -integral_{-inf}^{inf} tanh(u) (log a + u)^k / (2 cosh u) du,
 
-    The u line is split into two rays, each integrated over (0, inf) by
-    exp-sinh quadrature, which clusters nodes at the ray's start.  For
-    theta = 0 the split is the branch point u = -ln(r), where log a + u
-    vanishes and the integrand may be singular; otherwise it is u = 0, the
-    sign change of tanh.  At u = 0 both rays integrate against the fixed
-    weight -tanh(t) / (2 cosh t), which the quadrature keeps in its node
-    table (see _lhs_ray).
+    by exp-sinh quadrature, which clusters nodes at a ray's start, on the rays
+    from a split point.  For theta = 0, r != 1 the split is the branch point
+    u = -ln(r), where log a + u vanishes and the integrand may be singular,
+    and the two rays are integrated apart (see _lhs_ray).  Otherwise it is
+    u = 0, the sign change of tanh, and the rays fold into one: the weight
+    g(u) = -tanh(u) / (2 cosh u) is odd, so the line integral is
+
+    integral_0^inf ((log a + t)^k - (log a - t)^k) g(t) dt,
+
+    one call against g, which the quadrature keeps in its node table.
 
     Ray-start singularities are subtracted in closed form (Davis and
     Rabinowitz, Methods of Numerical Integration, 2.12).  If a ray integrand
@@ -299,40 +283,46 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     f(t) - c t^p e^{-t}, which is O(t^{p+1}) at the start and converges in a
     few levels, and c Gamma(p+1), the integral of c t^p e^{-t}, is added back.
     The smooth weight e^{-t} leaves no kink, which a cut at (0, delta] would.
-    The add-back cancels against the ray integral, so the error estimate
-    gains the rounding floor eps |c Gamma(p+1)|.  For Re p >= -1/2 the plain
-    rule converges at its usual depth and is kept unchanged.
+    For Re p >= -1/2 the plain rule converges at its usual depth and is kept
+    unchanged.
 
-    Only a = 1 has a singular ray start: the split is u = 0 and
-    tanh(u) / (2 cosh u) = u/2 + O(u^3), so the right ray starts like
-    -t^{k+1}/2 and the left ray, where u^k = t^k e^{i pi k}, like
-    e^{i pi k} t^{k+1}/2.  Then p = k + 1, the subtraction applies for
-    Re k < -3/2, and the two add-backs sum to Gamma(k+2) (e^{i pi k} - 1) / 2.
-    On both rays the subtraction is the weight _lhs_weight_sub, which adds
-    t e^{-t} / 2 to the weight of the right ray, and by oddness the same
-    term to the left one's.
+    Only a = 1 has a singular ray start: the split is u = 0, g(t) = -t/2 +
+    O(t^3) and (-t)^k = t^k e^{i pi k}, so the folded integrand starts like
+    (e^{i pi k} - 1) t^{k+1} / 2.  Then p = k + 1, the subtraction applies for
+    Re k < -3/2, and the add-back is Gamma(k+2) (e^{i pi k} - 1) / 2.  The
+    subtraction is the odd weight _lhs_weight_sub, which adds t e^{-t} / 2 to
+    g.  The add-back cancels against the integral, so the error estimate
+    gains its rounding floor eps |Gamma(k+2) / 2| (1 + |e^{i pi k}| (1 + pi |k|)):
+    the phase pi k of e^{i pi k} is rounded by up to eps pi |k|, and
+    Gamma(k+2) has its pole at k = -2.
     """
     msg = case_violation(case.k, case.a)
     if msg is not None:
         raise CaseError(msg)
     k = complex(case.k)
+    if case.a.theta == 0.0 and case.a.r != 1.0:
+        split = -math.log(case.a.r)
+        right = integrate_semi_infinite(_lhs_ray(k, split, 1.0), case.quad_cfg)
+        left = integrate_semi_infinite(_lhs_ray(k, split, -1.0), case.quad_cfg)
+        return QuadResult(right.value + left.value, right.err_estimate + left.err_estimate,
+                          right.n_evals + left.n_evals, right.converged and left.converged)
     log_a = case.a.log_value
-    split = -math.log(case.a.r) if case.a.theta == 0.0 else 0.0
-    subtract = case.a.theta == 0.0 and case.a.r == 1.0 and k.real < -1.5
-    weight = None if split else (_lhs_weight_sub if subtract else _lhs_weight)
-    right = integrate_semi_infinite(_lhs_ray(k, log_a, split, 1.0), case.quad_cfg,
-                                    weight=weight)
-    left = integrate_semi_infinite(_lhs_ray(k, log_a, split, -1.0), case.quad_cfg,
-                                   weight=weight)
-    value = right.value + left.value
-    err = right.err_estimate + left.err_estimate
-    if subtract:
-        half_g = 0.5 * gamma(k + 2.0)
-        turn = cmath.exp(1j * math.pi * k)
-        value += half_g * (turn - 1.0)
-        err += EPS * abs(half_g) * (1.0 + abs(turn))
-    return QuadResult(value, err, right.n_evals + left.n_evals,
-                      right.converged and left.converged)
+    subtract = case.a.theta == 0.0 and k.real < -1.5
+
+    def f(t: float) -> complex:
+        if t > 700.0:  # the weight is 0; the power may overflow
+            return 0j
+        return (log_a + t) ** k - (log_a - t) ** k
+
+    res = integrate_semi_infinite(f, case.quad_cfg,
+                                  weight=_lhs_weight_sub if subtract else _lhs_weight)
+    if not subtract:
+        return res
+    half_g = 0.5 * gamma(k + 2.0)
+    turn = cmath.exp(1j * math.pi * k)
+    err = EPS * abs(half_g) * (1.0 + abs(turn) * (1.0 + math.pi * abs(k)))
+    return QuadResult(res.value + half_g * (turn - 1.0), res.err_estimate + err,
+                      res.n_evals, res.converged)
 
 
 def rhs_zeta(case: IdentityCase) -> complex:
@@ -392,6 +382,13 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     Gamma(1-k) (pi/2)^{k-1}, the integral of t^{-k} e^{-pi t/2}, is added
     back before the prefactor.  That weight reuses the sech exponential and
     needs fewer evaluations than e^{-t}.
+
+    The phase 2 pi k of e^{2 pi i k} is rounded by up to eps 2 pi |k|, which
+    near an integer k is a large relative error of e^{2 pi i k} - 1, so the
+    estimate gains |value| eps (1 + 2 pi |k|) |e^{2 pi i k}| / |e^{2 pi i k} - 1|
+    before the prefactor.  As Re k -> 1 from below it dominates: at
+    k = 0.99892, a = 0.771 the estimate without it is 127 times below the
+    error.
     """
     k = complex(case.k)
     reason = _contour_region(k)
@@ -399,8 +396,8 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
         raise RegionError(f"contour route does not apply: {reason}")
     log_a = case.a.log_value
     i_log_a = complex(-log_a.imag, log_a.real)  # i log a, built once
-    pref = (0.25 * (cmath.exp(2j * math.pi * k) - 1.0)
-            * cmath.exp(-0.5j * math.pi * k) * gamma(k + 1.0))
+    turn = cmath.exp(2j * math.pi * k)
+    pref = 0.25 * (turn - 1.0) * cmath.exp(-0.5j * math.pi * k) * gamma(k + 1.0)
 
     neg_k, neg_pi, neg_half_pi = -k, -math.pi, -0.5 * math.pi
     exp, cexp = math.exp, cmath.exp
@@ -423,6 +420,7 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
         back = gamma(1.0 - k) * (0.5 * math.pi) ** (k - 1.0)
         value += back
         err += EPS * abs(back)
+    err += abs(value) * EPS * (1.0 + TWO_PI * abs(k)) * abs(turn) / abs(turn - 1.0)
     scale = abs(pref)
     return QuadResult(pref * value, scale * err, res.n_evals, res.converged)
 

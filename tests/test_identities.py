@@ -90,11 +90,30 @@ class TestLhsIntegral:
         with pytest.raises(CaseError):
             lhs_integral(case(-0.5, BranchedConstant(2.0)))
 
+    @pytest.mark.parametrize("k, a, calls", [
+        (0.5, BranchedConstant(2.0, 3.0 * math.pi / 4.0), 1),
+        (0.5, A_ONE, 1),
+        (-1.8, A_ONE, 1),  # the subtracted a = 1 integrand
+        (0.5, BranchedConstant(2.0), 2),
+    ])
+    def test_quadrature_calls(self, monkeypatch, k, a, calls):
+        # At split 0 the odd weight folds both rays into one call; at
+        # theta = 0, r != 1 the rays from the branch point are two calls.
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return integrate_semi_infinite(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "integrate_semi_infinite", counting)
+        lhs_integral(case(k, a))
+        assert len(made) == calls
+
     @pytest.mark.parametrize("k", [0.5j, 0j, 0.3j, -0.7j])
     @pytest.mark.parametrize("r", [2.0, 0.5, 3.0])
     def test_re_k_zero_with_real_a(self, k, r):
-        # Nodes near the branch point u = -ln r round onto it, where
-        # (log a + u)^k is undefined for Re(k) <= 0; they must add nothing.
+        # At the branch point u = -ln r, (log a + u)^k is undefined for
+        # Re(k) <= 0; the rays from it raise +-t, which no node rounds to 0.
         mpmath = pytest.importorskip("mpmath")
         res = lhs_integral(case(k, BranchedConstant(r)))
         with mpmath.workdps(20):
@@ -390,9 +409,11 @@ class TestCrossRouteProperties:
 # fused integrands must reproduce them bit for bit, except where the contour's
 # ray-start singularity is subtracted (Re k > 1/2), which changes the values
 # on purpose.  The lhs reference is h(u) = power(u) g(u) for a per-node weight
-# g built from the helper: at split 0 both rays pass g as the quadrature's
-# weight, and g with the a = 1 subtraction (Re k < -3/2) is just another
-# weight.  The log-Gamma integrand is compared with its one-ray fold built
+# g built from the helper: at split 0 the odd g folds the two rays into one
+# call of power(t) - power(-t) against g as the quadrature's weight, and g with
+# the a = 1 subtraction (Re k < -3/2) is just another weight; at theta = 0,
+# r != 1 the rays from the branch point raise +-t, which log a + u equals
+# there.  The log-Gamma integrand is compared with its one-ray fold built
 # from the same weight.
 def _reference_half_sech(u):
     au = abs(u)
@@ -406,42 +427,44 @@ def _reference_weight(u):
 
 
 def _reference_weight_sub(u):
-    # minus the ray-start term c t^{k+1} e^{-t} of each ray, over u^k
+    # minus the ray-start term c t^{k+1} e^{-t} of the folded integrand, over
+    # its power
     return _reference_weight(u) + 0.5 * u * math.exp(-abs(u))
 
 
 def _reference_lhs(c):
     k = complex(c.k)
     log_a = c.a.log_value
-    subtract = c.a == A_ONE and k.real < -1.5
-    g = _reference_weight_sub if subtract else _reference_weight
+    if c.a.theta == 0.0 and c.a.r != 1.0:
+        split = -math.log(c.a.r)
+
+        def ray(sign):
+            def h(t):
+                w = _reference_weight(split + sign * t)
+                return 0j if w == 0.0 else complex_pow(complex(sign * t, 0.0), k) * w
+
+            return integrate_semi_infinite(h, c.quad_cfg)
+
+        right, left = ray(1.0), ray(-1.0)
+        return QuadResult(right.value + left.value, right.err_estimate + left.err_estimate,
+                          right.n_evals + left.n_evals, right.converged and left.converged)
 
     def power(u):
         return complex_pow(complex(log_a.real + u, log_a.imag), k)
 
-    split = -math.log(c.a.r) if c.a.theta == 0.0 else 0.0
-    if split == 0.0:
-        # g is odd: h(-t) = -power(-t) g(t); past t = 700 g is 0
-        right = integrate_semi_infinite(lambda t: 0j if t > 700.0 else power(t),
-                                        c.quad_cfg, weight=g)
-        left = integrate_semi_infinite(lambda t: 0j if t > 700.0 else -power(-t),
-                                       c.quad_cfg, weight=g)
-    else:
-        def h(u):
-            w = g(u)
-            return 0j if w == 0.0 else power(u) * w
-
-        right = integrate_semi_infinite(lambda t: h(split + t), c.quad_cfg)
-        left = integrate_semi_infinite(lambda t: h(split - t), c.quad_cfg)
-    value = right.value + left.value
-    err = right.err_estimate + left.err_estimate
-    if subtract:  # the closed-form add-back of both rays
-        half_g = 0.5 * gamma(k + 2.0)
-        turn = cmath.exp(1j * math.pi * k)
-        value += half_g * (turn - 1.0)
-        err += 2.2e-16 * abs(half_g) * (1.0 + abs(turn))
-    return QuadResult(value, err, right.n_evals + left.n_evals,
-                      right.converged and left.converged)
+    subtract = c.a == A_ONE and k.real < -1.5
+    g = _reference_weight_sub if subtract else _reference_weight
+    # g is odd: h(t) + h(-t) = (power(t) - power(-t)) g(t); past t = 700 g is 0
+    res = integrate_semi_infinite(lambda t: 0j if t > 700.0 else power(t) - power(-t),
+                                  c.quad_cfg, weight=g)
+    if not subtract:
+        return res
+    # the closed-form add-back, with the rounding of its Gamma value and phase
+    half_g = 0.5 * gamma(k + 2.0)
+    turn = cmath.exp(1j * math.pi * k)
+    err = 2.2e-16 * abs(half_g) * (1.0 + abs(turn) * (1.0 + math.pi * abs(k)))
+    return QuadResult(res.value + half_g * (turn - 1.0), res.err_estimate + err,
+                      res.n_evals, res.converged)
 
 
 def _reference_contour(c):
@@ -449,8 +472,8 @@ def _reference_contour(c):
     log_a = c.a.log_value
     theta = log_a.imag
     ln_r = log_a.real
-    pref = (0.25 * (cmath.exp(2j * math.pi * k) - 1.0)
-            * cmath.exp(-0.5j * math.pi * k) * gamma(k + 1.0))
+    turn = cmath.exp(2j * math.pi * k)
+    pref = 0.25 * (turn - 1.0) * cmath.exp(-0.5j * math.pi * k) * gamma(k + 1.0)
 
     def f(t):
         if t > 450.0:
@@ -461,9 +484,11 @@ def _reference_contour(c):
         return osc * t ** -k * sech
 
     res = integrate_semi_infinite(f, c.quad_cfg)
+    # the rounding of e^{2 pi i k}'s phase, relative to e^{2 pi i k} - 1
+    err = res.err_estimate + (abs(res.value) * 2.2e-16 * (1.0 + 2.0 * math.pi * abs(k))
+                              * abs(turn) / abs(turn - 1.0))
     scale = abs(pref)
-    return QuadResult(pref * res.value, scale * res.err_estimate,
-                      res.n_evals, res.converged)
+    return QuadResult(pref * res.value, scale * err, res.n_evals, res.converged)
 
 
 def _reference_loggamma_direct(cfg):
@@ -488,8 +513,6 @@ def test_fused_integrands_match_reference(k):
     compared = 0
     for a in (A_ONE, BranchedConstant(2.0), BranchedConstant(0.5),
               BranchedConstant(2.0, 3.0 * math.pi / 4.0), BranchedConstant(1.3, 2.0)):
-        if k.real == 0.0 and a.theta == 0.0 and a.r != 1.0:
-            continue  # the reference raises there; see test_re_k_zero_with_real_a
         for cap in CAPS:
             c = case(k, a, quad_cfg=QuadConfig(max_evals=cap))
             if case_violation(k, a) is None:
@@ -523,6 +546,16 @@ def test_subtracted_rays_match_zeta_oracle():
         cases.append((lhs_integral, k, A_ONE))
     for _ in range(50):
         k = complex(rng.uniform(0.5, 1.0), rng.uniform(-5.0, 5.0))
+        a = BranchedConstant(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi))
+        cases.append((rhs_contour, k, a))
+    # Real k next to the poles of Gamma(k+2) and Gamma(1-k), where the
+    # rounded phase of e^{i pi k} (lhs) and e^{2 pi i k} (contour) is most of
+    # the error, so the estimate must count it.
+    for k in [-1.992391089181134] + [rng.uniform(-2.0, -1.97) for _ in range(15)]:
+        cases.append((lhs_integral, complex(k), A_ONE))
+    cases.append((rhs_contour, 0.9989215872380072 + 0j, BranchedConstant(0.771)))
+    for _ in range(15):
+        k = complex(rng.uniform(0.979, 0.9995))
         a = BranchedConstant(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi))
         cases.append((rhs_contour, k, a))
     for route, k, a in cases:
