@@ -225,13 +225,14 @@ def integrand(y: float, k: complex, a: BranchedConstant) -> complex:
 
 
 def _lhs_weight(u: float) -> float:
-    """-tanh(u) / (2 cosh u), the lhs's weight: odd in u, and 0 where
-    |u| > 700, where sech underflows."""
+    """-tanh(u) / (2 cosh u), the lhs's weight, as -tanh(u) e / (1 + e^2)
+    with e = e^{-|u|}: odd in u, and 0 where |u| > 700, where sech
+    underflows."""
     au = abs(u)
     if au > 700.0:
         return 0.0
     e = math.exp(-au)
-    return -math.tanh(u) * (e / (1.0 + math.exp(-2.0 * au)))
+    return -math.tanh(u) * (e / (1.0 + e * e))
 
 
 def _lhs_weight_sub(u: float) -> float:
@@ -243,18 +244,20 @@ def _lhs_weight_sub(u: float) -> float:
 def _lhs_ray(k: complex, split: float, sign: float) -> Callable[[float], complex]:
     """The ray t -> h(split + sign t) of h(u) = (log a + u)^k g(u) at
     theta = 0, r != 1, where g is _lhs_weight and split = -ln r is the branch
-    point.  There log a + u is sign t exactly, so the ray raises sign t + 0j:
-    -t + 0j has argument pi, as log a + u does, and no node can round onto
-    the branch point.  The weight depends on the split, so the ray multiplies
-    by g(u) itself; past |u| = 700 g is 0 while the power may overflow, so the
-    ray returns 0 there.  The power is Python's principal z ** k rather than a
-    complex_pow call: this is the hot loop of the lhs route.
+    point.  There log a + u is sign t exactly, so the ray raises sign t, and
+    no node can round onto the branch point.  Raised to the complex k, the
+    float sign t is promoted to complex(sign t, 0.0), so -t has argument pi,
+    as log a + u does.  The weight depends on the split, so the ray
+    multiplies by g(u) itself; past |u| = 700 g is 0 while the power may
+    overflow, so the ray returns 0 there.  The power is Python's principal
+    z ** k rather than a complex_pow call: this is the hot loop of the lhs
+    route.
     """
     def h(t: float) -> complex:
         u = split + sign * t
         if abs(u) > 700.0:  # the weight underflows
             return 0j
-        return (sign * t + 0j) ** k * _lhs_weight(u)
+        return (sign * t) ** k * _lhs_weight(u)
 
     return h
 
@@ -362,6 +365,15 @@ def rhs_series(case: IdentityCase) -> complex:
     return -math.pi * k * alternating_sum(term)
 
 
+def _contour_weight(t: float) -> float:
+    """sech(pi t / 2), the contour's weight, and 0 past t = 450, where it is
+    below 3e-307 and the ray's integrand is 0 too: t^{-k} may overflow
+    there, and inf * 0 is nan."""
+    if t > 450.0:
+        return 0.0
+    return 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + math.exp(-math.pi * t))
+
+
 def rhs_contour(case: IdentityCase) -> QuadResult:
     """The Hankel contour reduced to two rays along the positive imaginary axis.
 
@@ -377,11 +389,17 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     The ray integrand starts like t^{-k}: c = 1 and p = -k.  For Re k > 1/2,
     that is Re p < -1/2, the ray-start singularity is subtracted in closed
     form as in lhs_integral, with the weight e^{-pi t/2} of the sech tail
-    instead of e^{-t}: the ray integrates t^{-k} (e^{i t log a}
-    sech(pi t/2) - e^{-pi t/2}), which is O(t^{1-k}) at the start, and
-    Gamma(1-k) (pi/2)^{k-1}, the integral of t^{-k} e^{-pi t/2}, is added
-    back before the prefactor.  That weight reuses the sech exponential and
-    needs fewer evaluations than e^{-t}.
+    instead of e^{-t}, which needs fewer evaluations: the ray integrates
+    t^{-k} (e^{i t log a} sech(pi t/2) - e^{-pi t/2}), which is O(t^{1-k})
+    at the start, and Gamma(1-k) (pi/2)^{k-1}, the integral of
+    t^{-k} e^{-pi t/2}, is added back before the prefactor.
+
+    sech(pi t/2) does not depend on the case, so the quadrature keeps it in
+    its node table (_contour_weight) and the ray evaluates only the factor
+    before it: e^{i t log a} t^{-k}, or, subtracted, since
+    e^{-pi t/2} = sech(pi t/2) (1 + e^{-pi t}) / 2,
+
+    t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2).
 
     The phase 2 pi k of e^{2 pi i k} is rounded by up to eps 2 pi |k|, which
     near an integer k is a large relative error of e^{2 pi i k} - 1, so the
@@ -399,22 +417,18 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     turn = cmath.exp(2j * math.pi * k)
     pref = 0.25 * (turn - 1.0) * cmath.exp(-0.5j * math.pi * k) * gamma(k + 1.0)
 
-    neg_k, neg_pi, neg_half_pi = -k, -math.pi, -0.5 * math.pi
+    neg_k, neg_pi = -k, -math.pi
     exp, cexp = math.exp, cmath.exp
     subtract = k.real > 0.5
 
     def f(t: float) -> complex:
-        if t > 450.0:  # sech underflows; t^{-k} may overflow
+        if t > 450.0:  # the weight is 0; t^{-k} may overflow
             return 0j
-        e = exp(neg_pi * t)
-        q = exp(neg_half_pi * t)
-        sech = 2.0 * q / (1.0 + e)
-        osc = cexp(t * i_log_a)
         if subtract:
-            return t ** neg_k * (osc * sech - q)
-        return osc * t ** neg_k * sech
+            return t ** neg_k * (cexp(t * i_log_a) - 0.5 * (1.0 + exp(neg_pi * t)))
+        return cexp(t * i_log_a) * t ** neg_k
 
-    res = integrate_semi_infinite(f, case.quad_cfg)
+    res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight)
     value, err = res.value, res.err_estimate
     if subtract:
         back = gamma(1.0 - k) * (0.5 * math.pi) ** (k - 1.0)

@@ -21,9 +21,9 @@ skipped.  n_evals counts only the nodes evaluated.
 The nodes and weights do not depend on the integrand, so the rule keeps one
 table per level, built on first use and shared by every later call.  A
 caller whose integrand is f(x) g(x) with a fixed real weight g, the same in
-every call (the lhs's -tanh(u) / (2 cosh u)), passes g separately: the rule
-keeps a second table per level with the weights w g(x) folded in, so each
-node then costs one evaluation of f alone.
+every call (the lhs's -tanh(u) / (2 cosh u), the contour's sech(pi t / 2)),
+passes g separately: the rule keeps a second table per level with the
+weights w g(x) folded in, so each node then costs one evaluation of f alone.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def integrate_semi_infinite(f: Callable[[float], complex],
                             weight: Callable[[float], float] | None = None) -> QuadResult:
     """Integral of f over (0, inf) by exp-sinh quadrature, or of f * weight.
 
-    A real weight g that does not depend on the call is folded into the
+    A real weight g that does not depend on the call, such as the lhs's
+    -tanh(u) / (2 cosh u) or the contour's sech(pi t / 2), is folded into the
     node table once (see _nodes), so each node costs one f(x) evaluation
     and one multiplication; everything below applies to the product f g,
     whose terms are f(x) (w g(x)).  Where g is 0, f must still be finite:

@@ -11,6 +11,10 @@
 * no function nested in a function of identities.py or quad.py (the
   integrands, called once per quadrature node) calls the complex(...)
   constructor, which costs about as much as the power it would feed;
+* every weight= argument in identities.py names a module-level function,
+  or picks between such names: quad keeps one node table per weight object
+  in an unbounded cache, so a lambda or closure would build a new table on
+  every call and grow memory without bound;
 * the package re-exports every public name of its library modules;
 * importing the CLI loads none of the standard-library modules that made
   start-up slow (dataclasses, which pulls in inspect, and fractions, which
@@ -151,6 +155,26 @@ def test_integrands_do_not_build_complex_numbers(name):
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                       and node.func.id == "complex"]
     assert found == [], f"complex(...) built inside an integrand: {found}"
+
+
+def _module_level_names(node, functions):
+    """Whether an expression is a module-level function's name, or a
+    conditional whose branches all are."""
+    if isinstance(node, ast.IfExp):
+        return (_module_level_names(node.body, functions)
+                and _module_level_names(node.orelse, functions))
+    return isinstance(node, ast.Name) and node.id in functions
+
+
+def test_quadrature_weights_are_module_level_functions():
+    tree = _tree(SRC / "identities.py")
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    weights = [(node.lineno, kw.value) for node in ast.walk(tree) if isinstance(node, ast.Call)
+               for kw in node.keywords if kw.arg == "weight"]
+    bad = [f"identities.py:{line}" for line, value in weights
+           if not _module_level_names(value, functions)]
+    assert len(weights) >= 3
+    assert bad == [], f"weight= must name a module-level function: {bad}"
 
 
 @pytest.mark.parametrize("module", ["complexfn", "hurwitz", "quad", "identities"])
