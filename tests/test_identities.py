@@ -1,8 +1,10 @@
 import cmath
 import functools
+import itertools
 import math
 import random
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -178,7 +180,7 @@ class TestRhsSeries:
         # |term| carries e^{-Im(k) arg z}, which grows by about e^32 while
         # arg z turns towards pi/2, so 320 terms do not settle; only the
         # series record is asserted, since the contour here is ok but wrong
-        # (test_large_negative_im_k_ok_routes_match_oracle)
+        # (ROADMAP item 7; the oracle map's im_k_scan-contour pair)
         k = complex(-2.402712820710665, -22.341628507476607)
         a = BranchedConstant(289713255917.29846, 1.9720497447425476)
         assert verify(case(k, a)).routes["series"] == RouteResult(
@@ -602,38 +604,6 @@ def _zeta_oracle(mpmath, k, a):
                                - mpmath.zeta(1 - k, 0.75 + shift)))
 
 
-def test_subtracted_rays_match_zeta_oracle():
-    # Both regions of the ray-start subtraction: the lhs at a = 1 with
-    # Re k in (-2, -3/2) and the contour with Re k in (1/2, 1).  The plain
-    # rule cannot integrate the cases nearest Re k = -2 and Re k = 1.
-    mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(6)
-    cases = []
-    for _ in range(50):
-        k = complex(rng.uniform(-2.0, -1.5), rng.uniform(-5.0, 5.0))
-        cases.append((lhs_integral, k, A_ONE))
-    for _ in range(50):
-        k = complex(rng.uniform(0.5, 1.0), rng.uniform(-5.0, 5.0))
-        a = BranchedConstant(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi))
-        cases.append((rhs_contour, k, a))
-    # Real k next to the poles of Gamma(k+2) and Gamma(1-k), where the
-    # rounded phase of e^{i pi k} (lhs) and e^{2 pi i k} (contour) is most of
-    # the error, so the estimate must count it.
-    for k in [-1.992391089181134] + [rng.uniform(-2.0, -1.97) for _ in range(15)]:
-        cases.append((lhs_integral, complex(k), A_ONE))
-    cases.append((rhs_contour, 0.9989215872380072 + 0j, BranchedConstant(0.771)))
-    for _ in range(15):
-        k = complex(rng.uniform(0.979, 0.9995))
-        a = BranchedConstant(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi))
-        cases.append((rhs_contour, k, a))
-    for route, k, a in cases:
-        res = route(case(k, a))
-        ref = _zeta_oracle(mpmath, k, a)
-        assert res.converged, (route.__name__, k, a)
-        # ROADMAP item 7's gate: within its own estimate, with no slack
-        assert abs(res.value - ref) <= res.err_estimate, (route.__name__, k, a, res, ref)
-
-
 def test_series_matches_zeta_oracle():
     # The series route against the closed form at 30 digits: seeded draws
     # over Re k in [-2, 1), |Im k| <= 1 and any a (rhs_series has no case
@@ -670,78 +640,150 @@ def test_case_violation_rules():
     assert case_violation(-0.5 + 0j, BranchedConstant(2.0, 1.0)) is None
 
 
-@functools.lru_cache(maxsize=None)  # the tests below share the oracle values
-def _region_map(seed, n, re_k):
-    """n seeded valid cases with Re k in re_k and |Im k| <= 5, each paired with
-    its mpmath oracle value.  The constants cycle through a = 1, a real
-    r in [0.5, 3] and r@theta with theta in [0, 2 pi); a draw that violates
-    the case invariants is drawn again."""
-    mpmath = pytest.importorskip("mpmath")
+# The oracle map (ROADMAP aim 3): named strata of seeded cases, each case
+# paired once with its _zeta_oracle value and verified once under its
+# stratum's QuadConfig.  One rule holds for every (stratum, route) pair; a
+# known defect is a strict xfail pair in KNOWN that names its ROADMAP item.
+ROUTES = ("lhs", "zeta", "series", "contour")
+
+
+def _draw(seed, n, re_k, draw_a):
+    """n seeded valid cases with Re k in re_k and |Im k| <= 5, the i-th a from
+    draw_a(rng, i); a draw that violates the case invariants is drawn again."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < n:
         k = complex(rng.uniform(*re_k), rng.uniform(-5.0, 5.0))
-        kind = len(cases) % 3
-        a = (A_ONE if kind == 0 else BranchedConstant(rng.uniform(0.5, 3.0)) if kind == 1
-             else BranchedConstant(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi)))
+        a = draw_a(rng, len(cases))
         if case_violation(k, a) is None:
-            cases.append((k, a, _zeta_oracle(mpmath, k, a)))
+            cases.append((k, a))
     return cases
 
 
-def _wrong_ok_routes(rep, ref):
-    """The ok routes of a report that miss the oracle by more than 1e-6 + 1e-6 |ref|."""
-    return [(name, r.value) for name, r in rep.routes.items()
-            if r.status == "ok" and abs(r.value - ref) > 1e-6 + 1e-6 * abs(ref)]
+def _mixed_a(rng, i):
+    """a = 1, a real r in [0.5, 3] and r@theta with theta in [0, 2 pi), in turn."""
+    return (A_ONE if i % 3 == 0 else BranchedConstant(rng.uniform(0.5, 3.0)) if i % 3 == 1
+            else BranchedConstant(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi)))
 
 
-MAIN_REGION = (7, 100, (-1.95, 8.0))
+def _far_real_a(rng, i):
+    """A real a with |ln r| in [30, 700], on either side of 1."""
+    return BranchedConstant(math.exp(rng.choice((-1.0, 1.0)) * rng.uniform(30.0, 700.0)))
 
 
-@pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(atol=1e-8, rtol=1e-8)],
-                         ids=["default", "1e-8"])
-def test_region_map_ok_routes_match_oracle(cfg):
-    # Aim 3 across every route's region: a route either meets the tolerance
-    # against the oracle or reports a status other than ok.  An ok quadrature
-    # (lhs, contour) must also lie within its own error estimate of the
-    # oracle, with no slack (ROADMAP item 7's gate).  The looser tolerance
-    # stops the quadrature at shallower levels, where the extrapolated stop
-    # leans hardest on its contraction ratios.
-    wrong = []
-    outside = []
-    for k, a, ref in _region_map(*MAIN_REGION):
-        rep = verify(case(k, a, quad_cfg=cfg))
-        wrong += [(k, a, name, value, ref) for name, value in _wrong_ok_routes(rep, ref)]
-        outside += [(k, a, name, abs(r.value - ref), r.err_estimate)
-                    for name, r in rep.routes.items()
-                    if name in ("lhs", "contour") and r.status == "ok"
-                    and abs(r.value - ref) > r.err_estimate]
-    assert wrong == []
-    assert outside == []
+def _subtracted_rays():
+    """Both regions of the ray-start subtraction, as (lhs cases, contour
+    cases): the lhs at a = 1 with Re k in (-2, -3/2) and the contour with
+    Re k in (1/2, 1), where the plain rule cannot integrate the cases nearest
+    Re k = -2 and Re k = 1.  Then real k next to the poles of Gamma(k+2) and
+    Gamma(1-k), where the rounded phase of e^{i pi k} (lhs) and e^{2 pi i k}
+    (contour) is most of the error, so the estimate must count it."""
+    rng = random.Random(6)
+    lhs = [(complex(rng.uniform(-2.0, -1.5), rng.uniform(-5.0, 5.0)), A_ONE) for _ in range(50)]
+    contour = [(complex(rng.uniform(0.5, 1.0), rng.uniform(-5.0, 5.0)),
+                BranchedConstant(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi)))
+               for _ in range(50)]
+    lhs += [(complex(k), A_ONE)
+            for k in [-1.992391089181134] + [rng.uniform(-2.0, -1.97) for _ in range(15)]]
+    contour.append((0.9989215872380072 + 0j, BranchedConstant(0.771)))
+    contour += [(complex(rng.uniform(0.979, 0.9995)),
+                 BranchedConstant(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi)))
+                for _ in range(15)]
+    return lhs, contour
 
 
-@pytest.mark.parametrize("cap", [40, 400])
-def test_region_map_starved_quadrature_never_passes_wrong(cap):
-    # Under an evaluation cap most quadratures stop unconverged.  A quadrature
-    # that does claim convergence must be right, and a pass must still mean
-    # that every ok route is right.
-    verdicts = set()
-    for k, a, ref in _region_map(*MAIN_REGION):
-        rep = verify(case(k, a, quad_cfg=QuadConfig(max_evals=cap)))
-        verdicts.add(rep.verdict)
-        assert _wrong_ok_routes(rep, ref) == [], (k, a, rep)
-    assert "partial" in verdicts
+def _im_k_scan():
+    """ROADMAP item 7's scan over large |Im k| and |ln r|, and item 13's case."""
+    grid = itertools.product((0.5, 2.0), (0.5, -0.5), (0.0, 5.0, 15.0, 27.0, -27.0),
+                             (5.0, -5.0, 10.0, -10.0, 20.0, -20.0))
+    return [(complex(re_k, im_k), BranchedConstant(math.exp(ln_r), theta))
+            for theta, re_k, ln_r, im_k in grid] + [(-0.5 - 20j, BranchedConstant(1e12, 2.0))]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: hurwitz_zeta returns wrong values with no "
-                          "error for Re s < -8, so zeta is ok but off")
-def test_region_map_large_re_k_ok_routes_match_oracle():
-    wrong = []
-    for k, a, ref in _region_map(8, 40, (9.0, 25.0)):
-        rep = verify(case(k, a))
-        wrong += [(k, a, name) for name, _ in _wrong_ok_routes(rep, ref)]
-    assert wrong == []
+class Stratum(NamedTuple):
+    draw: object  # () -> [(k, a)]
+    cfg: QuadConfig = QuadConfig()
+    own: str | None = None  # the route that must be ok in every case
+
+
+MAIN = functools.partial(_draw, 7, 100, (-1.95, 8.0), _mixed_a)
+STRATA = {
+    "main": Stratum(MAIN),
+    # a looser tolerance stops the quadrature at shallower levels, where the
+    # extrapolated stop leans hardest on its contraction ratios
+    "main@1e-8": Stratum(MAIN, QuadConfig(atol=1e-8, rtol=1e-8)),
+    "main@1e-6": Stratum(MAIN, QuadConfig(atol=1e-6, rtol=1e-6)),
+    "main@40evals": Stratum(MAIN, QuadConfig(max_evals=40)),
+    "main@400evals": Stratum(MAIN, QuadConfig(max_evals=400)),
+    "large_re_k": Stratum(functools.partial(_draw, 8, 40, (9.0, 25.0), _mixed_a)),
+    "rays_lhs": Stratum(lambda: _subtracted_rays()[0], own="lhs"),
+    "rays_contour": Stratum(lambda: _subtracted_rays()[1], own="contour"),
+    "im_k_scan": Stratum(_im_k_scan),
+    "far_real_a": Stratum(lambda: _draw(9, 30, (0.0, 1.0), _far_real_a)
+                          + [(0.5 + 0j, BranchedConstant(2.7e43))]),
+}
+
+
+def _known(item, why):
+    return pytest.mark.xfail(raises=AssertionError, reason=f"ROADMAP item {item}: {why}")
+
+
+KNOWN = {
+    ("main@1e-6", "lhs"): _known(7, "at 1e-6 the lhs at k = 3.30+4.79i, a = 2.658 is 8.2e-7 "
+                                    "off, against an estimate of 6.8e-7"),
+    ("large_re_k", "zeta"): _known(3, "hurwitz_zeta returns wrong values with no error for "
+                                      "Re s < -8, so zeta is ok but off"),
+    ("large_re_k", "lhs"): _known(13, "12 of 40 lhs records lie outside their estimate, by "
+                                      "up to 4.3x: the 8 EPS |value| floor ignores |k|"),
+    ("rays_contour", "lhs"): _known(13, "at k = 0.9965, a = 1.407@0.0337 the lhs is ok after "
+                                        "88 evaluations and 8.1e-10 off, against 1.2e-10"),
+    ("im_k_scan", "lhs"): _known(13, "a peak between level-0 nodes and an early stop leave "
+                                     "ok lhs records far outside their estimate"),
+    ("im_k_scan", "contour"): _known(7, "at Im k <= -10 the contour judges convergence in the "
+                                        "units of its ray integral, far below |pref|"),
+    ("im_k_scan", "zeta"): _known(3, "at ln r = 27 and Im k in {-10, -20} (Im q near -4.3) "
+                                     "zeta is ok but off"),
+    ("far_real_a", "lhs"): _known(9, "at theta = 0 and |ln r| >~ 100 the lhs ray's sech peak "
+                                     "sits between two level-0 nodes, so levels 0 and 1 agree "
+                                     "on a value near 0 and the lhs reports ok"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _paired(draw):
+    mpmath = pytest.importorskip("mpmath")
+    return [(k, a, _zeta_oracle(mpmath, k, a)) for k, a in draw()]
+
+
+@functools.lru_cache(maxsize=None)
+def _reports(name):
+    s = STRATA[name]
+    return [(verify(case(k, a, quad_cfg=s.cfg)), ref) for k, a, ref in _paired(s.draw)]
+
+
+@pytest.mark.parametrize("name, route", [
+    pytest.param(name, route, marks=KNOWN.get((name, route), ()), id=f"{name}-{route}")
+    for name in STRATA for route in ROUTES])
+def test_oracle_map(name, route):
+    # An ok value is within 1e-6 + 1e-6 |ref| of the oracle, an ok quadrature
+    # also within its own estimate, with no slack (ROADMAP item 7's gate), and
+    # the stratum's own route is ok in every case.  Under an evaluation cap
+    # some verdict must be partial, or the cap did not bite.
+    s = STRATA[name]
+    missed = []
+    for rep, ref in _reports(name):
+        r = rep.routes[route]
+        if r.status == "ok":
+            bound = 1e-6 + 1e-6 * abs(ref)
+            if route in ("lhs", "contour"):
+                bound = min(bound, r.err_estimate)
+            if abs(r.value - ref) > bound:
+                missed.append((rep.case, r, ref))
+        elif route == s.own:
+            missed.append((rep.case, r))
+    assert missed == []
+    if s.cfg.max_evals < QuadConfig().max_evals:
+        assert "partial" in {rep.verdict for rep, _ in _reports(name)}
 
 
 @pytest.mark.parametrize("k", [0.5, 2.5])
@@ -753,36 +795,3 @@ def test_lhs_far_from_unit_a_matches_zeta(k, log_r, theta):
     lhs, zeta = rep.routes["lhs"], rep.routes["zeta"]
     assert lhs.status == "ok"
     assert abs(lhs.value - zeta.value) <= 1e-12 * abs(zeta.value)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 9: at theta = 0 and |ln r| >~ 100 the lhs ray's "
-                          "sech peak sits between two level-0 nodes, so levels 0 and 1 "
-                          "agree on a value near 0 and the lhs reports ok")
-def test_lhs_far_split_real_a_is_not_ok_and_wrong():
-    lhs = verify(case(0.5, BranchedConstant(2.7e43))).routes["lhs"]
-    ref = -0.0785453571381444  # mpmath; zeta and series agree
-    assert lhs.status != "ok" or abs(lhs.value - ref) <= 1e-12
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP items 7 and 3: at large negative Im k the contour judges "
-                          "convergence in the units of its ray integral, far below |pref|, "
-                          "and zeta at s = 1.5 + 20i with Im q near -4.4 is ok but off")
-def test_large_negative_im_k_ok_routes_match_oracle():
-    # Both cases fail the 1e-6 rule on the contour alone.  zeta in the second
-    # case is ok and 2.1e-8 relative off, inside the rule, so the marker's
-    # zeta clause no longer applies.
-    wrong = []
-    for k, a, ref in [
-            # mpmath; zeta and series agree to 4e-14, the lhs stops unconverged
-            # and the contour is ok but 3.2e-3 relative off
-            (0.5 - 20j, BranchedConstant(1.0, 0.5),
-             -2.666304304748026e15 - 1.578556677691900e15j),
-            # mpmath; the series stalls, and the contour is ok but 6.9e10
-            # relative off.  The lhs is ok and 4.3e-7 relative off, inside the
-            # rule, but its estimate is 7.9e-13 relative (ROADMAP item 13)
-            (-0.5 - 20j, BranchedConstant(1e12, 2.0),
-             96.89431080867793 + 51.928745357082875j)]:
-        wrong += [(k, name) for name, _ in _wrong_ok_routes(verify(case(k, a)), ref)]
-    assert wrong == []
