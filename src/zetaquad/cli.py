@@ -131,9 +131,9 @@ def _fmt(x: float) -> str:
 
 
 def render_complex(z: complex) -> str:
-    if z.imag >= 0:
-        return f"{_fmt(z.real)}+{_fmt(z.imag)}i"
-    return f"{_fmt(z.real)}-{_fmt(-z.imag)}i"
+    # the sign bit, so that -0.0 prints as "-0i", which parse_complex reads back
+    sign = "-" if math.copysign(1.0, z.imag) < 0.0 else "+"
+    return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
 
 
 def dumps_fixed(obj: Any, indent: int = 0) -> str:
