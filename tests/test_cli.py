@@ -117,6 +117,15 @@ class TestRendering:
 
 
 class TestCommands:
+    def test_verify_pass(self, capsys):
+        code = main(["verify", "--k", "-1", "--a", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["reports"][0]["verdict"] == "pass"
+        assert {name: r["status"] for name, r in doc["reports"][0]["routes"].items()} == {
+            "lhs": "ok", "zeta": "ok", "series": "ok", "contour": "skipped"}
+
     def test_verify_deterministic(self, capsys):
         main(["verify", "--k", "0.5+0.3i", "--a", "2@2.35619449019234"])
         first = capsys.readouterr().out
@@ -364,3 +373,13 @@ class TestCommands:
         # level 0 always runs 13 exp-sinh nodes, so a smaller budget is refused
         assert main(["verify", "--k", "0.5", "--a", "1", "--max-evals", "5"]) == 2
         assert "max_evals must lie in [13, 1e7]" in capsys.readouterr().err
+
+    def test_max_evals_flag_starves_lhs(self, capsys):
+        main(["verify", "--k", "0.5", "--a", "1", "--max-evals", "40"])
+        out = capsys.readouterr().out
+        rep = json.loads(out)["reports"][0]
+        # the starved quadrature must be flagged, not silently compared
+        assert rep["routes"]["lhs"]["status"] == "unconverged"
+        assert rep["routes"]["lhs"]["reason"] == "quadrature did not converge"
+        assert rep["routes"]["lhs"]["n_evals"] <= 80
+        assert not any("lhs" in pair.split("|") for pair in rep["residuals"])

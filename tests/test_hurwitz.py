@@ -103,6 +103,13 @@ class TestNegIntOracle:
         with pytest.raises(ValueError):
             zeta_neg_int_oracle(-1, 0.5)
 
+    def test_agreement_with_engine(self):
+        for n in range(5):
+            for q in (0.25, 0.5, 0.75, 1.0, 1 + 0.5j):
+                engine = hurwitz_zeta(complex(-n), complex(q))
+                oracle = zeta_neg_int_oracle(n, complex(q))
+                assert abs(engine - oracle) <= 1e-11 * max(1.0, abs(oracle))
+
 
 class TestProperties:
     def test_recurrence(self):

@@ -206,6 +206,13 @@ class TestCauchyCheck:
         assert contour_cauchy_check(2.0, 1) == pytest.approx(2.0, abs=1e-12)
         assert contour_cauchy_check(0.5 + 0.5j, 0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_grid(self):
+        for k in range(7):
+            for y in (1.0, 2.0, 0.5 + 0.5j):
+                got = contour_cauchy_check(complex(y), k)
+                ref = complex(y) ** k / gamma(k + 1.0)
+                assert abs(got - ref) <= 1e-10
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             contour_cauchy_check(11.0, 2)
@@ -242,6 +249,12 @@ class TestSpecialCases:
 
 
 class TestVerify:
+    def test_k_three_two_routes(self):
+        rep = verify(case(3.0))
+        assert rep.verdict == "pass"
+        assert rep.series_value is None and rep.contour_value.status == "skipped"
+        assert set(rep.residuals) == {"lhs|zeta"}
+
     def test_invariant_enforced(self):
         with pytest.raises(CaseError):
             verify(case(-1.0, BranchedConstant(0.5)))
