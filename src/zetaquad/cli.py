@@ -14,8 +14,9 @@ n_evals, status, reason, verdict (one row per route).  Diagnostics go to
 stderr.  Only verify and sweep take --verdict-atol / --verdict-rtol.
 A negative literal other than a plain decimal (-0.5+0.3i, -1e-3) must be
 attached with '=', as in --k=-0.5+0.3i, or argparse reads it as an option.
-Exit codes: 0 every verdict pass, 1 any fail or partial, 2 usage error, an
-argument the engine cannot evaluate or an --output file it cannot write.
+Exit codes: 0 every verdict pass, 1 any fail or partial, or a sweep with no
+valid case, 2 usage error, an argument the engine cannot evaluate (a pole, an
+overflow, a sum that does not converge) or an --output file it cannot write.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 from typing import Any, Sequence
 
 from .complexfn import TWO_PI, BranchedConstant, gamma
-from .hurwitz import ConvergenceError, hurwitz_zeta, zeta_neg_int_oracle
+from .hurwitz import hurwitz_zeta, zeta_neg_int_oracle
 from .identities import (
     DEFAULT_A_GRID,
     DEFAULT_K_GRID,
@@ -131,7 +132,7 @@ def _fmt(x: float) -> str:
 
 
 def render_complex(z: complex) -> str:
-    # the sign bit, so that -0.0 prints as "-0i", which parse_complex reads back
+    """x+yi at 17 digits; -0.0 prints as "-0i", which parse_complex reads back."""
     sign = "-" if math.copysign(1.0, z.imag) < 0.0 else "+"
     return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
 
@@ -212,6 +213,7 @@ def reports_to_csv(reps: Sequence[VerificationReport]) -> str:
 # argument parsing
 
 def build_parser() -> argparse.ArgumentParser:
+    """The zetaquad parser: one subcommand per command of the module docstring."""
     p = argparse.ArgumentParser(prog="zetaquad",
                                 description="Multi-route verification of "
                                             "cos(2y) log-power integrals")
@@ -376,11 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _emit_reports([catalan_case(cfg), loggamma_case(cfg)], [], ns)
 
         if cmd == "zeta":
-            try:
-                value = hurwitz_zeta(parse_complex(ns.s), parse_complex(ns.q))
-            except (ArithmeticError, ConvergenceError) as exc:  # s beyond the engine's reach
-                raise ValueError(str(exc)) from exc
-            print(render_complex(value))
+            print(render_complex(hurwitz_zeta(parse_complex(ns.s), parse_complex(ns.q))))
             return 0
 
         # selftest, the only command left
@@ -389,12 +387,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{'PASS' if ok else 'FAIL'} {name}")
             all_ok = all_ok and ok
         return 0 if all_ok else 1
-    except ValueError as exc:  # CliParseError and DomainError among them
+    except (ValueError, ArithmeticError) as exc:  # a bad argument, or one out of reach
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
+    """The console script: exit with main()'s code, or 1 if stdout was closed."""
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe raises here, inside the try

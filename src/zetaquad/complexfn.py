@@ -124,11 +124,8 @@ def _is_nonpositive_integer(z: complex) -> bool:
 
 
 def gamma(z: complex) -> complex:
-    """Gamma(z) = exp(log_gamma(z)), one exponential of the whole log Gamma;
-    a negative real z gets a rounding-level imaginary part (i*pi per shift)."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"gamma pole at z = {z}")
+    """Gamma(z) = exp(log_gamma(z)), with log_gamma's PoleError at a pole; a
+    negative real z gets a rounding-level imaginary part (i*pi per shift)."""
     return cmath.exp(log_gamma(z))
 
 

@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 
-class ConvergenceError(RuntimeError):
-    """The asymptotic tail failed to reach the requested tolerance."""
+class ConvergenceError(ArithmeticError):
+    """A sum missed its tolerance: a numeric failure, so an ArithmeticError."""
 
 
 _TAIL_TERMS = 25

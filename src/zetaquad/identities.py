@@ -86,7 +86,7 @@ class _IdentityCase(NamedTuple):
 
 
 class IdentityCase(_IdentityCase):
-    """One (k, a) instance of the identity plus its evaluation configuration."""
+    """One (k, a) instance, k stored as a complex, plus its evaluation configuration."""
 
     __slots__ = ()
 
@@ -101,7 +101,7 @@ class IdentityCase(_IdentityCase):
             raise ValueError("verdict_atol must be finite and >= 0")
         if not 0.0 <= verdict_rtol < math.inf:
             raise ValueError("verdict_rtol must be finite and >= 0")
-        return super().__new__(cls, k, a, quad_cfg, verdict_atol, verdict_rtol)
+        return super().__new__(cls, complex(k), a, quad_cfg, verdict_atol, verdict_rtol)
 
     # _replace builds through _make; route it through the checks above
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -142,6 +142,7 @@ class VerificationReport(NamedTuple):
 
 
 class SweepResult(NamedTuple):
+    """The reports of the valid cases in input order, and a note per skip."""
     reports: list[VerificationReport]
     notes: list[str]
 
@@ -248,16 +249,13 @@ def _lhs_ray(k: complex, split: float, sign: float) -> Callable[[float], complex
     no node can round onto the branch point.  Raised to the complex k, the
     float sign t is promoted to complex(sign t, 0.0), so -t has argument pi,
     as log a + u does.  The weight depends on the split, so the ray
-    multiplies by g(u) itself; past |u| = 700 g is 0 while the power may
-    overflow, so the ray returns 0 there.  The power is Python's principal
-    z ** k rather than a complex_pow call: this is the hot loop of the lhs
-    route.
+    multiplies by g(u) itself, and is 0 where g is: at u = 0, and far out,
+    where sech underflows and the power may overflow.  The power is Python's
+    z ** k, not a complex_pow call: this is the hot loop of the lhs route.
     """
     def h(t: float) -> complex:
-        u = split + sign * t
-        if abs(u) > 700.0:  # the weight underflows
-            return 0j
-        return (sign * t) ** k * _lhs_weight(u)
+        w = _lhs_weight(split + sign * t)
+        return (sign * t) ** k * w if w else 0j
 
     return h
 
@@ -302,7 +300,7 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     msg = case_violation(case.k, case.a)
     if msg is not None:
         raise CaseError(msg)
-    k = complex(case.k)
+    k = case.k
     if case.a.theta == 0.0 and case.a.r != 1.0:
         split = -math.log(case.a.r)
         right = integrate_semi_infinite(_lhs_ray(k, split, 1.0), case.quad_cfg)
@@ -330,7 +328,7 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
 
 def rhs_zeta(case: IdentityCase) -> complex:
     """The Hurwitz-zeta closed form; k = 0 short-circuits to 0."""
-    k = complex(case.k)
+    k = case.k
     if k == 0:
         return 0j
     log_a = case.a.log_value
@@ -351,7 +349,7 @@ def rhs_series(case: IdentityCase) -> complex:
     raises ConvergenceError and the route fails.  The Gamma(k+1)/Gamma(k)
     ratio is simplified to k, so non-positive integer k needs no special case.
     """
-    k = complex(case.k)
+    k = case.k
     reason = _series_region(k)
     if reason is not None:
         raise RegionError(f"series route does not apply: {reason}")
@@ -408,7 +406,7 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     k = 0.99892, a = 0.771 the estimate without it is 127 times below the
     error.
     """
-    k = complex(case.k)
+    k = case.k
     reason = _contour_region(k)
     if reason is not None:
         raise RegionError(f"contour route does not apply: {reason}")
@@ -461,15 +459,15 @@ def contour_cauchy_check(y: complex, k: int) -> complex:
 def _run_route(case: IdentityCase, evaluate: Callable[[IdentityCase], object],
                region: Callable[[complex], str | None] = _everywhere) -> RouteResult:
     """Run one route on the case and record the outcome: the region's reason
-    to skip it, the exception it raised, or what it returned.  A quadrature
-    returns a QuadResult, a closed form its bare value; a value or estimate
-    that is not finite (an overflowed prefactor, say) fails the route."""
-    reason = region(complex(case.k))
+    to skip it, the DomainError or ArithmeticError (ConvergenceError among
+    them) it raised, or what it returned.  A quadrature returns a QuadResult,
+    a closed form its bare value; a value or estimate that is not finite fails."""
+    reason = region(case.k)
     if reason is not None:
         return RouteResult(None, None, None, "skipped", reason)
     try:
         result = evaluate(case)
-    except (DomainError, ConvergenceError, ArithmeticError) as exc:
+    except (DomainError, ArithmeticError) as exc:
         return RouteResult(None, None, None, "failed", str(exc))
     if not isinstance(result, QuadResult):  # a closed form: exact, no evaluations
         result = QuadResult(result, 0.0, 0, True)
@@ -571,16 +569,15 @@ def sweep(k_list: Sequence[complex], a_list: Sequence[BranchedConstant],
           verdict_atol: float = DEFAULT_VERDICT_TOL,
           verdict_rtol: float = DEFAULT_VERDICT_TOL) -> SweepResult:
     """Verify the Cartesian product of cases, in deterministic input order.
-
-    Pairs violating the case invariants are skipped with a note.
-    """
+    A pair violating the case invariants is skipped with a note, and a sweep
+    left with no case gets one more."""
     if not k_list or not a_list:
         raise ValueError("k_list and a_list must be non-empty")
     reports: list[VerificationReport] = []
     notes: list[str] = []
     for k in k_list:
         for a in a_list:
-            case = IdentityCase(complex(k), a, quad_cfg=quad_cfg,
+            case = IdentityCase(k, a, quad_cfg=quad_cfg,
                                 verdict_atol=verdict_atol, verdict_rtol=verdict_rtol)
             try:
                 reports.append(verify(case))

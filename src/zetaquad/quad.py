@@ -50,6 +50,9 @@ class _QuadConfig(NamedTuple):
 
 
 class QuadConfig(_QuadConfig):
+    """A call stops once its estimate is <= atol + rtol |value|, atol and rtol
+    in [1e-15, 1e-3], or before it would pass max_evals evaluations, in [13, 1e7]."""
+
     __slots__ = ()
 
     def __new__(cls, atol: float = 1e-10, rtol: float = 1e-10,
@@ -69,6 +72,8 @@ class QuadConfig(_QuadConfig):
 
 
 class QuadResult(NamedTuple):
+    """n_evals counts the nodes evaluated, as the max_evals budget does;
+    converged: err_estimate met the tolerance before the budget or last level."""
     value: complex
     err_estimate: float
     n_evals: int

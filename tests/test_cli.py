@@ -180,6 +180,16 @@ class TestCommands:
         assert code == 0
         assert "skipped" in captured.err
 
+    def test_sweep_with_no_valid_case_exits_one(self, capsys):
+        # every pair breaks an invariant: an empty report with its notes, exit 1
+        assert main(["sweep", "--k-list=-0.5", "--a-list", "2"]) == 1
+        out, err = capsys.readouterr()
+        notes = ["skipped k=(-0.5+0j), a=(r=2.0, theta=0.0): "
+                 "a positive real with Re(k) < 0 requires a = 1",
+                 "no valid cases after invariant filtering"]
+        assert json.loads(out) == {"reports": [], "notes": notes}
+        assert err == "".join(f"note: {n}\n" for n in notes)
+
     def test_sweep_output_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         code = main(["sweep", "--k-list", "2", "--a-list", "1",

@@ -275,6 +275,8 @@ class TestVerify:
         monkeypatch.setattr(identities, "rhs_zeta", boom)
         rep = verify(case(-1.0))
         assert rep.routes["zeta"] == RouteResult(None, None, None, "failed", "boom")
+        # a numeric failure, caught as an ArithmeticError
+        assert issubclass(ConvergenceError, ArithmeticError)
         assert rep.zeta_value is None
         assert set(rep.residuals) == {"lhs|series"}
         # lhs and series agree, but a route that ran did not give a value
@@ -473,7 +475,9 @@ CAPS = (13, 40, 10 ** 6)
 def test_fused_integrands_match_reference(k):
     k = complex(k)
     compared = 0
-    for a in (A_ONE, BranchedConstant(2.0), BranchedConstant(0.5),
+    # at a = e the split is -1.0 exactly, so the right ray's level-0 node
+    # x = 1 lands on u = 0, where the weight is -0.0
+    for a in (A_ONE, BranchedConstant(2.0), BranchedConstant(0.5), BranchedConstant(math.e),
               BranchedConstant(2.0, 3.0 * math.pi / 4.0), BranchedConstant(1.3, 2.0)):
         for cap in CAPS:
             c = case(k, a, quad_cfg=QuadConfig(max_evals=cap))

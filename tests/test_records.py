@@ -58,6 +58,11 @@ def test_equality_and_hash_by_field():
     assert IdentityCase(0.5 + 0.3j, A, QuadConfig(max_evals=400)) == CASE
     assert hash(IdentityCase(0.5 + 0.3j, A, QuadConfig(max_evals=400))) == hash(CASE)
     assert IdentityCase(0.5 + 0.3j, A) != CASE
+    # k is stored as a complex however it is given
+    for k, spelled in ((0.5, 0.5 + 0j), (2, 2 + 0j)):
+        assert IdentityCase(k, A) == IdentityCase(spelled, A)
+        assert hash(IdentityCase(k, A)) == hash(IdentityCase(spelled, A))
+        assert type(IdentityCase(k, A).k) is complex
     assert RouteResult(0.5j) == RouteResult(0.5j, 0.0, 0, "ok", "")
     # a named tuple is iterable and equals the plain tuple of its fields
     assert tuple(A) == (2.0, 0.5) and A == (2.0, 0.5)
@@ -111,6 +116,10 @@ def test_replace_runs_the_checks():
 def test_replace_keeps_the_class():
     assert A._replace(theta=1.0) == BranchedConstant(2.0, 1.0)
     assert type(QuadConfig()._replace(atol=1e-12)) is QuadConfig
+    one = CASE._replace(k=1)
+    assert type(one) is IdentityCase and type(one.k) is complex
+    assert one == IdentityCase(1 + 0j, A, QuadConfig(max_evals=400))
+    assert hash(one) == hash(IdentityCase(1 + 0j, A, QuadConfig(max_evals=400)))
 
 
 def test_report_views():
