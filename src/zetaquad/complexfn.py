@@ -4,7 +4,7 @@ Every other module builds on the conventions fixed here:
 
 * the principal argument lives in (-pi, pi], closed on top; a negative real
   with imaginary part -0.0 takes argument -pi, as cmath.log does;
-* complex powers are Python's principal z ** k = exp(k * principal_log(z)),
+* complex powers are Python's principal z ** k = exp(k * cmath.log(z)),
   integral exponents up to 100 in magnitude by repeated multiplication;
 * Bernoulli numbers use the B_1 = -1/2 sign convention.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "BranchedConstant",
     "DomainError",
     "PoleError",
-    "principal_log",
     "complex_pow",
     "gamma",
     "log_gamma",
@@ -74,16 +73,8 @@ class BranchedConstant(_BranchedConstant):
         return complex(math.log(self.r), self.theta)
 
 
-def principal_log(z: complex) -> complex:
-    """ln|z| + i*Arg(z) with Arg in (-pi, pi]."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError("log of zero")
-    return cmath.log(z)
-
-
 def complex_pow(z: complex, k: complex) -> complex:
-    """Python's principal z ** k = exp(k * principal_log(z)), integral k up to
+    """Python's principal z ** k = exp(k * cmath.log(z)), integral k up to
     100 in magnitude by repeated multiplication (-2 - 0.0i has argument -pi);
     0**k = 0 when Re(k) > 0."""
     z = complex(z)
@@ -138,7 +129,7 @@ def log_gamma(z: complex) -> complex:
         raise DomainError(f"log_gamma: Re(z) = {z.real} below -{_SHIFT_CAP}: too many shifts")
     shift = 0j
     while z.real < 1.5:
-        shift += principal_log(z)
+        shift += cmath.log(z)
         z += 1
     t = z + _LANCZOS_G
     y = z

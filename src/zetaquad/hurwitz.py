@@ -141,7 +141,11 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
 
 
 def hurwitz_zeta(s: complex, q: complex) -> complex:
-    """zeta(s, q) for complex s != 1 and complex q not a non-positive integer."""
+    """zeta(s, q) for complex s != 1 and complex q not a non-positive integer.
+
+    Below about Re(s) = -8.8 the result can be wrong without an error
+    (ROADMAP item 3; the strict xfail stratum below_re_s_minus_9 of
+    tests/test_hurwitz.py tracks it)."""
     return _hurwitz(s, q, derivative=False)
 
 
@@ -149,7 +153,8 @@ def hurwitz_zeta_ds(s: complex, q: complex) -> complex:
     """d/ds zeta(s, q), by term-by-term differentiation of the same expansion.
 
     Raises OverflowError for |s - 1| below about 7.5e-155, where the
-    expansion's 1/(s - 1)^2 is not a finite float."""
+    expansion's 1/(s - 1)^2 is not a finite float.  Below about Re(s) = -8.8
+    the result can be wrong without an error, as hurwitz_zeta's can."""
     return _hurwitz(s, q, derivative=True)
 
 

@@ -15,7 +15,6 @@ from zetaquad.complexfn import (
     complex_pow,
     gamma,
     log_gamma,
-    principal_log,
 )
 from zetaquad.hurwitz import _tail_coefficients
 
@@ -32,21 +31,6 @@ def _sample_points(n, rng):
            min(abs((1 - z) - m) for m in range(-6, 1)) >= 0.1:
             pts.append(z)
     return pts
-
-
-class TestPrincipalLog:
-    def test_identity(self):
-        assert principal_log(1.0) == 0
-
-    def test_negative_axis(self):
-        assert principal_log(-2.0) == pytest.approx(math.log(2) + 1j * math.pi)
-
-    def test_unit_imaginary(self):
-        assert principal_log(1j) == pytest.approx(0.5j * math.pi)
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            principal_log(0.0)
 
 
 class TestComplexPow:
