@@ -35,13 +35,51 @@ def brute_force_zeta(s: complex, q: complex, n_terms: int = 20000) -> complex:
     return total
 
 
+def _assert_rows(rows):
+    """The zeta map's one rule on rows (fn, s, q, reference, tol):
+    |fn(s, q) - ref| <= tol max(1, |ref|)."""
+    missed = [(fn.__name__, s, q, fn(s, q), ref) for fn, s, q, ref, tol in rows
+              if not abs(fn(s, q) - ref) <= tol * max(1.0, abs(ref))]
+    assert rows and missed == []
+
+
 class TestValues:
+    def test_s_zero_closed_form(self):
+        _assert_rows([(hurwitz_zeta, 0.0, 0.25, 0.25, 1e-13)])
+
+    def test_quarter_brute_force(self):
+        # zeta(2, 1/4) = pi^2 + 8G; both the brute-force oracle and the
+        # Catalan reference agree on 17.197329154507109
+        oracle = brute_force_zeta(2.0, 0.25)
+        assert oracle.real == pytest.approx(math.pi ** 2 + 8 * CATALAN_REF, rel=1e-12)
+        _assert_rows([(hurwitz_zeta, 2.0, 0.25, oracle, 1e-12)])
+
     def test_pole(self):
         with pytest.raises(PoleError):
             hurwitz_zeta(1.0, 0.5)
 
 
+HALF_LOG_TWO_PI = 0.5 * math.log(2 * math.pi)
+
+
 class TestDerivative:
+    # Lerch formula: zeta'(0, q) = log Gamma(q) - log(2 pi)/2
+    def test_q_one(self):
+        _assert_rows([(hurwitz_zeta_ds, 0.0, 1.0, -HALF_LOG_TWO_PI, 1e-12)])
+
+    def test_q_half(self):
+        _assert_rows([(hurwitz_zeta_ds, 0.0, 0.5, -0.5 * math.log(2.0), 1e-12)])
+
+    def test_q_quarter(self):
+        # log Gamma(1/4) - log(2 pi)/2 = 0.36908399149340472 (reference Gamma(1/4))
+        ref = math.log(GAMMA_QUARTER) - HALF_LOG_TWO_PI
+        assert ref == pytest.approx(0.36908399149340472, abs=1e-14)
+        _assert_rows([(hurwitz_zeta_ds, 0.0, 0.25, ref, 1e-12)])
+
+    def test_lerch_sweep(self):
+        _assert_rows([(hurwitz_zeta_ds, 0.0, q, log_gamma(complex(q)) - HALF_LOG_TWO_PI, 1e-12)
+                     for q in (0.25, 1.0 / 3.0, 0.5, 0.75, 1.0, 1.5)])
+
     def test_finite_difference_cross_check(self):
         h = 1e-5
         for s, q in ((2.0, 0.7), (0.5 + 0.2j, 1.3 - 0.4j)):
@@ -88,6 +126,17 @@ class TestProperties:
             a = hurwitz_zeta(s.conjugate(), q.conjugate())
             b = hurwitz_zeta(s, q).conjugate()
             assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+    def test_riemann_reduction(self):
+        _assert_rows([(hurwitz_zeta, s, 1.0, brute_force_zeta(s, 1.0), 1e-12)
+                     for s in (2.0, 3.0, 4.0)])
+
+    def test_preshift_region(self):
+        # Re(q) <= 0: the direct sum runs from n = 0 past the first n with
+        # Re(n + q) > 0; the Bernoulli polynomial closed form is valid there
+        # by continuation
+        q = -0.3 + 0.2j
+        _assert_rows([(hurwitz_zeta, -2.0, q, zeta_neg_int_oracle(2, q), 1e-11)])
 
 
 # The engine before the direct sum was extended across doublings: every pass
@@ -237,34 +286,10 @@ class TestDerivativeNearPole:
         assert cmath.isfinite(hurwitz_zeta_ds(s, 0.5))
 
 
-# The zeta map (ROADMAP aim 3): named strata of rows (fn, s, q, reference,
-# tol), each reference computed once.  One rule holds for every row,
-# |fn(s, q) - ref| <= tol max(1, |ref|); a known defect is a strict xfail
-# (stratum, fn) pair in KNOWN that names its ROADMAP item.
+# The zeta map (ROADMAP aim 3): named strata of seeded rows against mpmath,
+# each reference computed once and checked by _assert_rows; a known defect is
+# a strict xfail (stratum, fn) pair in KNOWN that names its ROADMAP item.
 BOTH = (hurwitz_zeta, hurwitz_zeta_ds)
-
-
-def _exact():
-    quarter = brute_force_zeta(2.0, 0.25)
-    # zeta(2, 1/4) = pi^2 + 8G: the oracle agrees with the Catalan reference
-    assert quarter.real == pytest.approx(math.pi ** 2 + 8 * CATALAN_REF, rel=1e-12)
-    # the last row has Re(q) <= 0: the direct sum runs from n = 0 past the
-    # first n with Re(n + q) > 0; the Bernoulli polynomial closed form is
-    # valid there by continuation
-    return ([(hurwitz_zeta, 0.0, 0.25, 0.25, 1e-13), (hurwitz_zeta, 2.0, 0.25, quarter, 1e-12)]
-            + [(hurwitz_zeta, s, 1.0, brute_force_zeta(s, 1.0), 1e-12) for s in (2.0, 3.0, 4.0)]
-            + [(hurwitz_zeta, -2.0, -0.3 + 0.2j, zeta_neg_int_oracle(2, -0.3 + 0.2j), 1e-11)])
-
-
-def _lerch():
-    # Lerch's formula: zeta'(0, q) = log Gamma(q) - log(2 pi)/2, in closed
-    # form at q = 1/2 and 1, and from the reference Gamma(1/4) at q = 1/4
-    half_log_two_pi = 0.5 * math.log(2 * math.pi)
-    quarter = math.log(GAMMA_QUARTER) - half_log_two_pi
-    assert quarter == pytest.approx(0.36908399149340472, abs=1e-14)
-    refs = {0.25: quarter, 0.5: -0.5 * math.log(2.0), 1.0: -half_log_two_pi}
-    return [(hurwitz_zeta_ds, 0.0, q, refs.get(q, log_gamma(complex(q)) - half_log_two_pi), 1e-12)
-            for q in (0.25, 1.0 / 3.0, 0.5, 0.75, 1.0, 1.5)]
 
 
 def _with_mpmath(points, tol):
@@ -298,13 +323,11 @@ def _box(seed, n, re_s, im_s, tol):
                          for _ in range(n)], tol)
 
 
-ZETA_STRATA = {  # name: (the functions it checks, () -> rows)
-    "exact": ((hurwitz_zeta,), _exact),
-    "lerch": ((hurwitz_zeta_ds,), _lerch),
-    "nonpositive_q": (BOTH, _nonpositive_q),
+ZETA_STRATA = {  # name: () -> rows for both functions
+    "nonpositive_q": _nonpositive_q,
     # the benchmark's zeta map: Re s in [-6, 10], |Im s| <= 50
-    "workload": (BOTH, functools.partial(_box, 43, 200, (-6.0, 10.0), 50.0, 1e-9)),
-    "below_re_s_minus_9": (BOTH, functools.partial(_box, 51, 40, (-25.0, -9.0), 20.0, 1e-9)),
+    "workload": functools.partial(_box, 43, 200, (-6.0, 10.0), 50.0, 1e-9),
+    "below_re_s_minus_9": functools.partial(_box, 51, 40, (-25.0, -9.0), 20.0, 1e-9),
 }
 _ITEM_3 = pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 3: below Re s = -8.8 "
                             "the engine returns wrong values with no error")
@@ -313,14 +336,11 @@ KNOWN = {("below_re_s_minus_9", fn): _ITEM_3 for fn in BOTH}
 
 @functools.lru_cache(maxsize=None)
 def _rows(name):
-    return ZETA_STRATA[name][1]()
+    return ZETA_STRATA[name]()
 
 
 @pytest.mark.parametrize("name, fn", [
     pytest.param(name, fn, marks=KNOWN.get((name, fn), ()), id=f"{name}-{fn.__name__}")
-    for name, (fns, _) in ZETA_STRATA.items() for fn in fns])
+    for name in ZETA_STRATA for fn in BOTH])
 def test_zeta_map(name, fn):
-    rows = [row for row in _rows(name) if row[0] is fn]
-    missed = [(s, q, fn(s, q), ref) for _, s, q, ref, tol in rows
-              if not abs(fn(s, q) - ref) <= tol * max(1.0, abs(ref))]
-    assert rows and missed == []
+    _assert_rows([row for row in _rows(name) if row[0] is fn])
