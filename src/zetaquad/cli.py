@@ -137,33 +137,85 @@ def render_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
 
 
+# RFC 8259's escapes, as json.dumps(..., ensure_ascii=False) writes them
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+            "\r": "\\r", "\t": "\\t"}
+_ESCAPES.update((chr(i), f"\\u{i:04x}") for i in range(0x20) if chr(i) not in _ESCAPES)
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+
+
+def _escape(m: re.Match[str]) -> str:
+    return _ESCAPES[m.group()]
+
+
+def _quote(s: str) -> str:
+    return '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
+
+
 def dumps_fixed(obj: Any, indent: int = 0) -> str:
-    """JSON text with fixed key order (insertion) and fixed float formatting."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(obj, int):
-        return str(obj)
+    """JSON text in the layout of json.dumps(obj, indent=2, ensure_ascii=False),
+    nested indent levels deep: keys in insertion order, floats at 17
+    significant digits, strings escaped per RFC 8259.  A non-finite float
+    raises ValueError, a value of another type TypeError."""
+    out: list[str] = []
+    _write(obj, "\n" + "  " * indent, out, {})
+    return "".join(out)
+
+
+def _write(obj: Any, pad: str, out: list[str], keys: dict[str, str]) -> None:
+    """Append obj's text to out; pad is the newline and indent that close it.
+
+    keys maps each str key seen to its '"key": ' text, so that a key is
+    escaped once per call, not at each use: escaping every key costs about
+    what the single buffer saves.  Other keys are not kept, since 1 and True
+    are one dict key but print differently.  Each list element is joined on
+    its own, so a long list holds its elements' text, not every piece of it.
+    bool is tested before int, its base class."""
     if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, dict):
+        out.append(_fmt(obj))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [f'{inner}"{k}": {dumps_fixed(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        comma = "," + inner
+        for k, v in obj.items():
+            key = keys.get(k)
+            if key is None:
+                key = _quote(str(k)) + ": "
+                if isinstance(k, str):
+                    keys[k] = key
+            out.append(sep)
+            out.append(key)
+            _write(v, inner, out, keys)
+            sep = comma
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = [inner + dumps_fixed(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"unserialisable value: {obj!r}")
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        comma = "," + inner
+        for v in obj:
+            part = [sep]
+            _write(v, inner, part, keys)
+            out.append("".join(part))
+            sep = comma
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"unserialisable value: {obj!r}")
 
 
 def _complex_dict(z: complex) -> dict[str, float]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .complexfn import EPS, TWO_PI, BranchedConstant, DomainError, complex_pow, gamma
@@ -181,6 +182,21 @@ def _contour_region(k: complex) -> str | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _cvz_weights(n: int) -> tuple[float, tuple[float, ...]]:
+    """d and the weights c_0 .. c_{n-1} of alternating_sum's pass at n."""
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = 0.5 * (d + 1.0 / d)
+    b = -1.0
+    c = -d
+    weights = []
+    for j in range(n):
+        c = b - c
+        weights.append(c)
+        b = (j + n) * (j - n) * b / ((j + 0.5) * (j + 1))
+    return d, tuple(weights)
+
+
 def alternating_sum(term: Callable[[int], complex]) -> complex:
     """sum_{j>=0} (-1)^j term(j) by Algorithm 1 of Cohen, Villegas and Zagier,
     "Convergence acceleration of alternating series", Exp. Math. 9 (2000):
@@ -189,20 +205,16 @@ def alternating_sum(term: Callable[[int], complex]) -> complex:
     n = 20, 40, ..., 320 over cached terms (each term(j) is called once), and
     the sum is the first pass within 1e-13 relative of the one before.  The
     cap is 320 because d = cosh(n log(3+sqrt 8)) overflows past n = 402.
+    The weights of each n are built once per process (_cvz_weights).
     """
     terms: list[complex] = []
     prev = None
     for n in (20, 40, 80, 160, 320):  # d overflows a double past n = 402
         terms.extend(term(j) for j in range(len(terms), n))
-        d = (3.0 + math.sqrt(8.0)) ** n
-        d = 0.5 * (d + 1.0 / d)
-        b = -1.0
-        c = -d
+        d, weights = _cvz_weights(n)
         s = 0j
-        for j, a in enumerate(terms):
-            c = b - c
+        for c, a in zip(weights, terms):
             s += c * a
-            b = (j + n) * (j - n) * b / ((j + 0.5) * (j + 1))
         est = s / d
         if prev is not None and abs(est - prev) <= 1e-13 * abs(est):
             return est

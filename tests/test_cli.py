@@ -91,6 +91,22 @@ class TestLiteralGrammar:
         assert str(exc.value) == message
 
 
+# Every character RFC 8259 escapes, and some it leaves as they are: DEL,
+# non-ASCII letters, a line separator and a lone surrogate
+AWKWARD = "".join(map(chr, range(0x20))) + '"\\/ \x7f é \u2028 \ud800 end'
+
+# Float-free documents, which dumps_fixed writes exactly as json.dumps does
+LAYOUT_DOCS = {
+    "scalars": [0, -7, 2**70, None, True, False, ""],
+    "empties": {"e": {}, "l": [], "t": (), "top": [[], {}, ()]},
+    "nesting": {"deep": [[[], [{}]], ({"x": (1, 2)},)], "last": {"a": {"b": {"c": []}}}},
+    "awkward": {AWKWARD: AWKWARD, 'quo"te': "back\\slash", "\x00": ["\x1f\x7f"]},
+    "report-like": [{"status": "ok", "reason": "line\nbreak", "n_evals": 12289}],
+    "repeated keys": [{"a\n": 1, "b": {"a\n": 2}}, {"a\n": [{"b": 3}]}],
+    "bare string": AWKWARD,
+}
+
+
 class TestRendering:
     def test_render_parse_round_trip(self):
         # repr tells -0.0 from 0.0: a negative-zero imaginary part prints as -0i
@@ -104,14 +120,29 @@ class TestRendering:
         assert "1.5" in text and "null" in text and "true" in text
 
     def test_dumps_fixed_is_json(self):
-        doc = {"x": 0.1, "y": {"nested": [1, 2.0]}, "s": 'quo"te'}
+        # floats print at 17 digits, not json's shortest, so compare values
+        doc = {"x": 0.1, "y": {"nested": [1, 2.0, -0.0, 1e300]}, "s": 'quo"te',
+               AWKWARD: [AWKWARD, 5e-324, {"k": -2.5}]}
         assert json.loads(dumps_fixed(doc)) == doc
         empty = {"e": {}, "l": [], "f": False}
         assert json.loads(dumps_fixed(empty)) == empty
 
+    @pytest.mark.parametrize("name", LAYOUT_DOCS)
+    def test_dumps_fixed_layout_is_json_dumps(self, name):
+        doc = LAYOUT_DOCS[name]
+        assert dumps_fixed(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+    def test_dumps_fixed_prints_non_str_keys_as_str(self):
+        # 1 and True are one dict key; each still prints as its own str()
+        assert dumps_fixed([{1: 0}, {True: 0}]) == (
+            '[\n  {\n    "1": 0\n  },\n  {\n    "True": 0\n  }\n]')
+
     def test_unrenderable_values_rejected(self):
         with pytest.raises(ValueError, match="non-finite value in report"):
             render_complex(complex(math.inf, 0.0))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="non-finite value in report"):
+                dumps_fixed({"reports": [{"x": bad}]})
         with pytest.raises(TypeError):
             dumps_fixed(object())
 

@@ -5,7 +5,9 @@
 * every module-level ``_private`` function and assigned name (a constant
   such as ``_MAX_LEVEL``) is read somewhere in the package;
 * every absolute import, nested ones included, names a standard-library
-  module, so the package stays pure standard library at runtime;
+  module, so the package stays pure standard library at runtime, and none
+  names json: cli.dumps_fixed writes the reports, whose floats json.dumps
+  would print at repr's shortest digits rather than 17 significant ones;
 * no power is written as exp(k * log(z)): Python's principal ``z ** k`` is
   the one way the package raises a number to a complex power;
 * no function nested in a function of identities.py or quad.py (the
@@ -97,6 +99,7 @@ def test_no_unreferenced_private_functions():
 
 def test_imports_are_standard_library():
     foreign = []
+    json_users = []
     for path in MODULES:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Import):
@@ -107,7 +110,10 @@ def test_imports_are_standard_library():
                 continue
             foreign += [f"{path.name}:{name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
+            json_users += [f"{path.name}:{node.lineno}" for name in names
+                           if name.split(".")[0] == "json"]
     assert foreign == [], f"imports outside the standard library: {foreign}"
+    assert json_users == [], f"json imported, not cli.dumps_fixed: {json_users}"
 
 
 def _call_name(node):

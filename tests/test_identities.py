@@ -178,6 +178,59 @@ class TestRhsSeries:
                            match="alternating series acceleration stalled after 320 terms"):
             alternating_sum(lambda n: complex((-1) ** n))
 
+    # (ratio modulus, ratio argument) of z w^j: the pass at which the sum
+    # settles grows as -w nears 1; past an argument of about 2.3 at modulus
+    # 0.9 no pass settles
+    SETTLE = {40: (0.9, 0.0), 80: (0.9, 0.5), 160: (0.9, 1.0), 320: (0.9, 1.5),
+              "stall": (0.9, 2.5)}
+
+    @pytest.mark.parametrize("settles", list(SETTLE))
+    def test_acceleration_matches_reference(self, settles):
+        rng = random.Random(f"cvz-{settles}")
+        modulus, argument = self.SETTLE[settles]
+        for _ in range(5):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            w = cmath.rect(modulus, argument + rng.uniform(-0.05, 0.05))
+            terms = [z * w ** j for j in range(320)]
+            called = []
+
+            def term(j):
+                called.append(j)
+                return terms[j]
+
+            expected = _reference_alternating_sum(terms)
+            if settles == "stall":
+                assert expected is None
+                with pytest.raises(ConvergenceError):
+                    alternating_sum(term)
+                assert called == list(range(320))
+                continue
+            assert expected[1] == settles
+            assert alternating_sum(term) == expected[0]
+            assert called == list(range(settles))
+
+
+def _reference_alternating_sum(terms):
+    """The acceleration with the weight recurrence inline, as it was before
+    the weights were cached: (sum, n of the settling pass), or None if no
+    pass settles."""
+    prev = None
+    for n in (20, 40, 80, 160, 320):
+        d = (3.0 + math.sqrt(8.0)) ** n
+        d = 0.5 * (d + 1.0 / d)
+        b = -1.0
+        c = -d
+        s = 0j
+        for j, a in enumerate(terms[:n]):
+            c = b - c
+            s += c * a
+            b = (j + n) * (j - n) * b / ((j + 0.5) * (j + 1))
+        est = s / d
+        if prev is not None and abs(est - prev) <= 1e-13 * abs(est):
+            return est, n
+        prev = est
+    return None
+
 
 class TestRhsContour:
     def test_matches_series_at_half(self):
