@@ -152,13 +152,13 @@ def _quote(s: str) -> str:
     return '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
 
 
-def dumps_fixed(obj: Any, indent: int = 0) -> str:
-    """JSON text in the layout of json.dumps(obj, indent=2, ensure_ascii=False),
-    nested indent levels deep: keys in insertion order, floats at 17
-    significant digits, strings escaped per RFC 8259.  A non-finite float
-    raises ValueError, a value of another type TypeError."""
+def dumps_fixed(obj: Any) -> str:
+    """JSON text in the layout of json.dumps(obj, indent=2, ensure_ascii=False):
+    keys in insertion order, floats at 17 significant digits, strings escaped
+    per RFC 8259.  A non-finite float raises ValueError, a value of another
+    type TypeError."""
     out: list[str] = []
-    _write(obj, "\n" + "  " * indent, out, {})
+    _write(obj, "\n", out, {})
     return "".join(out)
 
 

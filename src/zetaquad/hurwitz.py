@@ -62,6 +62,8 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     q = complex(q)
     if s == 1:
         raise PoleError("hurwitz zeta pole at s = 1")
+    if not cmath.isfinite(q):
+        raise DomainError(f"q must be finite, got {q}")
     if -q.real > _N_CAP:
         raise DomainError(
             f"Re(q) = {q.real:g} below -{_N_CAP}: too many shifts to Re(q) > 0")
@@ -141,7 +143,7 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
 
 
 def hurwitz_zeta(s: complex, q: complex) -> complex:
-    """zeta(s, q) for complex s != 1 and complex q not a non-positive integer.
+    """zeta(s, q) for complex s != 1 and finite complex q not a non-positive integer.
 
     Below about Re(s) = -8.8 the result can be wrong without an error
     (ROADMAP item 3; the strict xfail stratum below_re_s_minus_9 of

@@ -163,11 +163,6 @@ def residual_ok(x: complex, y: complex, atol: float, rtol: float) -> bool:
     return abs(x - y) <= atol + rtol * max(abs(x), abs(y))
 
 
-def _everywhere(k: complex) -> None:
-    """Region of a route that applies to every valid case."""
-    return None
-
-
 def _series_region(k: complex) -> str | None:
     """Why the alternating series does not apply at k, or None."""
     return "Re(k) >= 1" if k.real >= 1.0 else None
@@ -459,7 +454,7 @@ def contour_cauchy_check(y: complex, k: int) -> complex:
     if not isinstance(k, int) or k < 0:
         raise DomainError("k must be a non-negative integer")
     y = complex(y)
-    if abs(y) > 10.0:
+    if not abs(y) <= 10.0:  # written so that nan fails too
         raise DomainError("|y| must not exceed 10")
     total = 0j
     for j in range(_CAUCHY_NODES):
@@ -469,14 +464,15 @@ def contour_cauchy_check(y: complex, k: int) -> complex:
 
 
 def _run_route(case: IdentityCase, evaluate: Callable[[IdentityCase], object],
-               region: Callable[[complex], str | None] = _everywhere) -> RouteResult:
-    """Run one route on the case and record the outcome: the region's reason
-    to skip it, the DomainError or ArithmeticError (ConvergenceError among
-    them) it raised, or what it returned.  A quadrature returns a QuadResult,
-    a closed form its bare value; a value or estimate that is not finite fails."""
-    reason = region(case.k)
-    if reason is not None:
-        return RouteResult(None, None, None, "skipped", reason)
+               skip: str | None = None) -> RouteResult:
+    """Run one route on the case and record the outcome: skipped for the
+    reason skip, if it is not None, without calling evaluate; the DomainError
+    or ArithmeticError (ConvergenceError among them) it raised; or what it
+    returned.  A quadrature returns a QuadResult, a closed form its bare
+    value; a value or estimate that is not finite fails.  Any other error,
+    CaseError among them, propagates."""
+    if skip is not None:
+        return RouteResult(None, None, None, "skipped", skip)
     try:
         result = evaluate(case)
     except (DomainError, ArithmeticError) as exc:
@@ -514,20 +510,19 @@ def _judge(case: IdentityCase, routes: dict[str, RouteResult]) -> VerificationRe
 
 
 def _verify_routes(case: IdentityCase) -> dict[str, RouteResult]:
-    # The route table is built per call, so that route functions replaced on
-    # the module (for instance by a tracer) are the ones that run.
-    return {name: _run_route(case, evaluate, region)
-            for name, evaluate, region in (("lhs", lhs_integral, _everywhere),
-                                           ("zeta", rhs_zeta, _everywhere),
-                                           ("series", rhs_series, _series_region),
-                                           ("contour", rhs_contour, _contour_region))}
+    # Each route is looked up on the module at call time, so that route
+    # functions replaced there (for instance by a tracer) are the ones that run.
+    k = case.k
+    return {"lhs": _run_route(case, lhs_integral),
+            "zeta": _run_route(case, rhs_zeta),
+            "series": _run_route(case, rhs_series, _series_region(k)),
+            "contour": _run_route(case, rhs_contour, _contour_region(k))}
 
 
 def verify(case: IdentityCase) -> VerificationReport:
-    """Run every applicable route for the case and compare them pairwise."""
-    msg = case_violation(case.k, case.a)
-    if msg is not None:
-        raise CaseError(msg)
+    """Run every applicable route for the case and compare them pairwise.
+    An invalid (k, a) pair raises CaseError from lhs_integral, the first
+    route, before any route does work."""
     return _judge(case, _verify_routes(case))
 
 

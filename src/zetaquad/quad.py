@@ -210,9 +210,9 @@ def integrate_finite(f: Callable[[float], complex], a: float, b: float,
     The ray's tail trim applies to the mapped integrand: nodes that round
     onto an endpoint add exact zeros, so such tails are skipped after level 0.
     """
-    if not a < b:
-        raise ValueError("requires a < b")
     width = b - a
+    if not 0.0 < width < math.inf:  # written so that nan fails too
+        raise ValueError("requires a < b and a finite width b - a")
 
     def mapped(x: float) -> complex:
         r = 1.0 / (1.0 + x)

@@ -258,6 +258,13 @@ class TestShiftBound:
             with pytest.raises(DomainError, match="below -200000"):
                 fn(2.0, -1e12 + 0.5)
 
+    def test_non_finite_q_refused(self):
+        # refused before math.floor(-Re q), which raises on nan and inf
+        for fn in (hurwitz_zeta, hurwitz_zeta_ds):
+            for q in (complex("nan"), math.inf, -math.inf, complex(0.5, math.inf)):
+                with pytest.raises(DomainError, match="q must be finite"):
+                    fn(2.0, q)
+
     def test_bound_edge_still_shifts(self):
         q = -float(_N_CAP) + 0.5
         assert _outcome(hurwitz_zeta, 2.0, q) == _outcome(_reference_zeta, 2.0, q)

@@ -18,6 +18,9 @@
   in an unbounded cache, so a lambda or closure would build a new table on
   every call and grow memory without bound;
 * the package re-exports every public name of its library modules;
+* every defaulted parameter of a public module-level function is passed
+  by some call in src/, tests/ or perfbench/: a parameter that only ever
+  takes its default is a constant, not a knob;
 * importing the CLI loads none of the standard-library modules that made
   start-up slow (dataclasses, which pulls in inspect, and fractions, which
   pulls in decimal).
@@ -34,7 +37,8 @@ import pytest
 
 import zetaquad
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "zetaquad"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zetaquad"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -188,6 +192,38 @@ def test_package_exports_every_public_name(module):
     names = importlib.import_module(f"zetaquad.{module}").__all__
     missing = [name for name in names if not hasattr(zetaquad, name)]
     assert missing == [], f"zetaquad does not re-export {module}.{missing}"
+
+
+def test_defaulted_parameters_are_passed():
+    params = {}  # module.function: its name, positional parameters and defaulted ones
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = set(positional[len(positional) - len(args.defaults):])
+                defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None}
+                params[f"{path.stem}.{node.name}"] = (node.name, positional, defaulted)
+    calls = {}  # called name: its calls' positional counts and keyword names
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Call):
+                    seen = calls.setdefault(_call_name(node), set())
+                    # a starred call counts as passing every parameter
+                    starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                               or any(kw.arg is None for kw in node.keywords))
+                    seen.add("*" if starred else len(node.args))
+                    seen.update(kw.arg for kw in node.keywords if kw.arg is not None)
+    unpassed = []
+    for qualname, (name, positional, defaulted) in params.items():
+        seen = calls.get(name, set())
+        if "*" not in seen:
+            most = max((n for n in seen if isinstance(n, int)), default=0)
+            left = defaulted - seen - set(positional[:most])
+            unpassed += [f"{qualname}:{p}" for p in sorted(left)]
+    assert unpassed == [], f"defaulted parameters no call passes: {unpassed}"
 
 
 def test_cli_import_leaves_slow_modules_out():

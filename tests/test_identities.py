@@ -264,6 +264,8 @@ class TestCauchyCheck:
             contour_cauchy_check(11.0, 2)
         with pytest.raises(DomainError):
             contour_cauchy_check(1.0, -1)
+        with pytest.raises(DomainError):
+            contour_cauchy_check(complex("nan"), 2)
 
 
 class TestSpecialCases:
@@ -294,14 +296,25 @@ class TestSpecialCases:
         assert rep.residuals["closed|fd"] <= 1e-5
 
 
+def _never_called(c):
+    pytest.fail("a route ran that verify must not call")
+
+
 class TestVerify:
-    def test_k_three_two_routes(self):
+    def test_k_three_two_routes(self, monkeypatch):
+        # a skipped route is recorded without being called
+        monkeypatch.setattr(identities, "rhs_series", _never_called)
+        monkeypatch.setattr(identities, "rhs_contour", _never_called)
         rep = verify(case(3.0))
         assert rep.verdict == "pass"
         assert rep.series_value is None and rep.contour_value.status == "skipped"
+        assert [rep.routes[name].reason for name in ("series", "contour")] == ["Re(k) >= 1"] * 2
         assert set(rep.residuals) == {"lhs|zeta"}
 
-    def test_invariant_enforced(self):
+    def test_invariant_enforced(self, monkeypatch):
+        # lhs_integral, the first route, refuses the pair before any other runs
+        for name in ("rhs_zeta", "rhs_series", "rhs_contour"):
+            monkeypatch.setattr(identities, name, _never_called)
         with pytest.raises(CaseError):
             verify(case(-1.0, BranchedConstant(0.5)))
 

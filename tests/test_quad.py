@@ -42,8 +42,11 @@ class TestFinite:
         check_reference(integrate_finite(lambda x: cmath.exp(1j * x), 0.0, 1.0), truth)
 
     def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate_finite(lambda x: 0j, 1.0, 0.0)
+        # reversed, unbounded, of overflowing width b - a, or nan
+        for a, b in [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308),
+                     (math.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                integrate_finite(lambda x: 0j, a, b)
 
     def test_endpoints_never_evaluated(self):
         seen = []
