@@ -30,7 +30,7 @@ import re
 import sys
 from typing import Any, Sequence
 
-from .complexfn import TWO_PI, BranchedConstant, gamma
+from .complexfn import BranchedConstant, DomainError, gamma
 from .hurwitz import hurwitz_zeta, zeta_neg_int_oracle
 from .identities import (
     DEFAULT_A_GRID,
@@ -95,31 +95,23 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_branched(text: str) -> BranchedConstant:
-    """Polar 'r@theta' (theta already in [0, 2*pi), not normalised) or a
-    rectangular literal converted to polar."""
+    """Polar 'r@theta', taken as written, or a rectangular literal, mapped by
+    BranchedConstant.from_complex.  The record checks r and theta; its
+    refusal comes back as a CliParseError that ends with the literal."""
     s = text.strip()
-    if "@" in s:
+    try:
+        if "@" not in s:
+            return BranchedConstant.from_complex(parse_complex(s))
         at = s.index("@")
         r, i = _scan_number(s, 0, "modulus")
-        if i != at or r <= 0 or s[0] in "+-":
+        if i != at or s[0] in "+-":
             raise CliParseError(f"modulus must be a positive decimal: {text!r}")
         th, j = _scan_number(s, at + 1, "argument")
         if j != len(s):
             raise CliParseError(f"trailing input in argument: {text!r}")
-        if not 0.0 <= th < TWO_PI:
-            raise CliParseError(f"argument must lie in [0, 2*pi): {text!r}")
         return BranchedConstant(r, th)
-    z = parse_complex(s)
-    if z == 0:
-        raise CliParseError(f"constant a must be nonzero: {text!r}")
-    try:
-        r = abs(z)
-    except OverflowError:
-        raise CliParseError(f"modulus out of range: {text!r}") from None
-    theta = math.atan2(z.imag, z.real)
-    if theta < 0.0:
-        theta += TWO_PI
-    return BranchedConstant(r, theta)
+    except DomainError as exc:
+        raise CliParseError(f"{exc}: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +211,7 @@ def _write(obj: Any, pad: str, out: list[str], keys: dict[str, str]) -> None:
 
 
 def _complex_dict(z: complex) -> dict[str, float]:
-    return {"re": float(z.real), "im": float(z.imag)}
+    return {"re": z.real, "im": z.imag}
 
 
 def _route_dict(r: RouteResult) -> dict[str, Any]:
@@ -239,7 +231,7 @@ def report_to_dict(rep: VerificationReport) -> dict[str, Any]:
             "a": {"r": rep.case.a.r, "theta": rep.case.a.theta},
         },
         "routes": {name: _route_dict(r) for name, r in rep.routes.items()},
-        "residuals": {k: float(v) for k, v in rep.residuals.items()},
+        "residuals": rep.residuals,
         "verdict": rep.verdict,
     }
 
@@ -318,6 +310,9 @@ def _quad_cfg(ns: argparse.Namespace) -> QuadConfig:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write text, ending in one newline, to the file at path or to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path:
         # only the file: a closed stdout (BrokenPipeError) is handled in entry()
         try:
@@ -326,9 +321,14 @@ def _emit(text: str, path: str | None) -> None:
         except OSError as exc:
             raise CliParseError(f"cannot write report: {exc}") from exc
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        # Unbuffered (python -u), stdout's text layer silently drops what a
+        # short write left, as when the reader leaves mid-write, so write the
+        # bytes below it until all are taken.  The write after a short one
+        # raises BrokenPipeError, which entry() handles.
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
 
 
 def _emit_reports(reps: list[VerificationReport], notes: list[str],
@@ -417,9 +417,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if cmd == "sweep":
             k_list = ([parse_complex(t) for t in ns.k_list.split(",")]
-                      if ns.k_list is not None else list(DEFAULT_K_GRID))
+                      if ns.k_list is not None else DEFAULT_K_GRID)
             a_list = ([parse_branched(t) for t in ns.a_list.split(",")]
-                      if ns.a_list is not None else list(DEFAULT_A_GRID))
+                      if ns.a_list is not None else DEFAULT_A_GRID)
             res = sweep(k_list, a_list, quad_cfg=_quad_cfg(ns),
                         verdict_atol=ns.verdict_atol,
                         verdict_rtol=ns.verdict_rtol)

@@ -68,6 +68,26 @@ class BranchedConstant(_BranchedConstant):
     # _replace builds through _make; route it through the checks above
     _make = classmethod(lambda cls, fields: cls(*fields))
 
+    @classmethod
+    def from_complex(cls, z: complex) -> BranchedConstant:
+        """z on the sheet: r = |z| and theta its principal argument, plus
+        2*pi when that is negative.  A sum that rounds up to 2*pi (a negative
+        argument no further from 0 than half an ulp of 2*pi, about 4.4e-16)
+        is stored as the double just below 2*pi."""
+        z = complex(z)
+        if z == 0:
+            raise DomainError("constant a must be nonzero")
+        try:
+            r = abs(z)
+        except OverflowError:
+            raise DomainError("modulus out of range") from None
+        theta = math.atan2(z.imag, z.real)
+        if theta < 0.0:
+            theta += TWO_PI
+            if theta == TWO_PI:
+                theta = math.nextafter(TWO_PI, 0.0)
+        return cls(r, theta)
+
     @property
     def log_value(self) -> complex:
         return complex(math.log(self.r), self.theta)
@@ -123,6 +143,8 @@ def gamma(z: complex) -> complex:
 def log_gamma(z: complex) -> complex:
     """A branch of log Gamma continuous on the cut plane, real for z > 0."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"log_gamma: z must be finite, got {z}")
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z = {z}")
     if z.real < -_SHIFT_CAP:

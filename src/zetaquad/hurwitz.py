@@ -17,10 +17,11 @@ being computed once that exceeds 1; each doubling adds only the new direct
 terms to the sum kept from the previous one.  N - m reaching _N_CAP
 unconverged, or a nan tail term, raises ConvergenceError.  A call
 sums only the quantity it returns: hurwitz_zeta the expansion above,
-hurwitz_zeta_ds its term-by-term s-derivative.  A non-positive integer q,
-where a direct term has no value, and Re(q) < -_N_CAP, which would take
-more direct terms than the cap on summed terms, raise DomainError.  All
-powers are Python's principal ``**``, the branch fixed in complexfn.
+hurwitz_zeta_ds its term-by-term s-derivative.  A non-finite s or q, a
+non-positive integer q, where a direct term has no value, and
+Re(q) < -_N_CAP, which would take more direct terms than the cap on summed
+terms, raise DomainError.  All powers are Python's principal ``**``, the
+branch fixed in complexfn.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     q = complex(q)
     if s == 1:
         raise PoleError("hurwitz zeta pole at s = 1")
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     if not cmath.isfinite(q):
         raise DomainError(f"q must be finite, got {q}")
     if -q.real > _N_CAP:
@@ -143,7 +146,7 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
 
 
 def hurwitz_zeta(s: complex, q: complex) -> complex:
-    """zeta(s, q) for complex s != 1 and finite complex q not a non-positive integer.
+    """zeta(s, q) for finite complex s != 1 and q, q not a non-positive integer.
 
     Below about Re(s) = -8.8 the result can be wrong without an error
     (ROADMAP item 3; the strict xfail stratum below_re_s_minus_9 of

@@ -150,7 +150,8 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     n_evals * thr = n EPS sum|term| bounds the rounding of the n-term sum
     (Higham), and the cap d keeps it from ever exceeding the plain
     difference, so no call refines deeper than it would on d alone.
-    8 EPS |value| and the trim and below-node terms are added on top.
+    The error estimate is that estimate raised to at least 8 EPS |value|,
+    a floor, not an added term, plus the trim and below-node terms.
     """
     xs, ws = _nodes(0, weight)
     terms = [f(x) * w for x, w in zip(xs, ws)]

@@ -45,6 +45,9 @@ class TestLiteralGrammar:
         # a polar literal's argument is taken as written
         (parse_branched, "2@2.35619449019234", (2.0, 2.35619449019234)),
         (parse_branched, "-1+0i", (1.0, math.pi)),
+        # an argument that rounds onto 2*pi is stored just below it
+        (parse_branched, "1-1e-17i", (1.0, math.nextafter(2 * math.pi, 0.0))),
+        (parse_branched, "1-1e-300i", (1.0, math.nextafter(2 * math.pi, 0.0))),
     ])
     def test_accepted(self, parse, text, value):
         got = parse(text)
@@ -60,7 +63,7 @@ class TestLiteralGrammar:
         (parse_complex, "1.5+2x", "expected trailing 'i' at position 5: '1.5+2x'"),
         # a superscript digit is not a decimal digit
         (parse_complex, "2\u00b2", "unexpected character at position 1: '2\u00b2'"),
-        (parse_branched, "2@-0.1", "argument must lie in [0, 2*pi): '2@-0.1'"),
+        (parse_branched, "2@-0.1", "argument must lie in [0, 2*pi), got -0.1: '2@-0.1'"),
         (parse_branched, "+2@1", "modulus must be a positive decimal: '+2@1'"),
         (parse_branched, "2@1x", "trailing input in argument: '2@1x'"),
         # finite literals only: float() would turn these into inf
@@ -79,9 +82,11 @@ class TestLiteralGrammar:
         (parse_complex, "1+2i3", "trailing input at position 4: '1+2i3'"),
         (parse_complex, "++1", "expected real part at position 0: '++1'"),
         (parse_complex, "1 + 2i", "unexpected character at position 1: '1 + 2i'"),
-        # the argument is not normalised into [0, 2*pi)
-        (parse_branched, "1@6.30", "argument must lie in [0, 2*pi): '1@6.30'"),
-        (parse_branched, "1@-0.1", "argument must lie in [0, 2*pi): '1@-0.1'"),
+        # the argument is not normalised into [0, 2*pi); the record's own
+        # refusal is followed by the literal
+        (parse_branched, "1@6.30", "argument must lie in [0, 2*pi), got 6.3: '1@6.30'"),
+        (parse_branched, "1@-0.1", "argument must lie in [0, 2*pi), got -0.1: '1@-0.1'"),
+        (parse_branched, "0@1", "modulus must be positive, got 0.0: '0@1'"),
         (parse_branched, "0", "constant a must be nonzero: '0'"),
         (parse_branched, "-2@1.0", "modulus must be a positive decimal: '-2@1.0'"),
     ])
@@ -197,6 +202,13 @@ class TestCommands:
         assert out == ref
         assert '"theta": 0\n' in out
 
+    def test_argument_rounding_onto_two_pi_is_accepted(self, capsys):
+        # 2*pi - 1e-17 rounds to 2*pi; the constant is stored just below it
+        assert main(["verify", "--k", "0.5", "--a=1-1e-17i"]) == 0
+        routes = json.loads(capsys.readouterr().out)["reports"][0]["routes"]
+        assert [(name, r["status"]) for name, r in routes.items()] == [
+            ("lhs", "ok"), ("zeta", "ok"), ("series", "ok"), ("contour", "ok")]
+
     def test_verify_forced_fail(self, capsys):
         code = main(["verify", "--k", "0.5", "--a", "1",
                      "--verdict-atol", "1e-18", "--verdict-rtol", "1e-18"])
@@ -253,6 +265,16 @@ class TestCommands:
         doc = json.loads(path.read_text())
         assert doc["reports"][0]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsys, fmt):
+        argv = ["verify", "--k", "0.5+0.3i", "--a", "2@1", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / f"report.{fmt}"
+        assert main([*argv, "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode("utf-8")
+
     def test_constants(self, capsys):
         code = main(["constants"])
         out = capsys.readouterr().out
@@ -282,24 +304,42 @@ class TestCommands:
         assert contour["status"] == "failed"
         assert "too many shifts" in contour["reason"]
 
-    def test_closed_pipe_exits_quietly(self):
-        # `zetaquad sweep | head -1`: the reader closes the pipe early.  The
-        # report (~240 kB) is larger than the pipe buffer, so the write fails.
+    @staticmethod
+    def _read_first_line_and_close(*flags, **env):
+        """Run a sweep whose report (~240 kB) is larger than the pipe buffer,
+        close the pipe after its first line, and return that line, the exit
+        code and stderr."""
         k_list = ",".join(f"0.{i}+0.{j}i" for i in range(1, 5) for j in range(1, 10))
         a_list = "1@1,2@2,0.5@3,3@4,1.5@5"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "zetaquad", "sweep", "--k-list", k_list, "--a-list", a_list],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+            [sys.executable, "-m", "zetaquad", "sweep", "--k-list", k_list, "--a-list", a_list,
+             *flags], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**_child_env(), **env})
         try:
             first = proc.stdout.readline()
             proc.stdout.close()
             err = proc.stderr.read()
-            assert proc.wait(timeout=60) == 1
+            code = proc.wait(timeout=60)
         finally:
             proc.kill()
             proc.wait()
             proc.stderr.close()
-        assert first == b"{\n"
+        return first, code, err
+
+    def test_closed_pipe_exits_quietly(self):
+        # `zetaquad sweep | head -1`: the reader closes the pipe early, so the
+        # write fails
+        first, code, err = self._read_first_line_and_close()
+        assert (first, code) == (b"{\n", 1)
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+
+    @pytest.mark.parametrize("fmt,header", [("json", b"{\n"), ("csv", b"k_re,")])
+    def test_closed_pipe_exits_one_unbuffered(self, fmt, header):
+        # unbuffered, stdout's text layer does not retry a short write; the
+        # report, written in one call, must still end in a broken pipe
+        first, code, err = self._read_first_line_and_close("--format", fmt,
+                                                           PYTHONUNBUFFERED="1")
+        assert first.startswith(header) and code == 1
         assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
 
     @pytest.mark.parametrize("k,a,route", [("-1.99", "1", "lhs"), ("0.999", "2@1", "contour")])

@@ -169,6 +169,15 @@ class TestLogGamma:
         with pytest.raises(PoleError):
             log_gamma(-2.0)
 
+    @pytest.mark.parametrize("fn", [log_gamma, gamma])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.5, math.inf),
+                                   complex(math.nan, 0.0)])
+    def test_non_finite_refused(self, fn, z):
+        # refused before the pole test, whose math.floor raises on an
+        # infinite real part; past it a nan would give gamma nan+nanj
+        with pytest.raises(DomainError, match="z must be finite"):
+            fn(z)
+
     def test_shift_cap(self):
         # the recurrence would shift |Re z| times; beyond the cap it refuses
         mpmath = pytest.importorskip("mpmath")

@@ -265,6 +265,14 @@ class TestShiftBound:
                 with pytest.raises(DomainError, match="q must be finite"):
                     fn(2.0, q)
 
+    def test_non_finite_s_refused(self):
+        # refused before the tail, where a nan s gives a nan term, an
+        # infinite one a ZeroDivisionError, and 1/(s - 1)^2 a false overflow
+        for fn in (hurwitz_zeta, hurwitz_zeta_ds):
+            for s in (complex("nan"), math.inf, -math.inf, complex(0.5, math.inf)):
+                with pytest.raises(DomainError, match="s must be finite"):
+                    fn(s, 0.5)
+
     def test_bound_edge_still_shifts(self):
         q = -float(_N_CAP) + 0.5
         assert _outcome(hurwitz_zeta, 2.0, q) == _outcome(_reference_zeta, 2.0, q)

@@ -3,10 +3,11 @@ the repr, equality and hash by field, immutability, and the checks that the
 validated records run however they are built."""
 
 import math
+import random
 
 import pytest
 
-from zetaquad.cli import build_parser
+from zetaquad.cli import build_parser, parse_branched, parse_complex
 from zetaquad.complexfn import BranchedConstant, DomainError
 from zetaquad.identities import (
     DEFAULT_VERDICT_TOL,
@@ -146,3 +147,78 @@ def test_cli_defaults_match_the_records(argv):
 def test_sweep_default_verdict_tolerances():
     (rep,) = sweep([2.0], [BranchedConstant(1.0)]).reports
     assert (rep.case.verdict_atol, rep.case.verdict_rtol) == (1e-6, 1e-6)
+
+
+def _parent_from_complex(z):
+    """The reference: the rectangular mapping as the CLI ran it before the
+    record owned it.  An argument that rounds up to 2*pi is refused."""
+    theta = math.atan2(z.imag, z.real)
+    if theta < 0.0:
+        theta += 2 * math.pi
+    return BranchedConstant(abs(z), theta)
+
+
+def _bits(a):
+    return a.r.hex(), a.theta.hex()
+
+
+JUST_BELOW_TWO_PI = math.nextafter(2 * math.pi, 0.0)
+SHEET_EDGE = [complex(x, y) for y in (-1e-300, -1e-17, -4.4e-16, -5e-16, -0.0, 0.0)
+              for x in (1.0, 1e-300, 1e300)] + [complex(-1.0, 0.0), complex(-1.0, -0.0)]
+
+
+@pytest.mark.parametrize("z", SHEET_EDGE, ids=repr)
+def test_from_complex_at_the_sheet_edge(z):
+    a = BranchedConstant.from_complex(z)
+    assert 0.0 <= a.theta < 2 * math.pi and math.copysign(1.0, a.theta) == 1.0
+    assert a.r == abs(z)
+    try:
+        parent = _parent_from_complex(z)
+    except DomainError:  # the argument rounded onto 2*pi
+        assert a.theta == JUST_BELOW_TWO_PI
+    else:
+        assert _bits(a) == _bits(parent)
+
+
+@pytest.mark.parametrize("z,message", [(0j, "constant a must be nonzero"),
+                                       (complex(1e308, 1.5e308), "modulus out of range")])
+def test_from_complex_refusals(z, message):
+    with pytest.raises(DomainError) as exc:
+        BranchedConstant.from_complex(z)
+    assert str(exc.value) == message
+
+
+def _literal(rng):
+    """A rectangular literal: ordinary parts, parts of any exponent, or a
+    real part with an imaginary part just below the positive real axis."""
+    kind = rng.random()
+    if kind < 0.5:
+        x, y = rng.uniform(-10, 10), rng.uniform(-10, 10)
+    elif kind < 0.75:
+        x, y = (rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.randint(-320, 307)
+                for _ in range(2))
+    else:
+        x = rng.random() * 10.0 ** rng.randint(-300, 300)
+        y = -rng.random() * 10.0 ** rng.randint(-330, -14)
+    if rng.random() < 0.1:
+        return repr(x)
+    return f"{x!r}{'-' if math.copysign(1.0, y) < 0 else '+'}{abs(y)!r}i"
+
+
+def test_rectangular_literals_map_as_before():
+    # bit for bit as the CLI mapped them, save an argument that rounded onto
+    # 2*pi: it was refused, and is now stored just below 2*pi
+    rng = random.Random(20190501)
+    rounded = 0
+    for _ in range(2000):
+        text = _literal(rng)
+        try:
+            parent = _parent_from_complex(parse_complex(text))
+        except DomainError as exc:
+            assert "got 6.283185307179586" in str(exc), text
+            rounded += 1
+            a = parse_branched(text)
+            assert a.theta == JUST_BELOW_TWO_PI and a.r == abs(parse_complex(text)), text
+        else:
+            assert _bits(parse_branched(text)) == _bits(parent), text
+    assert 50 <= rounded <= 1000
