@@ -162,7 +162,9 @@ def _write(obj: Any, pad: str, out: list[str], keys: dict[str, str]) -> None:
     what the single buffer saves.  Other keys are not kept, since 1 and True
     are one dict key but print differently.  Each list element is joined on
     its own, so a long list holds its elements' text, not every piece of it.
-    bool is tested before int, its base class."""
+    A dict value that is exactly a float, a str or None, as most of a
+    report's leaves are, is written in place, without a recursive call; a
+    subclass takes the full path.  bool is tested before int, its base class."""
     if isinstance(obj, float):
         out.append(_fmt(obj))
     elif isinstance(obj, str):
@@ -190,7 +192,15 @@ def _write(obj: Any, pad: str, out: list[str], keys: dict[str, str]) -> None:
                     keys[k] = key
             out.append(sep)
             out.append(key)
-            _write(v, inner, out, keys)
+            kind = type(v)
+            if kind is float:
+                out.append(_fmt(v))
+            elif kind is str:
+                out.append(_quote(v))
+            elif v is None:
+                out.append("null")
+            else:
+                _write(v, inner, out, keys)
             sep = comma
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):

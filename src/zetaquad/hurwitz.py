@@ -22,12 +22,20 @@ non-positive integer q, where a direct term has no value, and
 Re(q) < -_N_CAP, which would take more direct terms than the cap on summed
 terms, raise DomainError.  All powers are Python's principal ``**``, the
 branch fixed in complexfn.
+
+The tail's factors that depend on s alone, B_{2j}/(2j)! P_j(s) with
+P_j(s) = s(s+1)...(s+2j-2), or for the derivative B_{2j}/(2j)!, P_j(s) and
+dP_j/ds, are built once per s, by P_{j+1} = P_j (s+2j-1)(s+2j) and its
+product rule, and kept until a call of the same quantity brings another s.  They are keyed
+on the bits of s, so that 2+0j and 2-0j, which compare equal, never share
+them.  rhs_zeta's two calls share s, as does every a of one k in a sweep.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import struct
 from functools import lru_cache
 
 from .complexfn import DomainError, PoleError, _is_nonpositive_integer, bernoulli_numbers
@@ -57,6 +65,51 @@ def _tail_coefficients() -> tuple[float, ...]:
     return tuple(bern[2 * j] / math.factorial(2 * j) for j in range(1, _TAIL_TERMS + 2))
 
 
+# s's bits key its tail weights, since 2+0j and 2-0j are equal, and so one
+# key, as complex numbers
+_bits = struct.Struct("dd").pack
+
+
+@lru_cache(maxsize=None)
+def _tail_steps() -> tuple[tuple[float, float, float], ...]:
+    """(B_{2j}/(2j)!, 2j - 1, 2j) for j = 1 .. _TAIL_TERMS + 1: the
+    coefficient of term j and the offsets of s in P_{j+1}(s) / P_j(s)."""
+    return tuple((c, 2.0 * j - 1.0, 2.0 * j) for j, c in enumerate(_tail_coefficients(), 1))
+
+
+@lru_cache(maxsize=1)
+def _value_weights(bits: bytes, s: complex) -> tuple[complex, ...]:
+    """B_{2j}/(2j)! P_j(s), P_j(s) = s(s+1)...(s+2j-2), for
+    j = 1 .. _TAIL_TERMS + 1 at index j - 1; bits are _bits of s."""
+    prod = s
+    weights = []
+    append = weights.append
+    for c, odd, even in _tail_steps():
+        append(c * prod)
+        prod = prod * (s + odd) * (s + even)
+    return tuple(weights)
+
+
+@lru_cache(maxsize=1)
+def _derivative_weights(bits: bytes, s: complex
+                        ) -> tuple[tuple[float, complex, complex], ...]:
+    """(B_{2j}/(2j)!, P_j(s), dP_j/ds) for _value_weights' j, dP_j/ds by the
+    product rule; bits are _bits of s."""
+    prod = s
+    dprod = 1.0 + 0j
+    weights = []
+    append = weights.append
+    for c, odd, even in _tail_steps():
+        append((c, prod, dprod))
+        a = s + odd
+        b = s + even
+        dprod = dprod * a + prod
+        prod = prod * a
+        dprod = dprod * b + prod
+        prod = prod * b
+    return tuple(weights)
+
+
 def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     """zeta(s, q), or d/ds zeta(s, q) if derivative; see the module docstring."""
     s = complex(s)
@@ -73,13 +126,17 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     if _is_nonpositive_integer(q):
         raise DomainError(
             f"hurwitz zeta undefined at non-positive integer q = {int(q.real)}")
-    coefs = _tail_coefficients()
     sm1 = s - 1.0
+    neg_s = -s
+    isnan = math.isnan
     if derivative:
         sq = sm1 * sm1
         inv_sq = 1.0 / sq if sq else complex(math.inf)
         if not cmath.isfinite(inv_sq):
             raise OverflowError(f"1/(s - 1)^2 overflows at |s - 1| = {abs(sm1):.3g}")
+        weights = _derivative_weights(_bits(s.real, s.imag), s)
+    else:
+        weights = _value_weights(_bits(s.real, s.imag), s)
     direct = 0j  # sum of the summands n < done, extended as N doubles
     done = 0
     m = max(0, math.floor(-q.real) + 1)  # how many direct terms have Re(n + q) <= 0
@@ -96,48 +153,49 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     while n - m < _N_CAP and 2.0 * math.pi * abs(n + q) < reach:
         n = 2 * n - m
     while True:
-        for i in range(done, n):
-            w = i + q
-            p = w ** -s
-            direct += -(cmath.log(w) * p) if derivative else p
+        if derivative:
+            for i in range(done, n):
+                w = i + q
+                direct += -(cmath.log(w) * w ** neg_s)
+        else:
+            for i in range(done, n):
+                direct += (i + q) ** neg_s
         x = n + q
-        xs = x ** -s
+        xs = x ** neg_s
+        # Bernoulli tail: term_j = B_{2j}/(2j)! * P_j(s) * x^{-(s+2j-1)} with
+        # P_j(s) = s(s+1)...(s+2j-2), whose s-only factors are the weights.
+        # mag ends at the first neglected term, or at a nan term.
+        pw = x ** -(s + 1.0)
+        step = 1.0 / (x * x)
+        prev_mag = math.inf
         if derivative:
             lx = cmath.log(x)
             total = direct + x * xs * (-lx / sm1 - inv_sq)
             total -= 0.5 * lx * xs
+            for j, (c, prod, dprod) in enumerate(weights, 1):
+                term = c * (dprod - prod * lx) * pw
+                mag = abs(term)
+                if j > _TAIL_TERMS or (j >= 3 and mag > prev_mag) or isnan(mag):
+                    break  # a turned tail stops here
+                total += term
+                prev_mag = mag
+                pw *= step
         else:
             total = direct + x * xs / sm1
             total += 0.5 * xs
-        # Bernoulli tail: term_j = B_{2j}/(2j)! * P_j(s) * x^{-(s+2j-1)} with
-        # P_j(s) = s(s+1)...(s+2j-2); dP_j/ds is advanced by the product rule.
-        prod = s
-        dprod = 1.0 + 0j
-        pw = x ** -(s + 1.0)
-        step = 1.0 / (x * x)
-        prev_mag = math.inf
-        for j, c in enumerate(coefs, 1):
-            term = c * (dprod - prod * lx) * pw if derivative else c * prod * pw
-            mag = abs(term)
-            if math.isnan(mag):
-                # an overflowed x^{-s} or x^{-(s+1)}, or an overflowed P_j(s)
-                # times an underflowed power: a larger N only makes the
-                # power worse and leaves P_j(s) as it is, so do not double
-                raise ConvergenceError(f"tail term nan above tolerance at N = {n}")
-            if j > _TAIL_TERMS or (j >= 3 and mag > prev_mag):
-                break  # mag is the first neglected term; a turned tail stops here
-            total += term
-            prev_mag = mag
-            a = s + (2 * j - 1)
-            b = s + 2 * j
-            if derivative:
-                dprod = dprod * a + prod
-                prod = prod * a
-                dprod = dprod * b + prod
-                prod = prod * b
-            else:
-                prod = prod * a * b
-            pw *= step
+            for j, cw in enumerate(weights, 1):
+                term = cw * pw
+                mag = abs(term)
+                if j > _TAIL_TERMS or (j >= 3 and mag > prev_mag) or isnan(mag):
+                    break  # a turned tail stops here
+                total += term
+                prev_mag = mag
+                pw *= step
+        if isnan(mag):
+            # an overflowed x^{-s} or x^{-(s+1)}, or an overflowed P_j(s)
+            # times an underflowed power: a larger N only makes the power
+            # worse and leaves P_j(s) as it is, so do not double
+            raise ConvergenceError(f"tail term nan above tolerance at N = {n}")
         if mag <= _TOLERANCE * max(1.0, abs(total)):
             return total
         if n - m >= _N_CAP:

@@ -257,11 +257,18 @@ def _lhs_ray(k: complex, split: float, sign: float) -> Callable[[float], complex
     float sign t is promoted to complex(sign t, 0.0), so -t has argument pi,
     as log a + u does.  The weight depends on the split, so the ray
     multiplies by g(u) itself, and is 0 where g is: at u = 0, and far out,
-    where sech underflows and the power may overflow.  The power is Python's
-    z ** k, not a complex_pow call: this is the hot loop of the lhs route.
+    where sech underflows and the power may overflow.  g is written out as
+    in _lhs_weight, so that a node costs one Python frame.
     """
+    exp, tanh = math.exp, math.tanh
+
     def h(t: float) -> complex:
-        w = _lhs_weight(split + sign * t)
+        u = split + sign * t
+        au = abs(u)
+        if au > 700.0:
+            return 0j
+        e = exp(-au)
+        w = -tanh(u) * (e / (1.0 + e * e))
         return (sign * t) ** k * w if w else 0j
 
     return h
@@ -363,9 +370,12 @@ def rhs_series(case: IdentityCase) -> complex:
     if k == 0:
         return 0j
     log_a = case.a.log_value
+    half_pi_i = 0.5j * math.pi
+    km1 = k - 1.0
 
+    # the base has imaginary part pi (n + 1/2) + theta > 0, so it is never 0
     def term(n: int) -> complex:
-        return complex_pow(0.5j * math.pi * (2 * n + 1) + log_a, k - 1.0)
+        return (half_pi_i * (2 * n + 1) + log_a) ** km1
 
     return -math.pi * k * alternating_sum(term)
 
@@ -426,12 +436,17 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     exp, cexp = math.exp, cmath.exp
     subtract = k.real > 0.5
 
-    def f(t: float) -> complex:
-        if t > 450.0:  # the weight is 0; t^{-k} may overflow
-            return 0j
-        if subtract:
+    # past t = 450 the weight is 0 and t^{-k} may overflow
+    if subtract:
+        def f(t: float) -> complex:
+            if t > 450.0:
+                return 0j
             return t ** neg_k * (cexp(t * i_log_a) - 0.5 * (1.0 + exp(neg_pi * t)))
-        return cexp(t * i_log_a) * t ** neg_k
+    else:
+        def f(t: float) -> complex:
+            if t > 450.0:
+                return 0j
+            return cexp(t * i_log_a) * t ** neg_k
 
     res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight)
     value, err = res.value, res.err_estimate

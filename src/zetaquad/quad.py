@@ -19,9 +19,12 @@ integrate_semi_infinite), and the error estimate pays for every interval
 skipped.  n_evals counts only the nodes evaluated.
 
 The nodes and weights do not depend on the integrand, so the rule keeps one
-table per level, built on first use and shared by every later call.  A
-caller whose integrand is f(x) g(x) with a fixed real weight g, the same in
-every call (the lhs's -tanh(u) / (2 cosh u), the contour's sech(pi t / 2)),
+table per level, built on first use and shared by every later call.  Its
+columns are tuples of floats, which a level's loop walks without boxing a
+float per node, and the loop calls the integrand itself: on CPython 3.11 a
+call through map, from C into a Python function, costs more.  A caller
+whose integrand is f(x) g(x) with a fixed real weight g, the same in every
+call (the lhs's -tanh(u) / (2 cosh u), the contour's sech(pi t / 2)),
 passes g separately: the rule keeps a second table per level with the
 weights w g(x) folded in, so each node then costs one evaluation of f alone.
 """
@@ -29,7 +32,6 @@ weights w g(x) folded in, so each node then costs one evaluation of f alone.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -84,7 +86,8 @@ _DEFAULT_CFG = QuadConfig()
 
 
 @lru_cache(maxsize=None)
-def _nodes(level: int, weight: Callable[[float], float] | None) -> tuple[array, array]:
+def _nodes(level: int, weight: Callable[[float], float] | None
+           ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Columns x = exp(pi/2 sinh t) and weight w = x (pi/2) cosh t = dx/dt for
     the t = j*h, h = 2^-level, that a level adds over [-6, 6], ascending:
     every j at level 0, odd j after.  Given a weight g, the second column is
@@ -93,17 +96,17 @@ def _nodes(level: int, weight: Callable[[float], float] | None) -> tuple[array, 
     has no default: the cache keys _nodes(0) and _nodes(0, None) apart."""
     if weight is not None:
         xs, ws = _nodes(level, None)
-        return xs, array("d", [w * weight(x) for x, w in zip(xs, ws)])
+        return xs, tuple([w * weight(x) for x, w in zip(xs, ws)])
     h = math.ldexp(1.0, -level)
     n = int(6.0 / h)
-    xs = array("d")
-    ws = array("d")
+    xs = []
+    ws = []
     for j in range(-n, n + 1) if level == 0 else range(-n | 1, n + 1, 2):
         t = j * h
         x = math.exp(_HALF_PI * math.sinh(t))
         xs.append(x)
         ws.append(x * _HALF_PI * math.cosh(t))
-    return xs, ws
+    return tuple(xs), tuple(ws)
 
 
 def integrate_semi_infinite(f: Callable[[float], complex],

@@ -295,6 +295,16 @@ class TestCommands:
         assert proc.returncode == main(argv) == 0
         assert proc.stdout == capsys.readouterr().out.encode()
 
+    def test_repeated_sweep_prints_a_fresh_process_bytes(self, capsys):
+        # the second sweep reads the tail weights and node tables that the
+        # first left in the process, and must print what a fresh one does
+        proc = subprocess.run([sys.executable, "-m", "zetaquad", "sweep"],
+                              capture_output=True, timeout=60, env=_child_env())
+        for _ in range(2):
+            assert main(["sweep"]) == proc.returncode
+            out, err = capsys.readouterr()
+            assert (out.encode(), err.encode()) == (proc.stdout, proc.stderr)
+
     def test_far_negative_k_fails_contour_promptly(self):
         # Gamma(k + 1) in the contour prefactor would shift 1e15 times
         argv = ["verify", "--k=-1e15+0.5i", "--a", "2@1"]

@@ -250,6 +250,29 @@ class TestReferenceEngine:
         # the pole and the non-positive integer q are compared, not only values
         assert {"PoleError", "DomainError"} <= outcomes
 
+    def test_repeated_s_matches_reference(self):
+        # Calls in sweep order, where the tail weights of s are reused: q,
+        # then q + 1/2, as rhs_zeta calls, with the value and derivative
+        # calls interleaved; each pair twice, so every call after the first
+        # of an s reads the weights the first one built.
+        for s, q in _reference_points():
+            for _ in range(2):
+                for q_call in (q, q + 0.5):
+                    assert (_outcome(hurwitz_zeta, s, q_call)
+                            == _outcome(_reference_zeta, s, q_call)), (s, q_call)
+                    assert (_outcome(hurwitz_zeta_ds, s, q_call)
+                            == _outcome(_reference_zeta_ds, s, q_call)), (s, q_call)
+
+    @pytest.mark.parametrize("x", [2.0, -3.0, 0.5, -2.5])
+    def test_signed_zero_imaginary_part_of_s(self, x):
+        # s = x + 0j and x - 0j are equal but not the same bits; the weights
+        # are keyed on the bits, so the second call builds its own
+        for q in (0.25, 0.75, 0.25 + 0.1j):
+            for imag in (0.0, -0.0):
+                s = complex(x, imag)
+                assert _outcome(hurwitz_zeta, s, q) == _outcome(_reference_zeta, s, q)
+                assert _outcome(hurwitz_zeta_ds, s, q) == _outcome(_reference_zeta_ds, s, q)
+
 
 class TestShiftBound:
     def test_far_negative_q_refused(self):

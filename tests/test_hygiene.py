@@ -11,8 +11,10 @@
 * no power is written as exp(k * log(z)): Python's principal ``z ** k`` is
   the one way the package raises a number to a complex power;
 * no function nested in a function of identities.py or quad.py (the
-  integrands, called once per quadrature node) calls the complex(...)
-  constructor, which costs about as much as the power it would feed;
+  integrands and series terms, called once per quadrature node or term)
+  calls the complex(...) constructor, which costs about as much as the
+  power it would feed, or a function or class of the package, which costs
+  a second Python frame per node;
 * every weight= argument in identities.py names a module-level function,
   or picks between such names: quad keeps one node table per weight object
   in an unbounded cache, so a lambda or closure would build a new table on
@@ -150,21 +152,43 @@ def test_powers_are_not_written_as_exp_of_log():
     assert found == [], f"powers written as exp(k * log z), use z ** k: {found}"
 
 
-@pytest.mark.parametrize("name", ["identities.py", "quad.py"])
-def test_integrands_do_not_build_complex_numbers(name):
-    # (log_a + u) ** k gives the bits of complex(re + u, im) ** k without
-    # the constructor; build a constant outside the integrand, once per call
-    found = []
-    for outer in ast.walk(_tree(SRC / name)):
+def _integrand_calls(tree):
+    """("function:line", called name) for each call of a bare name inside a
+    function nested in a function of the tree: the integrands and terms."""
+    for outer in ast.walk(tree):
         if not isinstance(outer, ast.FunctionDef):
             continue
         for inner in ast.walk(outer):
             if inner is outer or not isinstance(inner, ast.FunctionDef):
                 continue
-            found += [f"{name}:{inner.name}:{node.lineno}" for node in ast.walk(inner)
-                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                      and node.func.id == "complex"]
+            for node in ast.walk(inner):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    yield f"{inner.name}:{node.lineno}", node.func.id
+
+
+@pytest.mark.parametrize("name", ["identities.py", "quad.py"])
+def test_integrands_do_not_build_complex_numbers(name):
+    # (log_a + u) ** k gives the bits of complex(re + u, im) ** k without
+    # the constructor; build a constant outside the integrand, once per call
+    found = [f"{name}:{where}" for where, called in _integrand_calls(_tree(SRC / name))
+             if called == "complex"]
     assert found == [], f"complex(...) built inside an integrand: {found}"
+
+
+@pytest.mark.parametrize("name", ["identities.py", "quad.py"])
+def test_integrands_call_no_package_function(name):
+    # A call into a function or class of the package costs each node or term
+    # a second Python frame, as the theta = 0 ray's call of _lhs_weight once
+    # did; write the few lines out.  The caller's parameters may be called,
+    # as integrate_finite's mapped calls f.
+    tree = _tree(SRC / name)
+    package = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    package |= {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    found = [f"{name}:{where}:{called}" for where, called in _integrand_calls(tree)
+             if called in package]
+    assert found == [], f"package functions called inside an integrand: {found}"
 
 
 def _module_level_names(node, functions):

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+from array import array
 from typing import NamedTuple
 
 import pytest
@@ -607,6 +608,36 @@ def test_real_base_power_matches_complex_base(k):
                 continue
             got = t ** k
             assert repr(got) == repr(ref), (t, k)
+
+
+def _bits(values):
+    """The bytes of a list of complex numbers, so that -0.0 and 0.0 differ."""
+    return array("d", [p for z in values for p in (z.real, z.imag)]).tobytes()
+
+
+# x = 1 is the level-0 node at t = 0, so at split 1 one node of the ray
+# with sign -1 lands on u = 0 exactly
+@pytest.mark.parametrize("split", [s * m for s in (0.0, 1e-3, 0.7, 30.0, 699.5, 700.5)
+                                   for m in (1.0, -1.0)] + [1.0])
+def test_ray_integrand_inlines_lhs_weight(split):
+    # the theta = 0 ray writes _lhs_weight out, so that a node costs one
+    # Python frame; every node of every level must still give the bits of
+    # (sign t)^k _lhs_weight(split + sign t), or 0j where that weight is 0
+    k = -1.5 + 0.3j
+    nodes = _node_columns(range(11))
+    on_split = 0
+    for sign in (1.0, -1.0):
+        h = identities._lhs_ray(k, split, sign)
+        got = [h(t) for t in nodes]
+        ref = []
+        for t in nodes:
+            w = identities._lhs_weight(split + sign * t)
+            ref.append((sign * t) ** k * w if w else 0j)
+            on_split += split + sign * t == 0.0
+        assert _bits(got) == _bits(ref), next(
+            (sign, t, g, r) for t, g, r in zip(nodes, got, ref) if repr(g) != repr(r))
+    if split == 1.0:
+        assert on_split == 1
 
 
 def _zeta_oracle(mpmath, k, a):
