@@ -15,7 +15,8 @@ seldom converges below it.  N - m then doubles until the first neglected
 tail term drops below the fixed tolerance 1e-13, relative to the quantity
 being computed once that exceeds 1; each doubling adds only the new direct
 terms to the sum kept from the previous one.  N - m reaching _N_CAP
-unconverged, or a nan tail term, raises ConvergenceError.  A call
+unconverged, or a nan tail term, raises ConvergenceError, and a sum that is
+not finite, as where (N+q)^{1-s} overflows, OverflowError.  A call
 sums only the quantity it returns: hurwitz_zeta the expansion above,
 hurwitz_zeta_ds its term-by-term s-derivative.  A non-finite s or q, a
 non-positive integer q, where a direct term has no value, and
@@ -23,19 +24,21 @@ Re(q) < -_N_CAP, which would take more direct terms than the cap on summed
 terms, raise DomainError.  All powers are Python's principal ``**``, the
 branch fixed in complexfn.
 
-The tail's factors that depend on s alone, B_{2j}/(2j)! P_j(s) with
-P_j(s) = s(s+1)...(s+2j-2), or for the derivative B_{2j}/(2j)!, P_j(s) and
-dP_j/ds, are built once per s, by P_{j+1} = P_j (s+2j-1)(s+2j) and its
-product rule, and kept until a call of the same quantity brings another s.  They are keyed
-on the bits of s, so that 2+0j and 2-0j, which compare equal, never share
-them.  rhs_zeta's two calls share s, as does every a of one k in a sweep.
+The tail's factors that depend on s alone are built once per call, by
+P_{j+1} = P_j (s+2j-1)(s+2j) from P_1 = s: for the value B_{2j}/(2j)! P_j(s),
+for the derivative B_{2j}/(2j)!, P_j(s) and dP_j/ds by the product rule.
+One memo keeps the value's weights of the last s, as rhs_zeta's two calls
+share s, and so does every a of one k in a sweep.  It is keyed on the value
+of s: the weights of 2+0j and 2-0j differ only in the signs of zero parts,
+and every sum here starts at +0j, to which adding a signed zero changes
+nothing.  The derivative builds its weights on every call, since no route
+repeats its s.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import struct
 from functools import lru_cache
 
 from .complexfn import DomainError, PoleError, _is_nonpositive_integer, bernoulli_numbers
@@ -59,28 +62,18 @@ _MARGIN = math.log(1.0 / _TOLERANCE)
 
 
 @lru_cache(maxsize=None)
-def _tail_coefficients() -> tuple[float, ...]:
-    """B_{2j}/(2j)! for j = 1 .. _TAIL_TERMS + 1, at index j - 1."""
-    bern = bernoulli_numbers(2 * _TAIL_TERMS + 2)
-    return tuple(bern[2 * j] / math.factorial(2 * j) for j in range(1, _TAIL_TERMS + 2))
-
-
-# s's bits key its tail weights, since 2+0j and 2-0j are equal, and so one
-# key, as complex numbers
-_bits = struct.Struct("dd").pack
-
-
-@lru_cache(maxsize=None)
 def _tail_steps() -> tuple[tuple[float, float, float], ...]:
-    """(B_{2j}/(2j)!, 2j - 1, 2j) for j = 1 .. _TAIL_TERMS + 1: the
-    coefficient of term j and the offsets of s in P_{j+1}(s) / P_j(s)."""
-    return tuple((c, 2.0 * j - 1.0, 2.0 * j) for j, c in enumerate(_tail_coefficients(), 1))
+    """(B_{2j}/(2j)!, 2j - 1, 2j) for j = 1 .. _TAIL_TERMS + 1, at index j - 1:
+    the coefficient of term j and the offsets of s in P_{j+1}(s) / P_j(s)."""
+    bern = bernoulli_numbers(2 * _TAIL_TERMS + 2)
+    return tuple((bern[2 * j] / math.factorial(2 * j), 2.0 * j - 1.0, 2.0 * j)
+                 for j in range(1, _TAIL_TERMS + 2))
 
 
 @lru_cache(maxsize=1)
-def _value_weights(bits: bytes, s: complex) -> tuple[complex, ...]:
+def _value_weights(s: complex) -> tuple[complex, ...]:
     """B_{2j}/(2j)! P_j(s), P_j(s) = s(s+1)...(s+2j-2), for
-    j = 1 .. _TAIL_TERMS + 1 at index j - 1; bits are _bits of s."""
+    j = 1 .. _TAIL_TERMS + 1 at index j - 1."""
     prod = s
     weights = []
     append = weights.append
@@ -90,11 +83,9 @@ def _value_weights(bits: bytes, s: complex) -> tuple[complex, ...]:
     return tuple(weights)
 
 
-@lru_cache(maxsize=1)
-def _derivative_weights(bits: bytes, s: complex
-                        ) -> tuple[tuple[float, complex, complex], ...]:
+def _derivative_weights(s: complex) -> list[tuple[float, complex, complex]]:
     """(B_{2j}/(2j)!, P_j(s), dP_j/ds) for _value_weights' j, dP_j/ds by the
-    product rule; bits are _bits of s."""
+    product rule."""
     prod = s
     dprod = 1.0 + 0j
     weights = []
@@ -107,7 +98,7 @@ def _derivative_weights(bits: bytes, s: complex
         prod = prod * a
         dprod = dprod * b + prod
         prod = prod * b
-    return tuple(weights)
+    return weights
 
 
 def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
@@ -134,9 +125,9 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
         inv_sq = 1.0 / sq if sq else complex(math.inf)
         if not cmath.isfinite(inv_sq):
             raise OverflowError(f"1/(s - 1)^2 overflows at |s - 1| = {abs(sm1):.3g}")
-        weights = _derivative_weights(_bits(s.real, s.imag), s)
+        weights = _derivative_weights(s)
     else:
-        weights = _value_weights(_bits(s.real, s.imag), s)
+        weights = _value_weights(s)
     direct = 0j  # sum of the summands n < done, extended as N doubles
     done = 0
     m = max(0, math.floor(-q.real) + 1)  # how many direct terms have Re(n + q) <= 0
@@ -196,6 +187,8 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
             # times an underflowed power: a larger N only makes the power
             # worse and leaves P_j(s) as it is, so do not double
             raise ConvergenceError(f"tail term nan above tolerance at N = {n}")
+        if not cmath.isfinite(total):
+            raise OverflowError(f"zeta sum overflows at N = {n}")
         if mag <= _TOLERANCE * max(1.0, abs(total)):
             return total
         if n - m >= _N_CAP:
@@ -206,9 +199,11 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
 def hurwitz_zeta(s: complex, q: complex) -> complex:
     """zeta(s, q) for finite complex s != 1 and q, q not a non-positive integer.
 
-    Below about Re(s) = -8.8 the result can be wrong without an error
-    (ROADMAP item 3; the strict xfail stratum below_re_s_minus_9 of
-    tests/test_hurwitz.py tracks it)."""
+    Raises OverflowError where the sum is not a finite float, as at
+    (s, q) = (-1.5, 1e200), where (N+q)^{1-s} overflows.  Below about
+    Re(s) = -8.8 the result can be wrong without an error (ROADMAP item 3;
+    the strict xfail stratum below_re_s_minus_9 of tests/test_hurwitz.py
+    tracks it)."""
     return _hurwitz(s, q, derivative=False)
 
 
@@ -216,8 +211,9 @@ def hurwitz_zeta_ds(s: complex, q: complex) -> complex:
     """d/ds zeta(s, q), by term-by-term differentiation of the same expansion.
 
     Raises OverflowError for |s - 1| below about 7.5e-155, where the
-    expansion's 1/(s - 1)^2 is not a finite float.  Below about Re(s) = -8.8
-    the result can be wrong without an error, as hurwitz_zeta's can."""
+    expansion's 1/(s - 1)^2 is not a finite float, and where the sum is not
+    one, as hurwitz_zeta does.  Below about Re(s) = -8.8 the result can be
+    wrong without an error, as hurwitz_zeta's can."""
     return _hurwitz(s, q, derivative=True)
 
 

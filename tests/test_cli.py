@@ -17,6 +17,7 @@ from zetaquad.cli import (
     parse_complex,
     render_complex,
 )
+from zetaquad.hurwitz import _value_weights
 
 
 def _child_env():
@@ -172,6 +173,10 @@ ZETA_REFUSALS = {
     "--s 2 --q=-3": "hurwitz zeta undefined at non-positive integer q = -3",
     "--s 1e400 --q 0.5": "number out of range at position 0: '1e400'",
     "--s 2 --q 1e400": "number out of range at position 0: '1e400'",
+    # x x^{-s} = (N + q)^{1-s} overflows: the engine refuses the sum, rather
+    # than leave an infinite value for the renderer to refuse
+    "--s=-1.5 --q 1e200": "zeta sum overflows at N = 1",
+    "--s=-3 --q 1e100": "zeta sum overflows at N = 1",
 }
 
 
@@ -389,6 +394,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "1.6449340668" in out
+
+    def test_zeta_signed_zero_s_shares_weights(self, capsys):
+        # 2-0i and 2 are equal, so whichever comes second reads the tail
+        # weights the first built, and both orders print the same bytes
+        outputs = []
+        for order in (["--s=2-0i", "--s=2"], ["--s=2", "--s=2-0i"]):
+            _value_weights.cache_clear()
+            for s in order:
+                assert main(["zeta", s, "--q", "0.25"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == ""
+        assert len(set(outputs[0].out.splitlines())) == 1
 
     @pytest.mark.parametrize("argv", ZETA_REFUSALS)
     def test_zeta_refusal(self, capsys, argv):

@@ -16,7 +16,7 @@ from zetaquad.complexfn import (
     gamma,
     log_gamma,
 )
-from zetaquad.hurwitz import _tail_coefficients
+from zetaquad.hurwitz import _tail_steps
 
 # >= 15-digit reference values
 GAMMA_QUARTER = 3.6256099082219083
@@ -214,10 +214,14 @@ class TestBernoulli:
         assert [repr(x) for x in bernoulli_numbers(n_max)] == [repr(x) for x in ref]
 
     def test_tail_coefficients_unchanged(self):
-        # hurwitz's B_2j / (2j)! for j = 1 .. 26, from the reference table
+        # hurwitz's B_2j / (2j)! for j = 1 .. 26, from the reference table,
+        # with the float offsets 2j - 1 and 2j of s in P_{j+1}(s) / P_j(s)
         ref = _bernoulli_reference(200)
         expected = [ref[2 * j] / math.factorial(2 * j) for j in range(1, 27)]
-        assert [repr(x) for x in _tail_coefficients()] == [repr(x) for x in expected]
+        steps = _tail_steps()
+        assert [repr(c) for c, _, _ in steps] == [repr(x) for x in expected]
+        assert [(repr(odd), repr(even)) for _, odd, even in steps] == [
+            (repr(2.0 * j - 1.0), repr(2.0 * j)) for j in range(1, 27)]
 
     def test_first_values(self):
         t = bernoulli_numbers(2)

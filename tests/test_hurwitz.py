@@ -1,17 +1,20 @@
 import cmath
 import functools
+import itertools
 import math
 import random
 
 import pytest
 
 from zetaquad.complexfn import DomainError, PoleError, log_gamma
+from zetaquad.identities import DEFAULT_A_GRID, DEFAULT_K_GRID, sweep
 from zetaquad.hurwitz import (
     _N_CAP,
     _TAIL_TERMS,
     _TOLERANCE,
     ConvergenceError,
-    _tail_coefficients,
+    _tail_steps,
+    _value_weights,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     zeta_neg_int_oracle,
@@ -193,7 +196,7 @@ def _reference_hurwitz_pair(s, q, monitor_derivative):
         raise PoleError("hurwitz zeta pole at s = 1")
     if q.imag == 0.0 and q.real <= 0.0 and q.real == math.floor(q.real):
         raise DomainError(f"hurwitz zeta undefined at non-positive integer q = {int(q.real)}")
-    coefs = _tail_coefficients()
+    coefs = [c for c, _, _ in _tail_steps()]
     m = max(0, math.floor(-q.real) + 1)
     n = m + 1
     reach = abs(s.imag) + (math.log(1.0 / _TOLERANCE) if s.real >= 1.0 else 0.0)
@@ -265,13 +268,25 @@ class TestReferenceEngine:
 
     @pytest.mark.parametrize("x", [2.0, -3.0, 0.5, -2.5])
     def test_signed_zero_imaginary_part_of_s(self, x):
-        # s = x + 0j and x - 0j are equal but not the same bits; the weights
-        # are keyed on the bits, so the second call builds its own
-        for q in (0.25, 0.75, 0.25 + 0.1j):
-            for imag in (0.0, -0.0):
+        # s = x + 0j and x - 0j are equal, so in either order the second call
+        # reads the weights the first built; they differ only in the signs of
+        # zero parts, and adding a signed zero to a sum begun at +0j changes
+        # nothing
+        for q, imags in itertools.product((0.25, 0.75, 0.25 + 0.1j),
+                                          ((0.0, -0.0), (-0.0, 0.0))):
+            _value_weights.cache_clear()
+            for imag in imags:
                 s = complex(x, imag)
                 assert _outcome(hurwitz_zeta, s, q) == _outcome(_reference_zeta, s, q)
                 assert _outcome(hurwitz_zeta_ds, s, q) == _outcome(_reference_zeta_ds, s, q)
+
+    def test_default_sweep_reuses_value_weights(self):
+        # rhs_zeta's two calls share s, and sweep runs every a of one k back
+        # to back: one miss per distinct k, every other call a hit
+        _value_weights.cache_clear()
+        sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
+        info = _value_weights.cache_info()
+        assert (info.misses, info.hits) == (7, 51)
 
 
 class TestShiftBound:
@@ -309,6 +324,16 @@ class TestShiftBound:
     def test_non_positive_integer_q_refused(self, fn, s, q):
         with pytest.raises(DomainError, match="non-positive integer q"):
             fn(s, q)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("s,q", [(-1.5, 1e200), (-3.0, 1e100), (-0.5, 1e300),
+                                     (-1.5, 1e130)])
+    def test_overflowing_sum_refused(self, s, q):
+        # x x^{-s} = (N + q)^{1-s} is not a finite float, so neither is the sum
+        for fn in (hurwitz_zeta, hurwitz_zeta_ds):
+            with pytest.raises(OverflowError, match="zeta sum overflows at N = "):
+                fn(s, q)
 
 
 class TestDerivativeNearPole:
