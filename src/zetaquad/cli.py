@@ -10,8 +10,8 @@ Commands:
 
 Reports are JSON (default) or CSV, on stdout or in the --output file; the CSV
 columns are k_re, k_im, a_r, a_theta, route, value_re, value_im, err_est,
-n_evals, status, reason, verdict (one row per route).  Diagnostics go to
-stderr.  Only verify and sweep take --verdict-atol / --verdict-rtol.
+n_evals, status, reason, verdict, method (one row per route).  Diagnostics
+go to stderr.  Only verify and sweep take --verdict-atol / --verdict-rtol.
 A negative literal other than a plain decimal (-0.5+0.3i, -1e-3) must be
 attached with '=', as in --k=-0.5+0.3i, or argparse reads it as an option.
 Exit codes: 0 every verdict pass, 1 any fail or partial, or a sweep with no
@@ -231,6 +231,7 @@ def _route_dict(r: RouteResult) -> dict[str, Any]:
         "n_evals": r.n_evals,
         "status": r.status,
         "reason": r.reason,
+        "method": r.method,
     }
 
 
@@ -251,7 +252,7 @@ def reports_to_csv(reps: Sequence[VerificationReport]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["k_re", "k_im", "a_r", "a_theta", "route", "value_re", "value_im",
-                "err_est", "n_evals", "status", "reason", "verdict"])
+                "err_est", "n_evals", "status", "reason", "verdict", "method"])
     for rep in reps:
         base = [_fmt(rep.case.k.real), _fmt(rep.case.k.imag),
                 _fmt(rep.case.a.r), _fmt(rep.case.a.theta)]
@@ -259,7 +260,7 @@ def reports_to_csv(reps: Sequence[VerificationReport]) -> str:
             cells = (["", "", "", ""] if r.value is None
                      else [_fmt(r.value.real), _fmt(r.value.imag), _fmt(r.err_estimate),
                            str(r.n_evals)])
-            w.writerow(base + [route, *cells, r.status, r.reason, rep.verdict])
+            w.writerow(base + [route, *cells, r.status, r.reason, rep.verdict, r.method])
     return buf.getvalue()
 
 
@@ -281,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quadrature relative tolerance")
         sp.add_argument("--max-evals", type=int, default=quad_defaults.max_evals,
                         help="evaluation budget per quadrature call, at least 13 "
-                             "(the lhs integral is one call, or one per half-line "
-                             "when a is a positive real other than 1); a call "
+                             "(the lhs integral is one call, or two, its rays "
+                             "method, when a is a positive real other than 1); a call "
                              "evaluates at most 12289 nodes, so a larger budget "
                              "changes nothing")
         if verdict_flags:

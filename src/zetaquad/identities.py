@@ -94,6 +94,11 @@ class IdentityCase(_IdentityCase):
     def __new__(cls, k: complex, a: BranchedConstant, quad_cfg: QuadConfig = QuadConfig(),
                 verdict_atol: float = DEFAULT_VERDICT_TOL,
                 verdict_rtol: float = DEFAULT_VERDICT_TOL) -> IdentityCase:
+        # a route reads a's fields and the quadrature quad_cfg's, deep inside
+        if not isinstance(a, BranchedConstant):
+            raise TypeError(f"a must be a BranchedConstant, got {type(a).__name__}")
+        if not isinstance(quad_cfg, QuadConfig):
+            raise TypeError(f"quad_cfg must be a QuadConfig, got {type(quad_cfg).__name__}")
         # a nan or infinite k has no route; refuse it before any route runs
         if not cmath.isfinite(k):
             raise ValueError(f"k must be finite, got {k}")
@@ -116,7 +121,8 @@ class RouteResult(NamedTuple):
     skipped (outside the route's region) or failed (the route raised or gave
     a value that is not finite), and reason says why it is not ok.  value,
     err_estimate and n_evals are None when the route did not run or failed;
-    a closed form has err_estimate 0.0, n_evals 0.
+    a closed form has err_estimate 0.0, n_evals 0.  method names the variant
+    that ran (see _plan), and is "" when the route did not run.
     """
 
     value: complex | None
@@ -124,6 +130,7 @@ class RouteResult(NamedTuple):
     n_evals: int | None = 0
     status: str = "ok"
     reason: str = ""
+    method: str = ""
 
 
 class VerificationReport(NamedTuple):
@@ -163,18 +170,24 @@ def residual_ok(x: complex, y: complex, atol: float, rtol: float) -> bool:
     return abs(x - y) <= atol + rtol * max(abs(x), abs(y))
 
 
-def _series_region(k: complex) -> str | None:
-    """Why the alternating series does not apply at k, or None."""
-    return "Re(k) >= 1" if k.real >= 1.0 else None
-
-
-def _contour_region(k: complex) -> str | None:
-    """Why the two-ray contour does not apply at k, or None."""
+def _plan(case: IdentityCase) -> dict[str, tuple[str, str]]:
+    """(method, skip reason) of each verify route at the case: the variant
+    the route runs and "", or "" and why the case is outside its region.
+    Every variant chosen on (k, a) is chosen here; case_violation alone
+    judges whether the pair is valid at all."""
+    k, a = case.k, case.a
+    real_a = a.theta == 0.0
+    lhs = "rays" if real_a and a.r != 1.0 else "fold-sub" if real_a and k.real < -1.5 else "fold"
+    zero = "zero" if k == 0 else ""
     if k.real >= 1.0:
-        return "Re(k) >= 1"
-    if abs(k.imag) <= 1e-12 and abs(k.real - round(k.real)) <= 1e-12:
-        return "integer k"
-    return None
+        series = contour = ("", "Re(k) >= 1")
+    else:
+        series = (zero or "cvz", "")
+        if abs(k.imag) <= 1e-12 and abs(k.real - round(k.real)) <= 1e-12:
+            contour = ("", "integer k")
+        else:
+            contour = ("rays-sub" if k.real > 0.5 else "rays", "")
+    return {"lhs": (lhs, ""), "zeta": (zero or "em", ""), "series": series, "contour": contour}
 
 
 @lru_cache(maxsize=None)
@@ -280,11 +293,11 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     -integral_{-inf}^{inf} tanh(u) (log a + u)^k / (2 cosh u) du,
 
     by exp-sinh quadrature, which clusters nodes at a ray's start, on the rays
-    from a split point.  For theta = 0, r != 1 the split is the branch point
-    u = -ln(r), where log a + u vanishes and the integrand may be singular,
-    and the two rays are integrated apart (see _lhs_ray).  Otherwise it is
-    u = 0, the sign change of tanh, and the rays fold into one: the weight
-    g(u) = -tanh(u) / (2 cosh u) is odd, so the line integral is
+    from a split point.  For theta = 0, r != 1 (rays) the split is the branch
+    point u = -ln(r), where log a + u vanishes and the integrand may be
+    singular, and the two rays are integrated apart (see _lhs_ray).  Else
+    (fold) it is u = 0, the sign change of tanh, and the rays fold into one:
+    the weight g(u) = -tanh(u) / (2 cosh u) is odd, so the line integral is
 
     integral_0^inf ((log a + t)^k - (log a - t)^k) g(t) dt,
 
@@ -304,9 +317,9 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     Only a = 1 has a singular ray start: the split is u = 0, g(t) = -t/2 +
     O(t^3) and (-t)^k = t^k e^{i pi k}, so the folded integrand starts like
     (e^{i pi k} - 1) t^{k+1} / 2.  Then p = k + 1, the subtraction applies for
-    Re k < -3/2, and the add-back is Gamma(k+2) (e^{i pi k} - 1) / 2.  The
-    subtraction is the odd weight _lhs_weight_sub, which adds t e^{-t} / 2 to
-    g.  The add-back cancels against the integral, so the error estimate
+    Re k < -3/2 (fold-sub), and the add-back is Gamma(k+2) (e^{i pi k} - 1) / 2.
+    The subtraction is the odd weight _lhs_weight_sub, which adds t e^{-t} / 2
+    to g.  The add-back cancels against the integral, so the error estimate
     gains its rounding floor eps |Gamma(k+2) / 2| (1 + |e^{i pi k}| (1 + pi |k|)):
     the phase pi k of e^{i pi k} is rounded by up to eps pi |k|, and
     Gamma(k+2) has its pole at k = -2.
@@ -315,14 +328,14 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     if msg is not None:
         raise CaseError(msg)
     k = case.k
-    if case.a.theta == 0.0 and case.a.r != 1.0:
+    method = _plan(case)["lhs"][0]
+    if method == "rays":
         split = -math.log(case.a.r)
         right = integrate_semi_infinite(_lhs_ray(k, split, 1.0), case.quad_cfg)
         left = integrate_semi_infinite(_lhs_ray(k, split, -1.0), case.quad_cfg)
         return QuadResult(right.value + left.value, right.err_estimate + left.err_estimate,
                           right.n_evals + left.n_evals, right.converged and left.converged)
     log_a = case.a.log_value
-    subtract = case.a.theta == 0.0 and k.real < -1.5
 
     def f(t: float) -> complex:
         if t > 700.0:  # the weight is 0; the power may overflow
@@ -330,8 +343,8 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
         return (log_a + t) ** k - (log_a - t) ** k
 
     res = integrate_semi_infinite(f, case.quad_cfg,
-                                  weight=_lhs_weight_sub if subtract else _lhs_weight)
-    if not subtract:
+                                  weight=_lhs_weight_sub if method == "fold-sub" else _lhs_weight)
+    if method == "fold":
         return res
     half_g = 0.5 * gamma(k + 2.0)
     turn = cmath.exp(1j * math.pi * k)
@@ -343,7 +356,7 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
 def rhs_zeta(case: IdentityCase) -> complex:
     """The Hurwitz-zeta closed form; k = 0 short-circuits to 0."""
     k = case.k
-    if k == 0:
+    if _plan(case)["zeta"][0] == "zero":
         return 0j
     log_a = case.a.log_value
     q_shift = -1j * log_a / TWO_PI
@@ -364,10 +377,10 @@ def rhs_series(case: IdentityCase) -> complex:
     ratio is simplified to k, so non-positive integer k needs no special case.
     """
     k = case.k
-    reason = _series_region(k)
-    if reason is not None:
-        raise RegionError(f"series route does not apply: {reason}")
-    if k == 0:
+    method, skip = _plan(case)["series"]
+    if skip:
+        raise RegionError(f"series route does not apply: {skip}")
+    if method == "zero":
         return 0j
     log_a = case.a.log_value
     half_pi_i = 0.5j * math.pi
@@ -402,7 +415,7 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     integer k the branch difference vanishes; see contour_cauchy_check.
 
     The ray integrand starts like t^{-k}: c = 1 and p = -k.  For Re k > 1/2,
-    that is Re p < -1/2, the ray-start singularity is subtracted in closed
+    Re p < -1/2, rays-sub subtracts the ray-start singularity in closed
     form as in lhs_integral, with the weight e^{-pi t/2} of the sech tail
     instead of e^{-t}, which needs fewer evaluations: the ray integrates
     t^{-k} (e^{i t log a} sech(pi t/2) - e^{-pi t/2}), which is O(t^{1-k})
@@ -424,9 +437,9 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     error.
     """
     k = case.k
-    reason = _contour_region(k)
-    if reason is not None:
-        raise RegionError(f"contour route does not apply: {reason}")
+    method, skip = _plan(case)["contour"]
+    if skip:
+        raise RegionError(f"contour route does not apply: {skip}")
     log_a = case.a.log_value
     i_log_a = complex(-log_a.imag, log_a.real)  # i log a, built once
     turn = cmath.exp(2j * math.pi * k)
@@ -434,10 +447,9 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     neg_k, neg_pi = -k, -math.pi
     exp, cexp = math.exp, cmath.exp
-    subtract = k.real > 0.5
 
     # past t = 450 the weight is 0 and t^{-k} may overflow
-    if subtract:
+    if method == "rays-sub":
         def f(t: float) -> complex:
             if t > 450.0:
                 return 0j
@@ -450,7 +462,7 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight)
     value, err = res.value, res.err_estimate
-    if subtract:
+    if method == "rays-sub":
         back = gamma(1.0 - k) * (0.5 * math.pi) ** (k - 1.0)
         value += back
         err += EPS * abs(back)
@@ -479,27 +491,27 @@ def contour_cauchy_check(y: complex, k: int) -> complex:
 
 
 def _run_route(case: IdentityCase, evaluate: Callable[[IdentityCase], object],
-               skip: str | None = None) -> RouteResult:
-    """Run one route on the case and record the outcome: skipped for the
-    reason skip, if it is not None, without calling evaluate; the DomainError
-    or ArithmeticError (ConvergenceError among them) it raised; or what it
-    returned.  A quadrature returns a QuadResult, a closed form its bare
-    value; a value or estimate that is not finite fails.  Any other error,
-    CaseError among them, propagates."""
-    if skip is not None:
+               method: str, skip: str = "") -> RouteResult:
+    """Run one route by method on the case and record the outcome: skipped
+    for the reason skip, if it is not "", without calling evaluate; the
+    DomainError or ArithmeticError (ConvergenceError among them) it raised;
+    or what it returned.  A quadrature returns a QuadResult, a closed form
+    its bare value; a value or estimate that is not finite fails.  Any other
+    error, CaseError among them, propagates."""
+    if skip:
         return RouteResult(None, None, None, "skipped", skip)
     try:
         result = evaluate(case)
     except (DomainError, ArithmeticError) as exc:
-        return RouteResult(None, None, None, "failed", str(exc))
+        return RouteResult(None, None, None, "failed", str(exc), method)
     if not isinstance(result, QuadResult):  # a closed form: exact, no evaluations
         result = QuadResult(result, 0.0, 0, True)
     if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
-        return RouteResult(None, None, None, "failed", "non-finite value")
+        return RouteResult(None, None, None, "failed", "non-finite value", method)
     if result.converged:
-        return RouteResult(result.value, result.err_estimate, result.n_evals)
+        return RouteResult(result.value, result.err_estimate, result.n_evals, "ok", "", method)
     return RouteResult(result.value, result.err_estimate, result.n_evals,
-                       "unconverged", "quadrature did not converge")
+                       "unconverged", "quadrature did not converge", method)
 
 
 def _judge(case: IdentityCase, routes: dict[str, RouteResult]) -> VerificationReport:
@@ -527,11 +539,11 @@ def _judge(case: IdentityCase, routes: dict[str, RouteResult]) -> VerificationRe
 def _verify_routes(case: IdentityCase) -> dict[str, RouteResult]:
     # Each route is looked up on the module at call time, so that route
     # functions replaced there (for instance by a tracer) are the ones that run.
-    k = case.k
-    return {"lhs": _run_route(case, lhs_integral),
-            "zeta": _run_route(case, rhs_zeta),
-            "series": _run_route(case, rhs_series, _series_region(k)),
-            "contour": _run_route(case, rhs_contour, _contour_region(k))}
+    plan = _plan(case)
+    return {"lhs": _run_route(case, lhs_integral, *plan["lhs"]),
+            "zeta": _run_route(case, rhs_zeta, *plan["zeta"]),
+            "series": _run_route(case, rhs_series, *plan["series"]),
+            "contour": _run_route(case, rhs_contour, *plan["contour"])}
 
 
 def verify(case: IdentityCase) -> VerificationReport:
@@ -547,7 +559,8 @@ def catalan_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
     case = IdentityCase(-1.0 + 0j, BranchedConstant(1.0), quad_cfg=quad_cfg,
                         verdict_atol=1e-8, verdict_rtol=1e-8)
     routes = _verify_routes(case)
-    routes["reference"] = RouteResult(complex(-4.0 * catalan_reference() / math.pi))
+    routes["reference"] = RouteResult(complex(-4.0 * catalan_reference() / math.pi),
+                                      method="cvz")
     return _judge(case, routes)
 
 
@@ -580,9 +593,9 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
 
     return _judge(case, {
         "direct": _run_route(case, lambda c: integrate_semi_infinite(
-            direct, c.quad_cfg, weight=_lhs_weight)),
-        "closed": RouteResult(closed),
-        "fd": RouteResult(fd),
+            direct, c.quad_cfg, weight=_lhs_weight), "fold"),
+        "closed": RouteResult(closed, method="gamma"),
+        "fd": RouteResult(fd, method="fd"),
     })
 
 

@@ -237,10 +237,12 @@ class TestCommands:
         main(["sweep", "--k-list=-1,3", "--a-list", "1", "--format", "csv"])
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == ("k_re,k_im,a_r,a_theta,route,value_re,value_im,err_est,"
-                            "n_evals,status,reason,verdict")
+                            "n_evals,status,reason,verdict,method")
         rows = [ln.split(",") for ln in lines[1:]]
         assert [row[0] for row in rows] == ["-1"] * 4 + ["3"] * 4
         assert [row[4] for row in rows] == ["lhs", "zeta", "series", "contour"] * 2
+        # the method is the last column, and empty where the route did not run
+        assert [row[12] for row in rows] == ["fold", "em", "cvz", "", "fold", "em", "", ""]
         # a route with no value has empty value and work cells
         assert all((row[5:9] == ["", "", "", ""]) == (row[9] in ("skipped", "failed"))
                    for row in rows)
@@ -382,7 +384,8 @@ class TestCommands:
             for name, r in rep["routes"].items():
                 value = r["value"] or {"re": None, "im": None}
                 from_json.append((*case, name, value["re"], value["im"], r["err_estimate"],
-                                  r["n_evals"], r["status"], r["reason"], rep["verdict"]))
+                                  r["n_evals"], r["status"], r["reason"], rep["verdict"],
+                                  r["method"]))
         from_csv = [(*map(float, row[:4]), row[4],
                      *(float(x) if x else None for x in row[5:8]),
                      int(row[8]) if row[8] else None, *row[9:]) for row in rows]

@@ -1,6 +1,8 @@
+import ast
 import cmath
 import csv
 import functools
+import inspect
 import io
 import itertools
 import math
@@ -334,7 +336,8 @@ class TestVerify:
         # verify looks the route up on the module at call time
         monkeypatch.setattr(identities, "rhs_zeta", boom)
         rep = verify(case(-1.0))
-        assert rep.routes["zeta"] == RouteResult(None, None, None, "failed", "boom")
+        # the record names the method that was to run
+        assert rep.routes["zeta"] == RouteResult(None, None, None, "failed", "boom", "em")
         # a numeric failure, caught as an ArithmeticError
         assert issubclass(ConvergenceError, ArithmeticError)
         assert rep.zeta_value is None
@@ -544,7 +547,7 @@ def test_fused_integrands_match_reference(k):
             if case_violation(k, a) is None:
                 _assert_bit_identical(lhs_integral(c), _reference_lhs(c))
                 compared += 1
-            if identities._contour_region(k) is None and k.real <= 0.5:
+            if identities._plan(c)["contour"] == ("rays", ""):
                 _assert_bit_identical(rhs_contour(c), _reference_contour(c))
                 compared += 1
     assert compared >= 6
@@ -832,6 +835,29 @@ def test_oracle_map(name, route):
         assert "partial" in {rep.verdict for rep, _ in _reports(name)}
 
 
+# Every (route, method) that _plan can return, written out, so that a new
+# variant lands with a stratum that draws it (ROADMAP item 22's gate).  The
+# exact "zero" of zeta and series at k = 0 is left out: TestRhsZeta and
+# TestRhsSeries pin it.
+PLAN_METHODS = {("lhs", "fold"), ("lhs", "fold-sub"), ("lhs", "rays"), ("zeta", "em"),
+                ("series", "cvz"), ("contour", "rays"), ("contour", "rays-sub")}
+
+
+def test_oracle_map_draws_every_method():
+    # each method is ok in at least one record of some stratum, where
+    # test_oracle_map checks its value against the oracle ...
+    drawn = {(route, r.method) for name in STRATA for rep, _ in _reports(name)
+             for route, r in rep.routes.items() if r.status == "ok"}
+    assert drawn == PLAN_METHODS
+    # ... and _plan names no method that PLAN_METHODS leaves out: its string
+    # literals are the routes, the methods and the skip reasons, which have
+    # spaces
+    words = {node.value for node in ast.walk(ast.parse(inspect.getsource(identities._plan)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    words = {w for w in words if w and " " not in w} - set(ROUTES)
+    assert words == {method for _, method in PLAN_METHODS} | {"zero"}
+
+
 # The route-outcome table: a CLI literal pair (k, a), with any extra verify
 # argv, maps to the verdict and each route's (status, reason) in ROUTES
 # order; None leaves one unpinned.  One rule checks every row, in the library
@@ -869,6 +895,22 @@ OUTCOMES = {
     ("-1.99", "1", "--max-evals", "40"): ("partial", UNC, OK, OK, UNC),
     ("0.5+400i", "3@1"): ("partial", OK, OK, OK, UNC),
 }
+# The method each route ran by on each OUTCOMES row, in ROUTES order: ""
+# where the route was skipped, and the method that ran where it failed.
+OUTCOME_METHODS = {
+    ("-1", "1"): ("fold", "em", "cvz", ""),
+    ("3", "1"): ("fold", "em", "", ""),
+    ("0.5+0.3i", "2@2.356194490192345"): ("fold", "em", "cvz", "rays"),
+    ("201", "1"): ("fold", "em", "", ""),
+    ("150", "3@1"): ("fold", "em", "", ""),
+    **{(k, "2"): ("rays", "em", "", "") for k in ("130", "140", "145")},
+    ("-2", "0.36787944117144233@1e-200"): ("fold", "em", "cvz", ""),
+    ("-2.402712820710665-22.341628507476607i", "289713255917.29846@1.9720497447425476"):
+        ("fold", "em", "cvz", "rays"),
+    ("0.5", "1", "--max-evals", "40"): ("fold", "em", "cvz", "rays"),
+    ("-1.99", "1", "--max-evals", "40"): ("fold-sub", "em", "cvz", "rays"),
+    ("0.5+400i", "3@1"): ("fold", "em", "cvz", "rays"),
+}
 
 
 @pytest.mark.parametrize("row", OUTCOMES, ids=" ".join)
@@ -886,6 +928,8 @@ def test_outcomes(row, capsys):
     want = OUTCOMES[row]
     got = (rep.verdict, *((r.status, r.reason) for r in rep.routes.values()))
     assert tuple(g if w is not None else None for g, w in zip(got, want)) == want
+    assert list(OUTCOME_METHODS) == list(OUTCOMES)
+    assert tuple(r.method for r in rep.routes.values()) == OUTCOME_METHODS[row]
     for r in rep.routes.values():
         if r.status in ("ok", "unconverged"):
             assert None not in (r.value, r.err_estimate, r.n_evals)
@@ -902,8 +946,8 @@ def test_outcomes(row, capsys):
     out = capsys.readouterr().out
     assert out == cli.reports_to_csv([rep])
     rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert [(x[4], x[9], x[10], x[11], x[5:9] == [""] * 4) for x in rows] == [
-        (name, r.status, r.reason, rep.verdict, r.value is None)
+    assert [(x[4], x[9], x[10], x[11], x[12], x[5:9] == [""] * 4) for x in rows] == [
+        (name, r.status, r.reason, rep.verdict, r.method, r.value is None)
         for name, r in rep.routes.items()]
 
 

@@ -37,10 +37,11 @@ REPRS = [
            "quad_cfg=QuadConfig(atol=1e-10, rtol=1e-10, max_evals=400), "
            "verdict_atol=1e-06, verdict_rtol=1e-06)"),
     (RouteResult(0.5j),
-     "RouteResult(value=0.5j, err_estimate=0.0, n_evals=0, status='ok', reason='')"),
+     "RouteResult(value=0.5j, err_estimate=0.0, n_evals=0, status='ok', reason='', "
+     "method='')"),
     (REPORT, "VerificationReport(case=" + repr(CASE) + ", routes={'series': "
              "RouteResult(value=None, err_estimate=None, n_evals=None, status='skipped', "
-             "reason='Re(k) >= 1')}, residuals={}, verdict='partial')"),
+             "reason='Re(k) >= 1', method='')}, residuals={}, verdict='partial')"),
     (SweepResult([], ["none"]), "SweepResult(reports=[], notes=['none'])"),
 ]
 
@@ -99,6 +100,9 @@ def test_immutable(record):
      "verdict_rtol must be finite and >= 0"),
     (IdentityCase, (0.5, A), {"verdict_rtol": -1e-9}, ValueError,
      "verdict_rtol must be finite and >= 0"),
+    # refused here, not as an AttributeError from inside a route or quad
+    (IdentityCase, (0.5, 2.0), {}, TypeError, "a must be a BranchedConstant, got float"),
+    (IdentityCase, (0.5, A, None), {}, TypeError, "quad_cfg must be a QuadConfig, got NoneType"),
 ])
 def test_validation(cls, args, kwargs, exc, message):
     with pytest.raises(exc, match=message):
@@ -112,6 +116,9 @@ def test_replace_runs_the_checks():
         QuadConfig()._replace(max_evals=1)
     with pytest.raises(ValueError, match="verdict_atol must be finite"):
         CASE._replace(verdict_atol=math.nan)
+    # a plain tuple equals A, but it is not a BranchedConstant
+    with pytest.raises(TypeError, match="a must be a BranchedConstant, got tuple"):
+        CASE._replace(a=(2.0, 0.5))
 
 
 def test_replace_keeps_the_class():
