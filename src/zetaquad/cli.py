@@ -282,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quadrature relative tolerance")
         sp.add_argument("--max-evals", type=int, default=quad_defaults.max_evals,
                         help="evaluation budget per quadrature call, at least 13 "
-                             "(the lhs integral is one call, or two, its rays "
-                             "method, when a is a positive real other than 1); a call "
+                             "(the lhs integral is one call, or two, its lift "
+                             "method, when theta < 0.25 and a != 1); a call "
                              "evaluates at most 12289 nodes, so a larger budget "
                              "changes nothing")
         if verdict_flags:
@@ -331,6 +331,8 @@ def _emit(text: str, path: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise CliParseError(f"cannot write report: {exc}") from exc
+    elif not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as a StringIO
+        sys.stdout.write(text)
     else:
         # Unbuffered (python -u), stdout's text layer silently drops what a
         # short write left, as when the reader leaves mid-write, so write the

@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _CAUCHY_NODES = 256
+_LIFT = 0.25 * math.pi  # the lifted line Im u = pi/4, mid-strip (see lhs_integral)
+_LIFT_THETA = 0.25  # below it the lhs lifts rather than folds, except at a = 1
 
 DEFAULT_K_GRID: tuple[complex, ...] = (
     -1.5 + 0j, -1.0 + 0j, -0.5 + 0j, 0.5 + 0j, 0.5 + 0.3j, 2.0 + 0j, 3.0 + 0j,
@@ -177,7 +179,8 @@ def _plan(case: IdentityCase) -> dict[str, tuple[str, str]]:
     judges whether the pair is valid at all."""
     k, a = case.k, case.a
     real_a = a.theta == 0.0
-    lhs = "rays" if real_a and a.r != 1.0 else "fold-sub" if real_a and k.real < -1.5 else "fold"
+    lift = a.theta < _LIFT_THETA and not (real_a and a.r == 1.0)
+    lhs = "lift" if lift else "fold-sub" if real_a and k.real < -1.5 else "fold"
     zero = "zero" if k == 0 else ""
     if k.real >= 1.0:
         series = contour = ("", "Re(k) >= 1")
@@ -262,29 +265,19 @@ def _lhs_weight_sub(u: float) -> float:
     return _lhs_weight(u) + 0.5 * u * math.exp(-abs(u))
 
 
-def _lhs_ray(k: complex, split: float, sign: float) -> Callable[[float], complex]:
-    """The ray t -> h(split + sign t) of h(u) = (log a + u)^k g(u) at
-    theta = 0, r != 1, where g is _lhs_weight and split = -ln r is the branch
-    point.  There log a + u is sign t exactly, so the ray raises sign t, and
-    no node can round onto the branch point.  Raised to the complex k, the
-    float sign t is promoted to complex(sign t, 0.0), so -t has argument pi,
-    as log a + u does.  The weight depends on the split, so the ray
-    multiplies by g(u) itself, and is 0 where g is: at u = 0, and far out,
-    where sech underflows and the power may overflow.  g is written out as
-    in _lhs_weight, so that a node costs one Python frame.
-    """
-    exp, tanh = math.exp, math.tanh
+def _lift_weight(x: float) -> complex:
+    """G(x) = g(x + i delta), g = _lhs_weight continued off the real axis:
+    the lift's weight on the half-line x > 0; 0j past x = 700, where cosh
+    soon overflows and the power may."""
+    if x > 700.0:
+        return 0j
+    z = complex(x, _LIFT)
+    return -cmath.tanh(z) / (2.0 * cmath.cosh(z))
 
-    def h(t: float) -> complex:
-        u = split + sign * t
-        au = abs(u)
-        if au > 700.0:
-            return 0j
-        e = exp(-au)
-        w = -tanh(u) * (e / (1.0 + e * e))
-        return (sign * t) ** k * w if w else 0j
 
-    return h
+def _lift_weight_mirror(x: float) -> complex:
+    """-conj G(x) = g(-x + i delta): the lift's weight on the half-line x < 0."""
+    return -_lift_weight(x).conjugate()
 
 
 def lhs_integral(case: IdentityCase) -> QuadResult:
@@ -292,16 +285,24 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
 
     -integral_{-inf}^{inf} tanh(u) (log a + u)^k / (2 cosh u) du,
 
-    by exp-sinh quadrature, which clusters nodes at a ray's start, on the rays
-    from a split point.  For theta = 0, r != 1 (rays) the split is the branch
-    point u = -ln(r), where log a + u vanishes and the integrand may be
-    singular, and the two rays are integrated apart (see _lhs_ray).  Else
-    (fold) it is u = 0, the sign change of tanh, and the rays fold into one:
-    the weight g(u) = -tanh(u) / (2 cosh u) is odd, so the line integral is
+    by exp-sinh quadrature, which clusters nodes at a ray's start, against the
+    odd weight g(u) = -tanh(u) / (2 cosh u), which the quadrature keeps in its
+    node table.  Away from the real axis (fold) the rays from u = 0, the sign
+    change of tanh, fold into one call:
 
-    integral_0^inf ((log a + t)^k - (log a - t)^k) g(t) dt,
+    integral_0^inf ((log a + t)^k - (log a - t)^k) g(t) dt.
 
-    one call against g, which the quadrature keeps in its node table.
+    Near it (lift: theta < _LIFT_THETA, a != 1) the branch point
+    u = -ln r - i theta of (log a + u)^k lies on the line or theta below it,
+    and the rule converges slowly or not at all.  But h(u) = (log a + u)^k g(u)
+    is analytic in 0 < Im u < pi/2 (its cut is on Im u = -theta, g's poles at
+    +-i pi/2) and decays at both ends, so the line moves to Im u = pi/4, where
+    the rule converges at the rate the strip's width sets (Mori and Sugihara
+    2001).  With L = log a + i pi/4, G(x) = g(x + i pi/4) and, g being odd and
+    real on the real axis, g(-x + i pi/4) = -conj G(x), that is two calls,
+    one power per node against complex weights in the node table:
+
+    integral_0^inf (L + x)^k G(x) dx + integral_0^inf (L - x)^k (-conj G(x)) dx.
 
     Ray-start singularities are subtracted in closed form (Davis and
     Rabinowitz, Methods of Numerical Integration, 2.12).  If a ray integrand
@@ -329,13 +330,20 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
         raise CaseError(msg)
     k = case.k
     method = _plan(case)["lhs"][0]
-    if method == "rays":
-        split = -math.log(case.a.r)
-        right = integrate_semi_infinite(_lhs_ray(k, split, 1.0), case.quad_cfg)
-        left = integrate_semi_infinite(_lhs_ray(k, split, -1.0), case.quad_cfg)
-        return QuadResult(right.value + left.value, right.err_estimate + left.err_estimate,
-                          right.n_evals + left.n_evals, right.converged and left.converged)
     log_a = case.a.log_value
+    if method == "lift":
+        lift = log_a + 1j * _LIFT
+
+        def right(x: float) -> complex:
+            return 0j if x > 700.0 else (lift + x) ** k
+
+        def left(x: float) -> complex:
+            return 0j if x > 700.0 else (lift - x) ** k
+
+        r = integrate_semi_infinite(right, case.quad_cfg, weight=_lift_weight)
+        m = integrate_semi_infinite(left, case.quad_cfg, weight=_lift_weight_mirror)
+        return QuadResult(r.value + m.value, r.err_estimate + m.err_estimate,
+                          r.n_evals + m.n_evals, r.converged and m.converged)
 
     def f(t: float) -> complex:
         if t > 700.0:  # the weight is 0; the power may overflow

@@ -20,13 +20,13 @@ skipped.  n_evals counts only the nodes evaluated.
 
 The nodes and weights do not depend on the integrand, so the rule keeps one
 table per level, built on first use and shared by every later call.  Its
-columns are tuples of floats, which a level's loop walks without boxing a
-float per node, and the loop calls the integrand itself: on CPython 3.11 a
-call through map, from C into a Python function, costs more.  A caller
-whose integrand is f(x) g(x) with a fixed real weight g, the same in every
-call (the lhs's -tanh(u) / (2 cosh u), the contour's sech(pi t / 2)),
-passes g separately: the rule keeps a second table per level with the
-weights w g(x) folded in, so each node then costs one evaluation of f alone.
+columns are tuples, which a level's loop walks without boxing a number per
+node, and the loop calls the integrand itself: on CPython 3.11 a call
+through map, from C into a Python function, costs more.  A caller whose
+integrand is f(x) g(x) with a fixed weight g, the same in every call (the
+lhs's -tanh(u) / (2 cosh u) or its complex continuation, the contour's
+sech(pi t / 2)), passes g separately: the rule keeps a second table per
+level with the weights w g(x) folded in, so each node costs one f(x) alone.
 """
 
 from __future__ import annotations
@@ -86,14 +86,14 @@ _DEFAULT_CFG = QuadConfig()
 
 
 @lru_cache(maxsize=None)
-def _nodes(level: int, weight: Callable[[float], float] | None
-           ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _nodes(level: int, weight: Callable[[float], complex] | None
+           ) -> tuple[tuple[float, ...], tuple[complex, ...]]:
     """Columns x = exp(pi/2 sinh t) and weight w = x (pi/2) cosh t = dx/dt for
     the t = j*h, h = 2^-level, that a level adds over [-6, 6], ascending:
-    every j at level 0, odd j after.  Given a weight g, the second column is
-    w g(x) instead, next to the same x column.  One table is kept per level
-    and weight object, so g should be a module-level function.  The weight
-    has no default: the cache keys _nodes(0) and _nodes(0, None) apart."""
+    every j at level 0, odd j after.  Given a weight g, real or complex, the
+    second column is w g(x), next to the same x column.  One table is kept
+    per level and weight object, so g should be a module-level function.  The
+    weight has no default: the cache keys _nodes(0) and _nodes(0, None) apart."""
     if weight is not None:
         xs, ws = _nodes(level, None)
         return xs, tuple([w * weight(x) for x, w in zip(xs, ws)])
@@ -111,15 +111,15 @@ def _nodes(level: int, weight: Callable[[float], float] | None
 
 def integrate_semi_infinite(f: Callable[[float], complex],
                             cfg: QuadConfig = _DEFAULT_CFG,
-                            weight: Callable[[float], float] | None = None) -> QuadResult:
+                            weight: Callable[[float], complex] | None = None) -> QuadResult:
     """Integral of f over (0, inf) by exp-sinh quadrature, or of f * weight.
 
-    A real weight g that does not depend on the call, such as the lhs's
+    A weight g that does not depend on the call, such as the lhs's
     -tanh(u) / (2 cosh u) or the contour's sech(pi t / 2), is folded into the
     node table once (see _nodes), so each node costs one f(x) evaluation
     and one multiplication; everything below applies to the product f g,
-    whose terms are f(x) (w g(x)).  Where g is 0, f must still be finite:
-    inf * 0 is nan.
+    whose terms are f(x) (w g(x)), and g may be complex.  Where g is 0, f
+    must still be finite: inf * 0 is nan.
 
     f must decay at least exponentially at infinity; an integrable
     singularity at the origin is allowed.  Refinement stops after

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -196,6 +197,17 @@ class TestCommands:
         main(["verify", "--k", "0.5+0.3i", "--a", "2@2.35619449019234"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("argv", [["verify", "--k", "0.5", "--a", "2"],
+                                      ["sweep", "--format", "csv"]])
+    def test_text_only_stdout(self, capsys, argv):
+        # a StringIO has neither .buffer nor an encoding; the report is
+        # written to it as text, the same text capsys sees
+        code = main(argv)
+        ref = capsys.readouterr().out
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == code
+        assert out.getvalue() == ref
 
     @pytest.mark.parametrize("a", ["2-0i", "2@-0"])
     def test_negative_zero_argument_reads_as_zero(self, capsys, a):

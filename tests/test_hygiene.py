@@ -18,7 +18,8 @@
 * every weight= argument in identities.py names a module-level function,
   or picks between such names: quad keeps one node table per weight object
   in an unbounded cache, so a lambda or closure would build a new table on
-  every call and grow memory without bound;
+  every call and grow memory without bound; a sweep over ten real a adds
+  at most two tables per level to that cache;
 * the package re-exports every public name of its library modules;
 * every defaulted parameter of a public module-level function is passed
   by some call in src/, tests/ or perfbench/: a parameter that only ever
@@ -38,6 +39,7 @@ from pathlib import Path
 import pytest
 
 import zetaquad
+from zetaquad import quad
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zetaquad"
@@ -209,6 +211,18 @@ def test_quadrature_weights_are_module_level_functions():
            if not _module_level_names(value, functions)]
     assert len(weights) >= 3
     assert bad == [], f"weight= must name a module-level function: {bad}"
+
+
+def test_sweep_over_real_a_adds_no_table_per_case():
+    # One real a first builds whatever the rest need at the levels they
+    # reach; ten more distinct real a may add a level's tables for the two
+    # lifted half-lines' weights, but not one table per case.
+    ks = [0.5 + 0j, 2.0 + 1.0j]
+    zetaquad.sweep(ks, [zetaquad.BranchedConstant(2.0)])
+    before = quad._nodes.cache_info().currsize
+    res = zetaquad.sweep(ks, [zetaquad.BranchedConstant(0.3 + 0.25 * j) for j in range(10)])
+    assert len(res.reports) == 20
+    assert quad._nodes.cache_info().currsize - before <= 2 * (quad._MAX_LEVEL + 1)
 
 
 @pytest.mark.parametrize("module", ["complexfn", "hurwitz", "quad", "identities"])

@@ -103,10 +103,11 @@ class TestLhsIntegral:
         (0.5, A_ONE, 1),
         (-1.8, A_ONE, 1),  # the subtracted a = 1 integrand
         (0.5, BranchedConstant(2.0), 2),
+        (0.5, BranchedConstant(1.0, 0.1), 2),
     ])
     def test_quadrature_calls(self, monkeypatch, k, a, calls):
-        # At split 0 the odd weight folds both rays into one call; at
-        # theta = 0, r != 1 the rays from the branch point are two calls.
+        # At split 0 the odd weight folds both rays into one call; below
+        # theta = 0.25 (a != 1) the half-lines of the lifted line are two calls.
         made = []
 
         def counting(*args, **kwargs):
@@ -121,7 +122,7 @@ class TestLhsIntegral:
     @pytest.mark.parametrize("r", [2.0, 0.5, 3.0])
     def test_re_k_zero_with_real_a(self, k, r):
         # At the branch point u = -ln r, (log a + u)^k is undefined for
-        # Re(k) <= 0; the rays from it raise +-t, which no node rounds to 0.
+        # Re(k) <= 0; the lifted line passes pi/4 above it.
         mpmath = pytest.importorskip("mpmath")
         res = lhs_integral(case(k, BranchedConstant(r)))
         with mpmath.workdps(20):
@@ -433,8 +434,9 @@ class TestCrossRouteProperties:
 # takes e^{-2|u|} as the square of e^{-|u|}: at split 0 the odd g folds the
 # two rays into one call of power(t) - power(-t) against g as the
 # quadrature's weight, and g with the a = 1 subtraction (Re k < -3/2) is just
-# another weight; at theta = 0, r != 1 the rays from the branch point raise
-# +-t, which log a + u equals there, and multiply by g per node.  The contour
+# another weight; at theta = 0, r != 1 the line is lifted to Im u = pi/4,
+# whose half-lines raise L +- x, L = log a + i pi/4, against the weights
+# G(x) = g(x + i pi/4) and -conj G(x), written with cmath.  The contour
 # reference integrates e^{i t log a} t^{-k} against its own sech(pi t/2)
 # helper as the quadrature's weight.  The log-Gamma integrand is compared
 # with its one-ray fold built from the same lhs weight.
@@ -456,20 +458,32 @@ def _reference_weight_sub(u):
     return _reference_weight(u) + 0.5 * u * math.exp(-abs(u))
 
 
+def _reference_lift_weight(x):
+    if x > 700.0:
+        return 0j
+    z = complex(x, 0.25 * math.pi)
+    return -cmath.tanh(z) / (2.0 * cmath.cosh(z))
+
+
+def _reference_lift_mirror(x):
+    return -_reference_lift_weight(x).conjugate()
+
+
 def _reference_lhs(c):
     k = complex(c.k)
     log_a = c.a.log_value
-    if c.a.theta == 0.0 and c.a.r != 1.0:
-        split = -math.log(c.a.r)
+    if identities._plan(c)["lhs"][0] == "lift":
+        lift = complex(log_a.real, log_a.imag + 0.25 * math.pi)
 
-        def ray(sign):
-            def h(t):
-                w = _reference_weight(split + sign * t)
-                return 0j if w == 0.0 else complex_pow(complex(sign * t, 0.0), k) * w
+        def half(sign, weight):
+            def h(x):
+                z = complex(lift.real + sign * x, lift.imag)
+                return 0j if x > 700.0 else complex_pow(z, k)
 
-            return integrate_semi_infinite(h, c.quad_cfg)
+            return integrate_semi_infinite(h, c.quad_cfg, weight=weight)
 
-        right, left = ray(1.0), ray(-1.0)
+        right = half(1.0, _reference_lift_weight)
+        left = half(-1.0, _reference_lift_mirror)
         return QuadResult(right.value + left.value, right.err_estimate + left.err_estimate,
                           right.n_evals + left.n_evals, right.converged and left.converged)
 
@@ -538,10 +552,11 @@ CAPS = (13, 40, 10 ** 6)
 def test_fused_integrands_match_reference(k):
     k = complex(k)
     compared = 0
-    # at a = e the split is -1.0 exactly, so the right ray's level-0 node
-    # x = 1 lands on u = 0, where the weight is -0.0
+    # a = e puts the branch point u = -1 under the level-0 node x = 1 of the
+    # mirrored half-line; 2@0.1 and 1@0.1 are lifted, 2@0.25 is folded
     for a in (A_ONE, BranchedConstant(2.0), BranchedConstant(0.5), BranchedConstant(math.e),
-              BranchedConstant(2.0, 3.0 * math.pi / 4.0), BranchedConstant(1.3, 2.0)):
+              BranchedConstant(2.0, 3.0 * math.pi / 4.0), BranchedConstant(1.3, 2.0),
+              BranchedConstant(2.0, 0.1), BranchedConstant(1.0, 0.1), BranchedConstant(2.0, 0.25)):
         for cap in CAPS:
             c = case(k, a, quad_cfg=QuadConfig(max_evals=cap))
             if case_violation(k, a) is None:
@@ -598,8 +613,8 @@ def test_contour_weight_is_zero_past_450():
 @pytest.mark.parametrize("k", [0.5, -1.5, 2.0, 3.0, -0.25, 0.5 + 0.3j, -1.99 + 0.3j,
                                3.0 - 4.0j, 1e-3j])
 def test_real_base_power_matches_complex_base(k):
-    # the theta = 0 rays raise the float +-t to the complex k: CPython promotes
-    # it to complex(+-t, 0.0), so -t keeps argument pi
+    # the contour raises the float t to the complex -k: CPython promotes it
+    # to complex(t, 0.0), and a negative float keeps argument pi
     k = complex(k)
     for x in _node_columns():
         for t in (x, -x):
@@ -618,29 +633,74 @@ def _bits(values):
     return array("d", [p for z in values for p in (z.real, z.imag)]).tobytes()
 
 
-# x = 1 is the level-0 node at t = 0, so at split 1 one node of the ray
-# with sign -1 lands on u = 0 exactly
+# x = 1 is the level-0 node at t = 0, so at split 1 one node of the lifted
+# half-line with sign +1 passes right above the branch point u = 1
 @pytest.mark.parametrize("split", [s * m for s in (0.0, 1e-3, 0.7, 30.0, 699.5, 700.5)
                                    for m in (1.0, -1.0)] + [1.0])
-def test_ray_integrand_inlines_lhs_weight(split):
-    # the theta = 0 ray writes _lhs_weight out, so that a node costs one
-    # Python frame; every node of every level must still give the bits of
-    # (sign t)^k _lhs_weight(split + sign t), or 0j where that weight is 0
-    k = -1.5 + 0.3j
+def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
+    # the lhs at a = e^{-split} (theta = 0.1 at split 0, since a = 1 folds)
+    # hands the quadrature the lifted half-lines: at every node of every
+    # level the integrand gives the bits of (L +- x)^k, L = log a + i pi/4,
+    # or 0j past x = 700, against the table weights G and -conj G that
+    # continue the lhs weight to Im u = pi/4.  Re k = 0, where
+    # (log a + u)^k is undefined at the branch point on the real line.
+    k = 0.3j
+    a = BranchedConstant(math.exp(-split), 0.1 if split == 0.0 else 0.0)
+    made = []
+
+    def capturing(f, cfg, weight=None):
+        made.append((f, weight))
+        return QuadResult(0j, 0.0, 0, True)
+
+    monkeypatch.setattr(identities, "integrate_semi_infinite", capturing)
+    lhs_integral(case(k, a))
+    assert [w for _, w in made] == [identities._lift_weight, identities._lift_weight_mirror]
+    lift = a.log_value + 1j * 0.25 * math.pi
     nodes = _node_columns(range(11))
-    on_split = 0
-    for sign in (1.0, -1.0):
-        h = identities._lhs_ray(k, split, sign)
-        got = [h(t) for t in nodes]
+    above = 0
+    for (f, _), sign in zip(made, (1.0, -1.0)):
+        got = [f(x) for x in nodes]
         ref = []
-        for t in nodes:
-            w = identities._lhs_weight(split + sign * t)
-            ref.append((sign * t) ** k * w if w else 0j)
-            on_split += split + sign * t == 0.0
+        for x in nodes:
+            z = complex(lift.real + sign * x, lift.imag)
+            ref.append(0j if x > 700.0 else z ** k)
+            above += z.real == 0.0
         assert _bits(got) == _bits(ref), next(
-            (sign, t, g, r) for t, g, r in zip(nodes, got, ref) if repr(g) != repr(r))
+            (sign, x, g, r) for x, g, r in zip(nodes, got, ref) if repr(g) != repr(r))
+    for x in nodes:
+        if x <= 700.0:
+            z = complex(x, 0.25 * math.pi)
+            assert _rel_close(made[0][1](x), -cmath.tanh(z) / (2.0 * cmath.cosh(z))), x
+            assert _rel_close(made[1][1](x), -cmath.tanh(-z.conjugate())
+                              / (2.0 * cmath.cosh(-z.conjugate()))), x
     if split == 1.0:
-        assert on_split == 1
+        assert above == 1
+
+
+def test_lift_weights():
+    # every node of every level: G(x) = g(x + i pi/4) from cmath's tanh and
+    # cosh, bit for bit, and 0j past x = 700; the mirror g(-x + i pi/4) is
+    # exactly -conj G(x); and G agrees with the closed form
+    # -e^{-x} e^{-i pi/4} (1 + i q) / (1 - i q)^2, q = e^{-2x}, of
+    # -tanh(z) / (2 cosh z), which is how the real weight is written
+    nodes = _node_columns(range(11))
+    beyond = [x for x in nodes if x > 700.0]
+    assert beyond
+    compared = 0
+    for x in nodes + [700.0, math.nextafter(700.0, math.inf), 700.5, 1e300, math.inf]:
+        got = identities._lift_weight(x)
+        if x > 700.0:
+            assert repr(got) == "0j", x
+        else:
+            z = complex(x, 0.25 * math.pi)
+            assert _bits([got]) == _bits([-cmath.tanh(z) / (2.0 * cmath.cosh(z))]), x
+            q = math.exp(-2.0 * x)
+            closed = -math.exp(-x) * cmath.exp(-0.25j * math.pi) * (1 + 1j * q) / (1 - 1j * q) ** 2
+            if abs(closed) >= sys.float_info.min:
+                assert _rel_close(got, closed), x
+                compared += 1
+        assert _bits([identities._lift_weight_mirror(x)]) == _bits([-got.conjugate()]), x
+    assert compared >= 300
 
 
 def _zeta_oracle(mpmath, k, a):
@@ -749,6 +809,28 @@ def _im_k_scan():
             for theta, re_k, ln_r, im_k in grid] + [(-0.5 - 20j, BranchedConstant(1e12, 2.0))]
 
 
+def _small_theta():
+    """ROADMAP item 17's band 0 < theta < 0.5 next to the real axis: theta
+    log-uniform in [1e-10, 0.5], r in [0.1, 30] (never 1), Re k in (-1, 3]
+    and |Im k| <= 5.  Below _plan's switch the lhs lifts, above it folds."""
+    rng = random.Random(17)
+    cases = []
+    while len(cases) < 120:
+        k = complex(rng.uniform(-1.0, 3.0), rng.uniform(-5.0, 5.0))
+        r = rng.uniform(0.1, 30.0)
+        if k.real > -1.0 and r != 1.0:
+            cases.append((k, BranchedConstant(r, 10.0 ** rng.uniform(-10.0, math.log10(0.5)))))
+    return cases
+
+
+def _lift_scan():
+    """The lift off the region map: theta = 0, Re k in [0, 8], |Im k| <= 20
+    and ln r in [-27, 27]."""
+    rng = random.Random(32)
+    return [(complex(rng.uniform(0.0, 8.0), rng.uniform(-20.0, 20.0)),
+             BranchedConstant(math.exp(rng.uniform(-27.0, 27.0)))) for _ in range(150)]
+
+
 class Stratum(NamedTuple):
     draw: object  # () -> [(k, a)]
     cfg: QuadConfig = QuadConfig()
@@ -770,6 +852,8 @@ STRATA = {
     "im_k_scan": Stratum(_im_k_scan),
     "far_real_a": Stratum(lambda: _draw(9, 30, (0.0, 1.0), _far_real_a)
                           + [(0.5 + 0j, BranchedConstant(2.7e43))]),
+    "small_theta": Stratum(_small_theta, own="lhs"),
+    "lift_scan": Stratum(_lift_scan),
 }
 
 
@@ -778,23 +862,22 @@ def _known(item, why):
 
 
 KNOWN = {
-    ("main@1e-6", "lhs"): _known(7, "at 1e-6 the lhs at k = 3.30+4.79i, a = 2.658 is 8.2e-7 "
-                                    "off, against an estimate of 6.8e-7"),
     ("large_re_k", "zeta"): _known(3, "hurwitz_zeta returns wrong values with no error for "
                                       "Re s < -8, so zeta is ok but off"),
     ("large_re_k", "lhs"): _known(13, "12 of 40 lhs records lie outside their estimate, by "
                                       "up to 4.3x: the 8 EPS |value| floor ignores |k|"),
-    ("rays_contour", "lhs"): _known(13, "at k = 0.9965, a = 1.407@0.0337 the lhs is ok after "
-                                        "88 evaluations and 8.1e-10 off, against 1.2e-10"),
     ("im_k_scan", "lhs"): _known(13, "a peak between level-0 nodes and an early stop leave "
                                      "ok lhs records far outside their estimate"),
     ("im_k_scan", "contour"): _known(7, "at Im k <= -10 the contour judges convergence in the "
                                         "units of its ray integral, far below |pref|"),
     ("im_k_scan", "zeta"): _known(3, "at ln r = 27 and Im k in {-10, -20} (Im q near -4.3) "
                                      "zeta is ok but off"),
-    ("far_real_a", "lhs"): _known(9, "at theta = 0 and |ln r| >~ 100 the lhs ray's sech peak "
-                                     "sits between two level-0 nodes, so levels 0 and 1 agree "
-                                     "on a value near 0 and the lhs reports ok"),
+    ("lift_scan", "lhs"): _known(13, "23 of 143 ok lhs records lie outside their estimate: a "
+                                     "lifted half-line passes the branch point pi/4 away at "
+                                     "x = |ln r|, and at Im k near -20 the worst is 6.1e-7 off"),
+    ("lift_scan", "zeta"): _known(3, "at k = 7.43-13.30i, ln r = 17.0 zeta is ok but 1.4e-6 off"),
+    ("lift_scan", "contour"): _known(7, "at ln r = 24.4 the contour is ok but off, by 9.5e6 "
+                                        "relative at k = 0.008-18.9i"),
 }
 
 
@@ -839,7 +922,7 @@ def test_oracle_map(name, route):
 # variant lands with a stratum that draws it (ROADMAP item 22's gate).  The
 # exact "zero" of zeta and series at k = 0 is left out: TestRhsZeta and
 # TestRhsSeries pin it.
-PLAN_METHODS = {("lhs", "fold"), ("lhs", "fold-sub"), ("lhs", "rays"), ("zeta", "em"),
+PLAN_METHODS = {("lhs", "fold"), ("lhs", "fold-sub"), ("lhs", "lift"), ("zeta", "em"),
                 ("series", "cvz"), ("contour", "rays"), ("contour", "rays-sub")}
 
 
@@ -879,10 +962,10 @@ OUTCOMES = {
     # would otherwise stop the report rendering
     **{(k, "2"): ("partial", EXP, ("failed", "non-finite value"), RE_K, RE_K)
        for k in ("130", "140", "145")},
-    # the lhs ray hits log a + u = 0 exactly, so z = 1e-200 i and z^-2
-    # underflows inside Python's integral power (a ZeroDivisionError)
-    ("-2", "0.36787944117144233@1e-200"):
-        ("partial", ("failed", "0.0 to a negative or complex power"), OK, OK, INT_K),
+    # the fold's node at t = 1 met log a - t = 1e-200 i, whose square
+    # underflows inside Python's integral power (a ZeroDivisionError); the
+    # lifted line keeps pi/4 away from the branch point
+    ("-2", "0.36787944117144233@1e-200"): ("pass", OK, OK, OK, INT_K),
     # |term| carries e^{-Im(k) arg z}, which grows by about e^32 while arg z
     # turns towards pi/2, so 320 terms do not settle; the contour here is ok
     # but wrong (ROADMAP item 7, the oracle map's im_k_scan-contour pair)
@@ -903,8 +986,8 @@ OUTCOME_METHODS = {
     ("0.5+0.3i", "2@2.356194490192345"): ("fold", "em", "cvz", "rays"),
     ("201", "1"): ("fold", "em", "", ""),
     ("150", "3@1"): ("fold", "em", "", ""),
-    **{(k, "2"): ("rays", "em", "", "") for k in ("130", "140", "145")},
-    ("-2", "0.36787944117144233@1e-200"): ("fold", "em", "cvz", ""),
+    **{(k, "2"): ("lift", "em", "", "") for k in ("130", "140", "145")},
+    ("-2", "0.36787944117144233@1e-200"): ("lift", "em", "cvz", ""),
     ("-2.402712820710665-22.341628507476607i", "289713255917.29846@1.9720497447425476"):
         ("fold", "em", "cvz", "rays"),
     ("0.5", "1", "--max-evals", "40"): ("fold", "em", "cvz", "rays"),
@@ -954,8 +1037,9 @@ def test_outcomes(row, capsys):
 @pytest.mark.parametrize("k", [0.5, 2.5])
 @pytest.mark.parametrize("log_r,theta", [(30.0, 0.0), (-30.0, 0.0), (300.0, 1.0), (-300.0, 1.0)])
 def test_lhs_far_from_unit_a_matches_zeta(k, log_r, theta):
-    # the lhs rays peak near t = |ln r|, far out on the exp-sinh mesh, where
-    # the quadrature trims its tails after level 0
+    # the lhs integrand turns sharply near t = |ln r|, its branch point's
+    # distance along the line, far out on the exp-sinh mesh, where the
+    # quadrature trims its tails after level 0
     rep = verify(case(k, BranchedConstant(math.exp(log_r), theta)))
     lhs, zeta = rep.routes["lhs"], rep.routes["zeta"]
     assert lhs.status == "ok"
