@@ -57,7 +57,7 @@ __all__ = [
 
 _CAUCHY_NODES = 256
 _LIFT = 0.25 * math.pi  # the lifted line Im u = pi/4, mid-strip (see lhs_integral)
-_LIFT_THETA = 0.25  # below it the lhs lifts rather than folds, except at a = 1
+_LIFT_THETA = 0.25  # below it the lhs lifts rather than folds
 
 DEFAULT_K_GRID: tuple[complex, ...] = (
     -1.5 + 0j, -1.0 + 0j, -0.5 + 0j, 0.5 + 0j, 0.5 + 0.3j, 2.0 + 0j, 3.0 + 0j,
@@ -177,10 +177,8 @@ def _plan(case: IdentityCase) -> dict[str, tuple[str, str]]:
     the route runs and "", or "" and why the case is outside its region.
     Every variant chosen on (k, a) is chosen here; case_violation alone
     judges whether the pair is valid at all."""
-    k, a = case.k, case.a
-    real_a = a.theta == 0.0
-    lift = a.theta < _LIFT_THETA and not (real_a and a.r == 1.0)
-    lhs = "lift" if lift else "fold-sub" if real_a and k.real < -1.5 else "fold"
+    k = case.k
+    lhs = "lift" if case.a.theta < _LIFT_THETA else "fold"
     zero = "zero" if k == 0 else ""
     if k.real >= 1.0:
         series = contour = ("", "Re(k) >= 1")
@@ -259,12 +257,6 @@ def _lhs_weight(u: float) -> float:
     return -math.tanh(u) * (e / (1.0 + e * e))
 
 
-def _lhs_weight_sub(u: float) -> float:
-    """_lhs_weight(u) + u e^{-|u|} / 2: the weight with the ray-start
-    singularity of a = 1 subtracted (see lhs_integral); also odd in u."""
-    return _lhs_weight(u) + 0.5 * u * math.exp(-abs(u))
-
-
 def _lift_weight(x: float) -> complex:
     """G(x) = g(x + i delta), g = _lhs_weight continued off the real axis:
     the lift's weight on the half-line x > 0; 0j past x = 700, where cosh
@@ -292,38 +284,19 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
 
     integral_0^inf ((log a + t)^k - (log a - t)^k) g(t) dt.
 
-    Near it (lift: theta < _LIFT_THETA, a != 1) the branch point
-    u = -ln r - i theta of (log a + u)^k lies on the line or theta below it,
-    and the rule converges slowly or not at all.  But h(u) = (log a + u)^k g(u)
-    is analytic in 0 < Im u < pi/2 (its cut is on Im u = -theta, g's poles at
+    Near it (lift: theta < _LIFT_THETA) the branch point u = -ln r - i theta
+    of (log a + u)^k lies on the line or theta below it, and the rule
+    converges slowly or not at all.  But h(u) = (log a + u)^k g(u) is
+    analytic in 0 < Im u < pi/2 (its cut is on Im u = -theta, g's poles at
     +-i pi/2) and decays at both ends, so the line moves to Im u = pi/4, where
     the rule converges at the rate the strip's width sets (Mori and Sugihara
-    2001).  With L = log a + i pi/4, G(x) = g(x + i pi/4) and, g being odd and
-    real on the real axis, g(-x + i pi/4) = -conj G(x), that is two calls,
-    one power per node against complex weights in the node table:
+    2001).  At a = 1 the branch point is u = 0 itself, where h is O(u^{k+1}),
+    integrable for Re k > -2, and the line passes pi/4 above it.  With
+    L = log a + i pi/4, G(x) = g(x + i pi/4) and, g being odd and real on the
+    real axis, g(-x + i pi/4) = -conj G(x), that is two calls, one power per
+    node against complex weights in the node table:
 
     integral_0^inf (L + x)^k G(x) dx + integral_0^inf (L - x)^k (-conj G(x)) dx.
-
-    Ray-start singularities are subtracted in closed form (Davis and
-    Rabinowitz, Methods of Numerical Integration, 2.12).  If a ray integrand
-    f behaves like c t^p near t = 0, exp-sinh, whose smallest node is
-    x = e^{-317}, misses about x^{p+1} / |p+1| of the mass and needs every
-    level as Re p -> -1.  So for Re p < -1/2 the ray integrates
-    f(t) - c t^p e^{-t}, which is O(t^{p+1}) at the start and converges in a
-    few levels, and c Gamma(p+1), the integral of c t^p e^{-t}, is added back.
-    The smooth weight e^{-t} leaves no kink, which a cut at (0, delta] would.
-    For Re p >= -1/2 the plain rule converges at its usual depth and is kept
-    unchanged.
-
-    Only a = 1 has a singular ray start: the split is u = 0, g(t) = -t/2 +
-    O(t^3) and (-t)^k = t^k e^{i pi k}, so the folded integrand starts like
-    (e^{i pi k} - 1) t^{k+1} / 2.  Then p = k + 1, the subtraction applies for
-    Re k < -3/2 (fold-sub), and the add-back is Gamma(k+2) (e^{i pi k} - 1) / 2.
-    The subtraction is the odd weight _lhs_weight_sub, which adds t e^{-t} / 2
-    to g.  The add-back cancels against the integral, so the error estimate
-    gains its rounding floor eps |Gamma(k+2) / 2| (1 + |e^{i pi k}| (1 + pi |k|)):
-    the phase pi k of e^{i pi k} is rounded by up to eps pi |k|, and
-    Gamma(k+2) has its pole at k = -2.
     """
     msg = case_violation(case.k, case.a)
     if msg is not None:
@@ -350,15 +323,7 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
             return 0j
         return (log_a + t) ** k - (log_a - t) ** k
 
-    res = integrate_semi_infinite(f, case.quad_cfg,
-                                  weight=_lhs_weight_sub if method == "fold-sub" else _lhs_weight)
-    if method == "fold":
-        return res
-    half_g = 0.5 * gamma(k + 2.0)
-    turn = cmath.exp(1j * math.pi * k)
-    err = EPS * abs(half_g) * (1.0 + abs(turn) * (1.0 + math.pi * abs(k)))
-    return QuadResult(res.value + half_g * (turn - 1.0), res.err_estimate + err,
-                      res.n_evals, res.converged)
+    return integrate_semi_infinite(f, case.quad_cfg, weight=_lhs_weight)
 
 
 def rhs_zeta(case: IdentityCase) -> complex:
@@ -422,13 +387,18 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     validated against rhs_series / rhs_zeta (see the test suite).  For
     integer k the branch difference vanishes; see contour_cauchy_check.
 
-    The ray integrand starts like t^{-k}: c = 1 and p = -k.  For Re k > 1/2,
-    Re p < -1/2, rays-sub subtracts the ray-start singularity in closed
-    form as in lhs_integral, with the weight e^{-pi t/2} of the sech tail
-    instead of e^{-t}, which needs fewer evaluations: the ray integrates
+    The ray's start is singular: the integrand behaves like t^p with
+    p = -k near t = 0.  There exp-sinh, whose smallest node is x = e^{-317},
+    misses about x^{p+1} / |p+1| of the mass and needs every level as
+    Re p -> -1.  So for Re k > 1/2, Re p < -1/2, rays-sub subtracts the
+    singularity in closed form (Davis and Rabinowitz, Methods of Numerical
+    Integration, 2.12): the ray integrates
     t^{-k} (e^{i t log a} sech(pi t/2) - e^{-pi t/2}), which is O(t^{1-k})
-    at the start, and Gamma(1-k) (pi/2)^{k-1}, the integral of
-    t^{-k} e^{-pi t/2}, is added back before the prefactor.
+    at the start and converges in a few levels, and Gamma(1-k) (pi/2)^{k-1},
+    the integral of t^{-k} e^{-pi t/2}, is added back before the prefactor.
+    The smooth weight e^{-pi t/2}, the sech tail, leaves no kink, which a cut
+    at (0, delta] would.  For Re k <= 1/2 the plain rule converges at its
+    usual depth and is kept unchanged.
 
     sech(pi t/2) does not depend on the case, so the quadrature keeps it in
     its node table (_contour_weight) and the ray evaluates only the factor

@@ -254,7 +254,7 @@ class TestCommands:
         assert [row[0] for row in rows] == ["-1"] * 4 + ["3"] * 4
         assert [row[4] for row in rows] == ["lhs", "zeta", "series", "contour"] * 2
         # the method is the last column, and empty where the route did not run
-        assert [row[12] for row in rows] == ["fold", "em", "cvz", "", "fold", "em", "", ""]
+        assert [row[12] for row in rows] == ["lift", "em", "cvz", "", "lift", "em", "", ""]
         # a route with no value has empty value and work cells
         assert all((row[5:9] == ["", "", "", ""]) == (row[9] in ("skipped", "failed"))
                    for row in rows)

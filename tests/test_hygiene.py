@@ -21,6 +21,9 @@
   every call and grow memory without bound; a sweep over ten real a adds
   at most two tables per level to that cache;
 * the package re-exports every public name of its library modules;
+* the README's method table lists exactly the (route, method) pairs that
+  identities._plan can give, so a deleted or new method cannot leave it
+  stale;
 * every defaulted parameter of a public module-level function is passed
   by some call in src/, tests/ or perfbench/: a parameter that only ever
   takes its default is a constant, not a knob;
@@ -31,6 +34,8 @@
 
 import ast
 import importlib
+import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -39,7 +44,7 @@ from pathlib import Path
 import pytest
 
 import zetaquad
-from zetaquad import quad
+from zetaquad import identities, quad
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zetaquad"
@@ -230,6 +235,36 @@ def test_package_exports_every_public_name(module):
     names = importlib.import_module(f"zetaquad.{module}").__all__
     missing = [name for name in names if not hasattr(zetaquad, name)]
     assert missing == [], f"zetaquad does not re-export {module}.{missing}"
+
+
+def _readme_methods():
+    """(route, method) of every row of the README's method table; a row for
+    two routes, "zeta, series", gives a pair for each."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| route | method | when | what it computes |")
+    pairs = set()
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start + 2:]):
+        routes, method = (cell.strip() for cell in line.split("|")[1:3])
+        pairs |= {(route, method.strip("`")) for route in routes.split(", ")}
+    return pairs
+
+
+def test_readme_method_table_matches_plan():
+    # The probes reach every branch of _plan: k = 0, Re k >= 1, integer k,
+    # Re k on either side of 1/2, theta on either side of 0.25.  The methods
+    # they give must be every method among _plan's string literals (the
+    # routes, the methods and the skip reasons, which have spaces), so a new
+    # branch needs a probe here and a row in the table.
+    given = {(route, method)
+             for k in (0j, -1.8 + 0j, -1 + 0j, 0.5 + 0j, 0.7 + 0.1j, 2 + 0j)
+             for a in (zetaquad.BranchedConstant(1.0), zetaquad.BranchedConstant(2.0, 1.0))
+             for route, (method, _) in identities._plan(identities.IdentityCase(k, a)).items()
+             if method}
+    routes = {route for route, _ in given}
+    words = {node.value for node in ast.walk(ast.parse(inspect.getsource(identities._plan)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert {method for _, method in given} == {w for w in words if w and " " not in w} - routes
+    assert _readme_methods() == given
 
 
 def test_defaulted_parameters_are_passed():
