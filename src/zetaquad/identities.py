@@ -249,7 +249,7 @@ def integrand(y: float, k: complex, a: BranchedConstant) -> complex:
 def _lhs_weight(u: float) -> float:
     """-tanh(u) / (2 cosh u), the lhs's weight, as -tanh(u) e / (1 + e^2)
     with e = e^{-|u|}: odd in u, and 0 where |u| > 700, where sech
-    underflows."""
+    underflows and the quadrature calls no integrand."""
     au = abs(u)
     if au > 700.0:
         return 0.0
@@ -259,17 +259,12 @@ def _lhs_weight(u: float) -> float:
 
 def _lift_weight(x: float) -> complex:
     """G(x) = g(x + i delta), g = _lhs_weight continued off the real axis:
-    the lift's weight on the half-line x > 0; 0j past x = 700, where cosh
-    soon overflows and the power may."""
+    the lift's weight on both half-lines; 0j past x = 700, where cosh soon
+    overflows and the power may, so the quadrature skips those nodes."""
     if x > 700.0:
         return 0j
     z = complex(x, _LIFT)
     return -cmath.tanh(z) / (2.0 * cmath.cosh(z))
-
-
-def _lift_weight_mirror(x: float) -> complex:
-    """-conj G(x) = g(-x + i delta): the lift's weight on the half-line x < 0."""
-    return -_lift_weight(x).conjugate()
 
 
 def lhs_integral(case: IdentityCase) -> QuadResult:
@@ -294,9 +289,11 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     integrable for Re k > -2, and the line passes pi/4 above it.  With
     L = log a + i pi/4, G(x) = g(x + i pi/4) and, g being odd and real on the
     real axis, g(-x + i pi/4) = -conj G(x), that is two calls, one power per
-    node against complex weights in the node table:
+    node against the one complex weight G in the node table.  L - x, with
+    imaginary part theta + pi/4 > 0, is off the power's cut, so
+    conj((L - x)^k) = (conj L - x)^{conj k} bit for bit:
 
-    integral_0^inf (L + x)^k G(x) dx + integral_0^inf (L - x)^k (-conj G(x)) dx.
+    integral_0^inf (L + x)^k G(x) dx - conj integral_0^inf (conj L - x)^{conj k} G(x) dx.
     """
     msg = case_violation(case.k, case.a)
     if msg is not None:
@@ -306,21 +303,20 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     log_a = case.a.log_value
     if method == "lift":
         lift = log_a + 1j * _LIFT
+        lift_c, k_c = lift.conjugate(), k.conjugate()
 
         def right(x: float) -> complex:
-            return 0j if x > 700.0 else (lift + x) ** k
+            return (lift + x) ** k
 
         def left(x: float) -> complex:
-            return 0j if x > 700.0 else (lift - x) ** k
+            return (lift_c - x) ** k_c
 
         r = integrate_semi_infinite(right, case.quad_cfg, weight=_lift_weight)
-        m = integrate_semi_infinite(left, case.quad_cfg, weight=_lift_weight_mirror)
-        return QuadResult(r.value + m.value, r.err_estimate + m.err_estimate,
+        m = integrate_semi_infinite(left, case.quad_cfg, weight=_lift_weight)
+        return QuadResult(r.value - m.value.conjugate(), r.err_estimate + m.err_estimate,
                           r.n_evals + m.n_evals, r.converged and m.converged)
 
     def f(t: float) -> complex:
-        if t > 700.0:  # the weight is 0; the power may overflow
-            return 0j
         return (log_a + t) ** k - (log_a - t) ** k
 
     return integrate_semi_infinite(f, case.quad_cfg, weight=_lhs_weight)
@@ -369,7 +365,7 @@ def rhs_series(case: IdentityCase) -> complex:
 def _contour_weight(t: float) -> float:
     """sech(pi t / 2), the contour's weight, and 0 past t = 450, where it is
     below 3e-307 and the ray's integrand is 0 too: t^{-k} may overflow
-    there, and inf * 0 is nan."""
+    there, so the quadrature skips those nodes."""
     if t > 450.0:
         return 0.0
     return 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + math.exp(-math.pi * t))
@@ -426,16 +422,12 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     neg_k, neg_pi = -k, -math.pi
     exp, cexp = math.exp, cmath.exp
 
-    # past t = 450 the weight is 0 and t^{-k} may overflow
+    # past t = 450 the weight is 0, so the quadrature calls f only below it
     if method == "rays-sub":
         def f(t: float) -> complex:
-            if t > 450.0:
-                return 0j
             return t ** neg_k * (cexp(t * i_log_a) - 0.5 * (1.0 + exp(neg_pi * t)))
     else:
         def f(t: float) -> complex:
-            if t > 450.0:
-                return 0j
             return cexp(t * i_log_a) * t ** neg_k
 
     res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight)

@@ -16,7 +16,7 @@ interval of t at either end whose two level-0 end terms are both below EPS
 times the L1 norm of the level-0 terms is never refined.  This assumes the
 weighted integrand is unimodal at the scale of one step (see
 integrate_semi_infinite), and the error estimate pays for every interval
-skipped.  n_evals counts only the nodes evaluated.
+skipped.  n_evals counts only the nodes of the intervals kept.
 
 The nodes and weights do not depend on the integrand, so the rule keeps one
 table per level, built on first use and shared by every later call.  Its
@@ -27,6 +27,8 @@ integrand is f(x) g(x) with a fixed weight g, the same in every call (the
 lhs's -tanh(u) / (2 cosh u) or its complex continuation, the contour's
 sech(pi t / 2)), passes g separately: the rule keeps a second table per
 level with the weights w g(x) folded in, so each node costs one f(x) alone.
+A node whose tabled weight is exactly 0, past g's tail cut-off, adds nothing
+and f is not called there; n_evals and the max_evals budget still count it.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class QuadConfig(_QuadConfig):
 
 
 class QuadResult(NamedTuple):
-    """n_evals counts the nodes evaluated, as the max_evals budget does;
+    """n_evals counts the nodes visited, as the max_evals budget does;
     converged: err_estimate met the tolerance before the budget or last level."""
     value: complex
     err_estimate: float
@@ -118,8 +120,9 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     -tanh(u) / (2 cosh u) or the contour's sech(pi t / 2), is folded into the
     node table once (see _nodes), so each node costs one f(x) evaluation
     and one multiplication; everything below applies to the product f g,
-    whose terms are f(x) (w g(x)), and g may be complex.  Where g is 0, f
-    must still be finite: inf * 0 is nan.
+    whose terms are f(x) (w g(x)), and g may be complex.  A node whose
+    tabled weight is exactly 0 adds nothing, and f is not called there (g
+    owns its tail cut-off, where f may overflow); n_evals still counts it.
 
     f must decay at least exponentially at infinity; an integrable
     singularity at the origin is allowed.  Refinement stops after
@@ -136,7 +139,7 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     lies within one step of the largest level-0 term, so on a dropped
     interval |term| is bounded by the interval's inner end, which is <= thr.
     The error estimate gains thr for each dropped interval, and n_evals
-    (which the cfg.max_evals budget counts) counts only evaluated nodes.
+    (which the cfg.max_evals budget counts) counts only the kept nodes.
 
     Mass below the smallest node x0 = e^{-317}: |f g| = c x^p fitted through
     the two smallest level-0 nodes puts c x0^(p+1) / (p+1) on (0, x0), and
@@ -157,7 +160,7 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     a floor, not an added term, plus the trim and below-node terms.
     """
     xs, ws = _nodes(0, weight)
-    terms = [f(x) * w for x, w in zip(xs, ws)]
+    terms = [f(x) * w if w else 0j for x, w in zip(xs, ws)]
     total = 0j
     for term in terms:
         total += term
@@ -188,7 +191,8 @@ def integrate_semi_infinite(f: Callable[[float], complex],
         if n_evals + stop - start > cfg.max_evals:
             break
         for x, w in zip(xs[start:stop], ws[start:stop]):
-            total += f(x) * w
+            if w:
+                total += f(x) * w
         n_evals += stop - start
         value, prev = math.ldexp(1.0, -level) * total, value
         d = est = abs(value - prev)

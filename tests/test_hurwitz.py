@@ -336,6 +336,16 @@ class TestOverflow:
                 fn(s, q)
 
 
+class TestNanTail:
+    def test_nan_tail_term_refused(self):
+        # (1e155 + 1)^-2 overflows to nan in Python's integral power, and a
+        # larger N only makes it worse: value and derivative refuse the
+        # first tail, without doubling N
+        for fn in (hurwitz_zeta, hurwitz_zeta_ds):
+            with pytest.raises(ConvergenceError, match="^tail term nan above tolerance at N = 1$"):
+                fn(2, 1e155)
+
+
 class TestDerivativeNearPole:
     @pytest.mark.parametrize("s", [1 + 1e-161j, 1 + 1e-163j, 1 + 1e-200j])
     def test_unrepresentable_pole_term_raises_overflow(self, s):

@@ -15,11 +15,14 @@
   calls the complex(...) constructor, which costs about as much as the
   power it would feed, or a function or class of the package, which costs
   a second Python frame per node;
+* no function nested in a function of identities.py compares against a
+  number: the quadrature skips a node whose tabled weight is 0, so a
+  tail cut-off belongs to the weight alone;
 * every weight= argument in identities.py names a module-level function,
   or picks between such names: quad keeps one node table per weight object
   in an unbounded cache, so a lambda or closure would build a new table on
   every call and grow memory without bound; a sweep over ten real a adds
-  at most two tables per level to that cache;
+  at most one table per level to that cache;
 * the package re-exports every public name of its library modules;
 * the README's method table lists exactly the (route, method) pairs that
   identities._plan can give, so a deleted or new method cannot leave it
@@ -198,6 +201,26 @@ def test_integrands_call_no_package_function(name):
     assert found == [], f"package functions called inside an integrand: {found}"
 
 
+def test_integrands_leave_the_cut_off_to_the_weight():
+    # The quadrature skips a node whose tabled weight is 0, so the weight
+    # alone says where its tail is cut off; an integrand that tests x against
+    # a number (x > 700.0, say) repeats that cut-off in a second place.
+    tree = _tree(SRC / "identities.py")
+    found = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, ast.FunctionDef):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(inner):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(side, ast.Constant) and isinstance(side.value, (int, float))
+                        for side in [node.left, *node.comparators]):
+                    found.append(f"identities.py:{node.lineno}")
+    assert found == [], f"nested functions compare against a number: {found}"
+
+
 def _module_level_names(node, functions):
     """Whether an expression is a module-level function's name, or a
     conditional whose branches all are."""
@@ -220,14 +243,14 @@ def test_quadrature_weights_are_module_level_functions():
 
 def test_sweep_over_real_a_adds_no_table_per_case():
     # One real a first builds whatever the rest need at the levels they
-    # reach; ten more distinct real a may add a level's tables for the two
-    # lifted half-lines' weights, but not one table per case.
+    # reach; ten more distinct real a may add a level's table for the one
+    # weight both lifted half-lines share, but not one table per case.
     ks = [0.5 + 0j, 2.0 + 1.0j]
     zetaquad.sweep(ks, [zetaquad.BranchedConstant(2.0)])
     before = quad._nodes.cache_info().currsize
     res = zetaquad.sweep(ks, [zetaquad.BranchedConstant(0.3 + 0.25 * j) for j in range(10)])
     assert len(res.reports) == 20
-    assert quad._nodes.cache_info().currsize - before <= 2 * (quad._MAX_LEVEL + 1)
+    assert quad._nodes.cache_info().currsize - before <= quad._MAX_LEVEL + 1
 
 
 @pytest.mark.parametrize("module", ["complexfn", "hurwitz", "quad", "identities"])

@@ -548,15 +548,18 @@ CAPS = (13, 40, 10 ** 6)
 
 
 @pytest.mark.parametrize("k", [0, -1, 2, 0.5 + 0.3j, -1.99 + 0.3j, 0.995 + 0.4j,
-                               -1.5, 0.5])
+                               -1.5, 0.5, 1.66 - 19.5j, 0.5 + 20j, 7.43 - 13.3j])
 def test_fused_integrands_match_reference(k):
     k = complex(k)
     compared = 0
     # a = e puts the branch point u = -1 under the level-0 node x = 1 of the
-    # mirrored half-line; 2@0.1 and 1@0.1 are lifted, 2@0.25 is folded
+    # mirrored half-line; 2@0.1 and 1@0.1 are lifted, 2@0.25 is folded;
+    # a = e^{+-27} with |Im k| near 20 sets |e^{i pi k}| and the powers at
+    # their extremes, where a lost sign of zero or conjugate would show
     for a in (A_ONE, BranchedConstant(2.0), BranchedConstant(0.5), BranchedConstant(math.e),
               BranchedConstant(2.0, 3.0 * math.pi / 4.0), BranchedConstant(1.3, 2.0),
-              BranchedConstant(2.0, 0.1), BranchedConstant(1.0, 0.1), BranchedConstant(2.0, 0.25)):
+              BranchedConstant(2.0, 0.1), BranchedConstant(1.0, 0.1), BranchedConstant(2.0, 0.25),
+              BranchedConstant(math.exp(27.0)), BranchedConstant(math.exp(-27.0))):
         for cap in CAPS:
             c = case(k, a, quad_cfg=QuadConfig(max_evals=cap))
             if case_violation(k, a) is None:
@@ -639,10 +642,13 @@ def _bits(values):
 def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
     # the lhs at a = e^{-split} (theta = 0.1 at split 0)
     # hands the quadrature the lifted half-lines: at every node of every
-    # level the integrand gives the bits of (L +- x)^k, L = log a + i pi/4,
-    # or 0j past x = 700, against the table weights G and -conj G that
-    # continue the lhs weight to Im u = pi/4.  Re k = 0, where
-    # (log a + u)^k is undefined at the branch point on the real line.
+    # level, past x = 700 too, where the weight is 0 and the quadrature
+    # skips the node, the integrands give the bits of (L + x)^k and
+    # (conj L - x)^{conj k}, L = log a + i pi/4, against the one table
+    # weight G that continues the lhs weight to Im u = pi/4; the left
+    # half-line's sum is conjugated and negated, as g(-x + i pi/4) is
+    # -conj G(x).  Re k = 0, where (log a + u)^k is undefined at the branch
+    # point on the real line.
     k = 0.3j
     a = BranchedConstant(math.exp(-split), 0.1 if split == 0.0 else 0.0)
     made = []
@@ -653,7 +659,7 @@ def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
 
     monkeypatch.setattr(identities, "integrate_semi_infinite", capturing)
     lhs_integral(case(k, a))
-    assert [w for _, w in made] == [identities._lift_weight, identities._lift_weight_mirror]
+    assert [w for _, w in made] == [identities._lift_weight, identities._lift_weight]
     lift = a.log_value + 1j * 0.25 * math.pi
     nodes = _node_columns(range(11))
     above = 0
@@ -661,8 +667,8 @@ def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
         got = [f(x) for x in nodes]
         ref = []
         for x in nodes:
-            z = complex(lift.real + sign * x, lift.imag)
-            ref.append(0j if x > 700.0 else z ** k)
+            z = complex(lift.real + sign * x, sign * lift.imag)
+            ref.append(z ** (k if sign > 0.0 else k.conjugate()))
             above += z.real == 0.0
         assert _bits(got) == _bits(ref), next(
             (sign, x, g, r) for x, g, r in zip(nodes, got, ref) if repr(g) != repr(r))
@@ -670,7 +676,7 @@ def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
         if x <= 700.0:
             z = complex(x, 0.25 * math.pi)
             assert _rel_close(made[0][1](x), -cmath.tanh(z) / (2.0 * cmath.cosh(z))), x
-            assert _rel_close(made[1][1](x), -cmath.tanh(-z.conjugate())
+            assert _rel_close(-made[1][1](x).conjugate(), -cmath.tanh(-z.conjugate())
                               / (2.0 * cmath.cosh(-z.conjugate()))), x
     if split == 1.0:
         assert above == 1
@@ -678,8 +684,8 @@ def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
 
 def test_lift_weights():
     # every node of every level: G(x) = g(x + i pi/4) from cmath's tanh and
-    # cosh, bit for bit, and 0j past x = 700; the mirror g(-x + i pi/4) is
-    # exactly -conj G(x); and G agrees with the closed form
+    # cosh, bit for bit, and 0j past x = 700; g(-x + i pi/4), on which the
+    # left half-line rests, is exactly -conj G(x); and G agrees with the closed form
     # -e^{-x} e^{-i pi/4} (1 + i q) / (1 - i q)^2, q = e^{-2x}, of
     # -tanh(z) / (2 cosh z), which is how the real weight is written
     nodes = _node_columns(range(11))
@@ -693,12 +699,14 @@ def test_lift_weights():
         else:
             z = complex(x, 0.25 * math.pi)
             assert _bits([got]) == _bits([-cmath.tanh(z) / (2.0 * cmath.cosh(z))]), x
+            mirror = -z.conjugate()
+            assert _bits([-cmath.tanh(mirror) / (2.0 * cmath.cosh(mirror))]) == _bits(
+                [-got.conjugate()]), x
             q = math.exp(-2.0 * x)
             closed = -math.exp(-x) * cmath.exp(-0.25j * math.pi) * (1 + 1j * q) / (1 - 1j * q) ** 2
             if abs(closed) >= sys.float_info.min:
                 assert _rel_close(got, closed), x
                 compared += 1
-        assert _bits([identities._lift_weight_mirror(x)]) == _bits([-got.conjugate()]), x
     assert compared >= 300
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zetaquad import identities
 from zetaquad.identities import DEFAULT_A_GRID, DEFAULT_K_GRID, sweep
 from zetaquad.quad import QuadConfig, _nodes, integrate_finite, integrate_semi_infinite
 
@@ -364,6 +365,37 @@ def test_weighted_tables_are_built_once():
     size = _nodes.cache_info().currsize
     sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
     assert _nodes.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("weight,rate", [(identities._lhs_weight, 0.99),
+                                         (identities._lift_weight, 0.99),
+                                         (identities._contour_weight, 1.5)])
+@pytest.mark.parametrize("cfg", [CFG, QuadConfig(1e-15, 1e-15), QuadConfig(max_evals=40)])
+def test_zero_weight_nodes_are_not_evaluated(weight, rate, cfg):
+    # Each weight is 0 past its cut-off, where the integrands it multiplies
+    # may overflow.  f grows almost as fast as the weight decays, so the
+    # refined window reaches past the cut-off, where f raises.  The result
+    # must be that of f guarded to 0j there, bit for bit and with the same
+    # n_evals, which still counts the skipped nodes: four at level 0 and
+    # more on later levels.
+    def grow(x):
+        return cmath.exp(complex(rate, 0.5) * x)
+
+    called = []
+
+    def raising(x):
+        if weight(x) == 0:
+            raise AssertionError(f"f called at x = {x}, past the weight's cut-off")
+        called.append(x)
+        return grow(x)
+
+    def guarded(x):
+        return 0j if weight(x) == 0 else grow(x)
+
+    got = integrate_semi_infinite(raising, cfg, weight=weight)
+    ref = integrate_semi_infinite(guarded, cfg, weight=weight)
+    assert repr(got) == repr(ref)
+    assert got.n_evals > len(called) + 4
 
 
 class TestProperties:
