@@ -14,9 +14,9 @@ n_evals, status, reason, verdict, method (one row per route).  Diagnostics
 go to stderr.  Only verify and sweep take --verdict-atol / --verdict-rtol.
 A negative literal other than a plain decimal (-0.5+0.3i, -1e-3) must be
 attached with '=', as in --k=-0.5+0.3i, or argparse reads it as an option.
-Exit codes: 0 every verdict pass, 1 any fail or partial, or a sweep with no
-valid case, 2 usage error, an argument the engine cannot evaluate (a pole, an
-overflow, a sum that does not converge) or an --output file it cannot write.
+Exit codes: 0 every verdict pass, 1 any fail or partial, 2 usage error, an
+argument the engine cannot evaluate (a pole, an overflow, a sum that does
+not converge) or an --output file it cannot write.
 """
 
 from __future__ import annotations
@@ -344,19 +344,13 @@ def _emit(text: str, path: str | None) -> None:
             data = data[sys.stdout.buffer.write(data):]
 
 
-def _emit_reports(reps: list[VerificationReport], notes: list[str],
-                  ns: argparse.Namespace) -> int:
+def _emit_reports(reps: list[VerificationReport], ns: argparse.Namespace) -> int:
     if ns.format == "csv":
         text = reports_to_csv(reps)
     else:
-        doc: dict[str, Any] = {"reports": [report_to_dict(r) for r in reps]}
-        if notes:
-            doc["notes"] = notes
-        text = dumps_fixed(doc)
+        text = dumps_fixed({"reports": [report_to_dict(r) for r in reps]})
     _emit(text, ns.output)
-    for n in notes:
-        print(f"note: {n}", file=sys.stderr)
-    return 0 if reps and all(r.verdict == "pass" for r in reps) else 1
+    return 0 if all(r.verdict == "pass" for r in reps) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +420,21 @@ def main(argv: Sequence[str] | None = None) -> int:
                                 quad_cfg=_quad_cfg(ns),
                                 verdict_atol=ns.verdict_atol,
                                 verdict_rtol=ns.verdict_rtol)
-            return _emit_reports([verify(case)], [], ns)
+            return _emit_reports([verify(case)], ns)
 
         if cmd == "sweep":
             k_list = ([parse_complex(t) for t in ns.k_list.split(",")]
                       if ns.k_list is not None else DEFAULT_K_GRID)
             a_list = ([parse_branched(t) for t in ns.a_list.split(",")]
                       if ns.a_list is not None else DEFAULT_A_GRID)
-            res = sweep(k_list, a_list, quad_cfg=_quad_cfg(ns),
-                        verdict_atol=ns.verdict_atol,
-                        verdict_rtol=ns.verdict_rtol)
-            return _emit_reports(res.reports, res.notes, ns)
+            reps = sweep(k_list, a_list, quad_cfg=_quad_cfg(ns),
+                         verdict_atol=ns.verdict_atol,
+                         verdict_rtol=ns.verdict_rtol)
+            return _emit_reports(reps, ns)
 
         if cmd == "constants":
             cfg = _quad_cfg(ns)
-            return _emit_reports([catalan_case(cfg), loggamma_case(cfg)], [], ns)
+            return _emit_reports([catalan_case(cfg), loggamma_case(cfg)], ns)
 
         if cmd == "zeta":
             print(render_complex(hurwitz_zeta(parse_complex(ns.s), parse_complex(ns.q))))

@@ -67,10 +67,10 @@ def test_criterion_2_default_sweep():
     def collect():
         t0 = time.perf_counter()
         problems = []
-        res = sweep(list(DEFAULT_K_GRID), list(DEFAULT_A_GRID))
-        if not res.reports:
+        reports = sweep(list(DEFAULT_K_GRID), list(DEFAULT_A_GRID))
+        if not reports:
             problems.append("sweep produced no reports")
-        for rep in res.reports:
+        for rep in reports:
             if rep.verdict != "pass":
                 problems.append(
                     f"k={rep.case.k}, a=(r={rep.case.a.r}, theta={rep.case.a.theta})"

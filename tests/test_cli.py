@@ -259,21 +259,15 @@ class TestCommands:
         assert all((row[5:9] == ["", "", "", ""]) == (row[9] in ("skipped", "failed"))
                    for row in rows)
 
-    def test_sweep_skips_noted_on_stderr(self, capsys):
-        code = main(["sweep", "--k-list", "-0.5", "--a-list", "2,1"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "skipped" in captured.err
-
-    def test_sweep_with_no_valid_case_exits_one(self, capsys):
-        # every pair breaks an invariant: an empty report with its notes, exit 1
-        assert main(["sweep", "--k-list=-0.5", "--a-list", "2"]) == 1
+    def test_sweep_of_real_a_at_negative_re_k_passes(self, capsys):
+        # real a != 1 with -1 < Re k < 0: the y-integral converges, and its
+        # report is an ordinary pass with nothing on stderr
+        assert main(["sweep", "--k-list=-0.5", "--a-list", "2"]) == 0
         out, err = capsys.readouterr()
-        notes = ["skipped k=(-0.5+0j), a=(r=2.0, theta=0.0): "
-                 "a positive real with Re(k) < 0 requires a = 1",
-                 "no valid cases after invariant filtering"]
-        assert json.loads(out) == {"reports": [], "notes": notes}
-        assert err == "".join(f"note: {n}\n" for n in notes)
+        doc = json.loads(out)
+        assert list(doc) == ["reports"]
+        assert [rep["verdict"] for rep in doc["reports"]] == ["pass"]
+        assert err == ""
 
     def test_sweep_output_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"

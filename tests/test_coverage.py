@@ -3,7 +3,7 @@ agreeing routes.
 
 verify runs once on each cell of a fixed grid over Re k, Im k, ln r and
 theta.  Per Re k band the map counts the cells by verdict and number of ok
-routes, and over every valid cell it counts the records by route and method.
+routes, and over every cell it counts the records by route and method.
 It measures coverage, not correctness: the oracle map in test_identities.py
 checks the ok values.  A change that moves a count on purpose edits it here
 and says so in CHANGES.md.
@@ -15,50 +15,48 @@ import itertools
 import math
 
 from zetaquad.complexfn import BranchedConstant
-from zetaquad.identities import IdentityCase, case_violation, verify
+from zetaquad.identities import IdentityCase, verify
 
 RE_K = (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 5.0, 10.0, 20.0)
 IM_K = (0.0, 3.0, -10.0)
 LN_R = (0.0, 1.0, -1.0, 10.0, -10.0)
 THETA = (0.0, 0.01, 1.0, 3.0, 6.0)
 
-# a cell is invalid (case_violation refuses it), or its verdict and the
-# number of its ok routes, with 3+ for three or four
-COLUMNS = ("fail/2", "fail/3+", "invalid", "partial/1", "partial/2", "partial/3+",
-           "pass/2", "pass/3+")
+# a cell's verdict and the number of its ok routes, with 3+ for three or
+# four.  On the real axis the lhs is the analytic continuation at Re k <= -1
+# for a != 1 and at Re k <= -2 for a = 1
+COLUMNS = ("fail/2", "fail/3+", "partial/1", "partial/2", "partial/3+", "pass/2", "pass/3+")
 TABLE = {
-    -2.5: (0, 1, 15, 0, 0, 0, 0, 59),
-    -1.5: (0, 1, 12, 0, 0, 0, 0, 62),
-    -0.5: (0, 2, 12, 0, 0, 2, 0, 59),
-    0.5: (0, 5, 0, 0, 0, 3, 0, 67),
-    1.5: (0, 0, 0, 0, 0, 0, 75, 0),
-    2.5: (0, 0, 0, 0, 0, 0, 75, 0),
-    5.0: (0, 0, 0, 0, 0, 0, 75, 0),
-    10.0: (5, 0, 0, 0, 0, 0, 70, 0),
-    20.0: (43, 0, 0, 0, 0, 0, 32, 0),
+    -2.5: (0, 2, 0, 0, 0, 0, 73),
+    -1.5: (0, 2, 0, 0, 0, 0, 73),
+    -0.5: (0, 3, 0, 0, 2, 0, 70),
+    0.5: (0, 5, 0, 0, 3, 0, 67),
+    1.5: (0, 0, 0, 0, 0, 75, 0),
+    2.5: (0, 0, 0, 0, 0, 75, 0),
+    5.0: (0, 0, 0, 0, 0, 75, 0),
+    10.0: (5, 0, 0, 0, 0, 70, 0),
+    20.0: (43, 0, 0, 0, 0, 32, 0),
 }
-# (route, method) over the 636 valid cells; "" is a skipped route
+# (route, method) over all 675 cells; "" is a skipped route
 METHODS = {
-    ("lhs", "fold"): 405, ("lhs", "lift"): 231,
-    ("zeta", "em"): 636,
-    ("series", "cvz"): 261, ("series", ""): 375,
-    ("contour", "rays"): 261, ("contour", ""): 375,
+    ("lhs", "fold"): 405, ("lhs", "lift"): 270,
+    ("zeta", "em"): 675,
+    ("series", "cvz"): 300, ("series", ""): 375,
+    ("contour", "rays"): 300, ("contour", ""): 375,
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _cells():
-    """(Re k, report) per grid cell, the report None where the case is invalid."""
+    """(Re k, report) per grid cell."""
     cells = []
     for re_k, im_k, ln_r, theta in itertools.product(RE_K, IM_K, LN_R, THETA):
         k, a = complex(re_k, im_k), BranchedConstant(math.exp(ln_r), theta)
-        cells.append((re_k, None if case_violation(k, a) else verify(IdentityCase(k, a))))
+        cells.append((re_k, verify(IdentityCase(k, a))))
     return cells
 
 
 def _column(rep):
-    if rep is None:
-        return "invalid"
     ok = sum(r.status == "ok" for r in rep.routes.values())
     return f"{rep.verdict}/{'3+' if ok >= 3 else ok}"
 
@@ -72,6 +70,6 @@ def test_verdicts_per_re_k_band():
 
 
 def test_methods_over_valid_cells():
-    counts = collections.Counter((name, r.method) for _, rep in _cells() if rep is not None
+    counts = collections.Counter((name, r.method) for _, rep in _cells()
                                  for name, r in rep.routes.items())
     assert dict(counts) == METHODS

@@ -286,7 +286,7 @@ class TestReferenceEngine:
         _value_weights.cache_clear()
         sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
         info = _value_weights.cache_info()
-        assert (info.misses, info.hits) == (7, 51)
+        assert (info.misses, info.hits) == (7, 63)
 
 
 class TestShiftBound:

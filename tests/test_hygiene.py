@@ -23,6 +23,8 @@
   in an unbounded cache, so a lambda or closure would build a new table on
   every call and grow memory without bound; a sweep over ten real a adds
   at most one table per level to that cache;
+* every exception class the package defines is raised somewhere in the
+  package, so none outlives the last raise of it;
 * the package re-exports every public name of its library modules;
 * the README's method table lists exactly the (route, method) pairs that
   identities._plan can give, so a deleted or new method cannot leave it
@@ -36,6 +38,7 @@
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 import itertools
@@ -248,9 +251,36 @@ def test_sweep_over_real_a_adds_no_table_per_case():
     ks = [0.5 + 0j, 2.0 + 1.0j]
     zetaquad.sweep(ks, [zetaquad.BranchedConstant(2.0)])
     before = quad._nodes.cache_info().currsize
-    res = zetaquad.sweep(ks, [zetaquad.BranchedConstant(0.3 + 0.25 * j) for j in range(10)])
-    assert len(res.reports) == 20
+    reports = zetaquad.sweep(ks, [zetaquad.BranchedConstant(0.3 + 0.25 * j) for j in range(10)])
+    assert len(reports) == 20
     assert quad._nodes.cache_info().currsize - before <= quad._MAX_LEVEL + 1
+
+
+def _is_exception(base, defined):
+    """Whether a class base, written as a name, is a built-in exception or an
+    exception class the package defines."""
+    name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+    found = getattr(builtins, name, None)
+    return name in defined or (isinstance(found, type) and issubclass(found, BaseException))
+
+
+def test_every_exception_class_is_raised():
+    trees = [_tree(path) for path in MODULES]
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    defined = set()
+    while True:  # a subclass of a package exception is one too, in any order
+        more = {c.name for c in classes if any(_is_exception(b, defined) for b in c.bases)}
+        if more == defined:
+            break
+        defined = more
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", ""))
+    assert len(defined) >= 5
+    assert sorted(defined - raised) == [], "exception classes the package never raises"
 
 
 @pytest.mark.parametrize("module", ["complexfn", "hurwitz", "quad", "identities"])

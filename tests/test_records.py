@@ -13,7 +13,6 @@ from zetaquad.identities import (
     DEFAULT_VERDICT_TOL,
     IdentityCase,
     RouteResult,
-    SweepResult,
     VerificationReport,
     sweep,
 )
@@ -24,8 +23,7 @@ CASE = IdentityCase(0.5 + 0.3j, A, QuadConfig(max_evals=400))
 ROUTE = RouteResult(None, None, None, "skipped", "Re(k) >= 1")
 REPORT = VerificationReport(CASE, {"series": ROUTE}, {}, "partial")
 
-RECORDS = [A, QuadConfig(), QuadResult(1j, 0.0, 13, True), CASE, ROUTE, REPORT,
-           SweepResult([], ["none"])]
+RECORDS = [A, QuadConfig(), QuadResult(1j, 0.0, 13, True), CASE, ROUTE, REPORT]
 
 
 REPRS = [
@@ -42,7 +40,6 @@ REPRS = [
     (REPORT, "VerificationReport(case=" + repr(CASE) + ", routes={'series': "
              "RouteResult(value=None, err_estimate=None, n_evals=None, status='skipped', "
              "reason='Re(k) >= 1', method='')}, residuals={}, verdict='partial')"),
-    (SweepResult([], ["none"]), "SweepResult(reports=[], notes=['none'])"),
 ]
 
 
@@ -152,7 +149,7 @@ def test_cli_defaults_match_the_records(argv):
 
 
 def test_sweep_default_verdict_tolerances():
-    (rep,) = sweep([2.0], [BranchedConstant(1.0)]).reports
+    (rep,) = sweep([2.0], [BranchedConstant(1.0)])
     assert (rep.case.verdict_atol, rep.case.verdict_rtol) == (1e-6, 1e-6)
 
 
