@@ -11,8 +11,7 @@ Routes:
 * lhs_integral  -- the definite integral, after u = log(tan y);
 * rhs_zeta      -- the Hurwitz-zeta closed form (valid for general k);
 * rhs_series    -- the alternating series, Re(k) < 1;
-* rhs_contour   -- the Hankel contour reduced to two rays, Re(k) < 1 and
-                   k non-integer.
+* rhs_contour   -- the Hankel contour reduced to two rays, Re(k) < 1.
 
 The inner logarithm log(a tan y) is always (ln r + i theta) + log(tan y);
 the outer power is the principal branch on that fixed value.
@@ -176,10 +175,12 @@ def _plan(case: IdentityCase) -> dict[str, tuple[str, str]]:
     the reason its ok record holds, "" unless the value is not that of the
     definite integral.  Every variant chosen on (k, a) is chosen here.
 
-    On the real axis the y-integral diverges where log^k(a tan y) is not
-    integrable at its zero, tan y = 1/r: for Re(k) <= -1, or at a = 1, where
-    cos(2y) vanishes there too, for Re(k) <= -2.  The lifted lhs line stays
-    pi/4 away from that zero, so its value is the analytic continuation."""
+    The series and the contour skip only Re(k) >= 1; integer k needs no
+    skip (see rhs_contour).  On the real axis the y-integral diverges where
+    log^k(a tan y) is not integrable at its zero, tan y = 1/r: for
+    Re(k) <= -1, or at a = 1, where cos(2y) vanishes there too, for
+    Re(k) <= -2.  The lifted lhs line stays pi/4 away from that zero, so its
+    value is the analytic continuation."""
     k, a = case.k, case.a
     lhs = ("lift" if a.theta < _LIFT_THETA else "fold", "")
     if a.theta == 0.0 and a.r != 1.0 and k.real <= -1.0:
@@ -191,10 +192,7 @@ def _plan(case: IdentityCase) -> dict[str, tuple[str, str]]:
         series = contour = ("", "Re(k) >= 1")
     else:
         series = (zero or "cvz", "")
-        if abs(k.imag) <= 1e-12 and abs(k.real - round(k.real)) <= 1e-12:
-            contour = ("", "integer k")
-        else:
-            contour = ("rays-sub" if k.real > 0.5 else "rays", "")
+        contour = ("rays-sub" if k.real > 0.5 else "rays", "")
     return {"lhs": lhs, "zeta": (zero or "em", ""), "series": series, "contour": contour}
 
 
@@ -384,13 +382,16 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     """The Hankel contour reduced to two rays along the positive imaginary axis.
 
     With w = i t on either side of the cut (arguments pi/2 and pi/2 - 2 pi),
-    the contour integral collapses to
+    the contour integral collapses to pref times
+    integral_0^inf e^{i t log a} t^{-k} sech(pi t / 2) dt, validated against
+    rhs_series / rhs_zeta (see the test suite), where
 
-    Gamma(k+1) * (1/4) e^{-i pi k/2} (e^{2 pi i k} - 1)
-        * integral_0^inf e^{i t log a} t^{-k} sech(pi t / 2) dt,
+    pref = Gamma(k+1) (1/4) e^{-i pi k/2} (e^{2 pi i k} - 1)
+         = (pi/2) i k e^{i pi k/2} / Gamma(1-k)
 
-    validated against rhs_series / rhs_zeta (see the test suite).  For
-    integer k the branch difference vanishes; see contour_cauchy_check.
+    by e^{2 pi i k} - 1 = 2 i e^{i pi k} sin(pi k) and Euler's reflection
+    formula.  The second form is finite for Re(k) < 1, integers included,
+    and has no rounded phase of e^{2 pi i k} to cancel against 1.
 
     The ray's start is singular: the integrand behaves like t^p with
     p = -k near t = 0.  There exp-sinh, whose smallest node is x = e^{-317},
@@ -399,11 +400,11 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     singularity in closed form (Davis and Rabinowitz, Methods of Numerical
     Integration, 2.12): the ray integrates
     t^{-k} (e^{i t log a} sech(pi t/2) - e^{-pi t/2}), which is O(t^{1-k})
-    at the start and converges in a few levels, and Gamma(1-k) (pi/2)^{k-1},
-    the integral of t^{-k} e^{-pi t/2}, is added back before the prefactor.
-    The smooth weight e^{-pi t/2}, the sech tail, leaves no kink, which a cut
-    at (0, delta] would.  For Re k <= 1/2 the plain rule converges at its
-    usual depth and is kept unchanged.
+    at the start and converges in a few levels, and pref times
+    Gamma(1-k) (pi/2)^{k-1}, the integral of t^{-k} e^{-pi t/2}, that is
+    i k (i pi/2)^k, is added back.  The smooth weight e^{-pi t/2}, the sech
+    tail, leaves no kink, which a cut at (0, delta] would.  For Re k <= 1/2
+    the plain rule converges at its usual depth and is kept unchanged.
 
     sech(pi t/2) does not depend on the case, so the quadrature keeps it in
     its node table (_contour_weight) and the ray evaluates only the factor
@@ -412,12 +413,10 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2).
 
-    The phase 2 pi k of e^{2 pi i k} is rounded by up to eps 2 pi |k|, which
-    near an integer k is a large relative error of e^{2 pi i k} - 1, so the
-    estimate gains |value| eps (1 + 2 pi |k|) |e^{2 pi i k}| / |e^{2 pi i k} - 1|
-    before the prefactor.  As Re k -> 1 from below it dominates: at
-    k = 0.99892, a = 0.771 the estimate without it is 127 times below the
-    error.
+    The estimate is |pref| times the ray's plus 8 eps |value|.  The ray
+    meets its tolerance in its own units, which a huge |pref| makes loose
+    (ROADMAP item 7), so the route is ok only if its estimate is also below
+    max(|value|, atol).
     """
     k = case.k
     method, reason = _plan(case)["contour"]
@@ -425,8 +424,8 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
         raise RegionError(f"contour route does not apply: {reason}")
     log_a = case.a.log_value
     i_log_a = complex(-log_a.imag, log_a.real)  # i log a, built once
-    turn = cmath.exp(2j * math.pi * k)
-    pref = 0.25 * (turn - 1.0) * cmath.exp(-0.5j * math.pi * k) * gamma(k + 1.0)
+    half_pi_i = 0.5j * math.pi
+    pref = half_pi_i * k * cmath.exp(half_pi_i * k) / gamma(1.0 - k)
 
     neg_k, neg_pi = -k, -math.pi
     exp, cexp = math.exp, cmath.exp
@@ -440,14 +439,12 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
             return cexp(t * i_log_a) * t ** neg_k
 
     res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight)
-    value, err = res.value, res.err_estimate
+    value = pref * res.value
     if method == "rays-sub":
-        back = gamma(1.0 - k) * (0.5 * math.pi) ** (k - 1.0)
-        value += back
-        err += EPS * abs(back)
-    err += abs(value) * EPS * (1.0 + TWO_PI * abs(k)) * abs(turn) / abs(turn - 1.0)
-    scale = abs(pref)
-    return QuadResult(pref * value, scale * err, res.n_evals, res.converged)
+        value += 1j * k * half_pi_i ** k
+    err = abs(pref) * res.err_estimate + 8.0 * EPS * abs(value)
+    converged = res.converged and err < max(abs(value), case.quad_cfg.atol)
+    return QuadResult(value, err, res.n_evals, converged)
 
 
 def contour_cauchy_check(y: complex, k: int) -> complex:

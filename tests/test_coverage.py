@@ -30,7 +30,7 @@ TABLE = {
     -2.5: (0, 2, 0, 0, 0, 0, 73),
     -1.5: (0, 2, 0, 0, 0, 0, 73),
     -0.5: (0, 3, 0, 0, 2, 0, 70),
-    0.5: (0, 5, 0, 0, 3, 0, 67),
+    0.5: (0, 0, 0, 5, 3, 0, 67),
     1.5: (0, 0, 0, 0, 0, 75, 0),
     2.5: (0, 0, 0, 0, 0, 75, 0),
     5.0: (0, 0, 0, 0, 0, 75, 0),

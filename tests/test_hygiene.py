@@ -303,8 +303,8 @@ def _readme_methods():
 
 
 def test_readme_method_table_matches_plan():
-    # The probes reach every branch of _plan: k = 0, Re k >= 1, integer k,
-    # Re k on either side of 1/2, theta on either side of 0.25.  The methods
+    # The probes reach every branch of _plan: k = 0, Re k >= 1, Re k on
+    # either side of 1/2, theta on either side of 0.25.  The methods
     # they give must be every method among _plan's string literals (the
     # routes, the methods and the skip reasons, which have spaces), so a new
     # branch needs a probe here and a row in the table.
