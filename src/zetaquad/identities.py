@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .complexfn import EPS, TWO_PI, BranchedConstant, DomainError, complex_pow, gamma
 from .hurwitz import ConvergenceError, hurwitz_zeta
-from .quad import QuadConfig, QuadResult, integrate_semi_infinite
+from .quad import QuadConfig, QuadResult, integrate_line, integrate_semi_infinite
 
 __all__ = [
     "IdentityCase",
@@ -54,7 +54,7 @@ __all__ = [
 
 _CAUCHY_NODES = 256
 _LIFT = 0.25 * math.pi  # the lifted line Im u = pi/4, mid-strip (see lhs_integral)
-_LIFT_THETA = 0.25  # below it the lhs lifts rather than folds
+_LIFT_THETA = 0.25  # below it the lhs lifts off the real u line
 
 DEFAULT_K_GRID: tuple[complex, ...] = (
     -1.5 + 0j, -1.0 + 0j, -0.5 + 0j, 0.5 + 0j, 0.5 + 0.3j, 2.0 + 0j, 3.0 + 0j,
@@ -182,7 +182,7 @@ def _plan(case: IdentityCase) -> dict[str, tuple[str, str]]:
     Re(k) <= -2.  The lifted lhs line stays pi/4 away from that zero, so its
     value is the analytic continuation."""
     k, a = case.k, case.a
-    lhs = ("lift" if a.theta < _LIFT_THETA else "fold", "")
+    lhs = ("lift" if a.theta < _LIFT_THETA else "line", "")
     if a.theta == 0.0 and a.r != 1.0 and k.real <= -1.0:
         lhs = ("lift", "continuation: the y-integral diverges for real a != 1 at Re(k) <= -1")
     elif a.theta == 0.0 and a.r == 1.0 and k.real <= -2.0:
@@ -277,26 +277,26 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
 
     -integral_{-inf}^{inf} tanh(u) (log a + u)^k / (2 cosh u) du,
 
-    by exp-sinh quadrature, which clusters nodes at a ray's start, against the
-    odd weight g(u) = -tanh(u) / (2 cosh u), which the quadrature keeps in its
-    node table.  Away from the real axis (fold) the rays from u = 0, the sign
-    change of tanh, fold into one call:
+    that is integral_{-inf}^{inf} h(u) du with h(u) = (log a + u)^k g(u),
+    where the quadrature keeps the weight g(u) = -tanh(u) / (2 cosh u) in
+    its node table.  Away from the real axis (line: theta >= _LIFT_THETA)
+    it is one call of the sinh rule u = pi/2 sinh t over the whole line, one
+    power per node; log a + u has imaginary part theta > 0, so it is never
+    on the power's cut.
 
-    integral_0^inf ((log a + t)^k - (log a - t)^k) g(t) dt.
-
-    Near it (lift: theta < _LIFT_THETA) the branch point u = -ln r - i theta
-    of (log a + u)^k lies on the line or theta below it, and the rule
-    converges slowly or not at all.  But h(u) = (log a + u)^k g(u) is
-    analytic in 0 < Im u < pi/2 (its cut is on Im u = -theta, g's poles at
-    +-i pi/2) and decays at both ends, so the line moves to Im u = pi/4, where
-    the rule converges at the rate the strip's width sets (Mori and Sugihara
-    2001).  At a = 1 the branch point is u = 0 itself, where h is O(u^{k+1}),
-    integrable for Re k > -2, and the line passes pi/4 above it.  With
-    L = log a + i pi/4, G(x) = g(x + i pi/4) and, g being odd and real on the
-    real axis, g(-x + i pi/4) = -conj G(x), that is two calls, one power per
-    node against the one complex weight G in the node table.  L - x, with
-    imaginary part theta + pi/4 > 0, is off the power's cut, so
-    conj((L - x)^k) = (conj L - x)^{conj k} bit for bit:
+    Near the real axis (lift: theta < _LIFT_THETA) the branch point
+    u = -ln r - i theta of (log a + u)^k lies on the line or theta below it,
+    and the rule converges slowly or not at all.  But h is analytic in
+    0 < Im u < pi/2 (its cut is on Im u = -theta, g's poles at +-i pi/2)
+    and decays at both ends, so the line moves to Im u = pi/4, where the
+    rule converges at the rate the strip's width sets (Mori and Sugihara
+    2001).  At a = 1 the branch point is u = 0 itself, where h is
+    O(u^{k+1}), integrable for Re k > -2, and the line passes pi/4 above
+    it.  With L = log a + i pi/4, G(x) = g(x + i pi/4) and, g being odd and
+    real on the real axis, g(-x + i pi/4) = -conj G(x), that is two
+    exp-sinh calls, one power per node against the one complex weight G in
+    the node table.  L - x, with imaginary part theta + pi/4 > 0, is off the
+    power's cut, so conj((L - x)^k) = (conj L - x)^{conj k} bit for bit:
 
     integral_0^inf (L + x)^k G(x) dx - conj integral_0^inf (conj L - x)^{conj k} G(x) dx.
 
@@ -323,10 +323,10 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
         return QuadResult(r.value - m.value.conjugate(), r.err_estimate + m.err_estimate,
                           r.n_evals + m.n_evals, r.converged and m.converged)
 
-    def f(t: float) -> complex:
-        return (log_a + t) ** k - (log_a - t) ** k
+    def power(u: float) -> complex:
+        return (log_a + u) ** k
 
-    return integrate_semi_infinite(f, case.quad_cfg, weight=_lhs_weight)
+    return integrate_line(power, case.quad_cfg, weight=_lhs_weight)
 
 
 def rhs_zeta(case: IdentityCase) -> complex:
@@ -550,7 +550,8 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
       the inner logarithm of a negative value taken as ln|.| + i pi: as
       -tanh(u) u log(u) / (2 cosh u) over the u line, folded onto one ray
       t = |u| as t (2 ln t + i pi) against the lhs's weight
-      -tanh(t) / (2 cosh t);
+      -tanh(t) / (2 cosh t), since u log u has its branch point on the
+      line;
     * (closed) the closed form (pi/4)(log(81 Gamma^4(-3/4)
       / (4 pi^2 e^2 Gamma^4(-1/4))) - pi i);
     * (fd) the central finite-difference k-derivative of rhs_zeta, with

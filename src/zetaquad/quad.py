@@ -1,15 +1,19 @@
-"""Complex-valued quadrature on the semi-infinite ray and on finite intervals.
+"""Complex-valued quadrature on the real line, the semi-infinite ray and
+finite intervals.
 
-One double-exponential rule does both jobs: the exp-sinh trapezoid rule on
-(0, inf), x = exp(pi/2 sinh t), with level doubling.  Each refinement halves
-the mesh and reuses the previous nodes.  The level-to-level difference
-supplies the error estimate; once three differences in a row contract, it is
-extrapolated one level ahead (Borwein-Bailey-Girgensohn), so a call need not
-run the level that would only confirm it.  The estimate also counts the mass
-below the smallest node.  A finite interval (a, b) is mapped onto the ray by
-y = a + (b - a) x / (1 + x), which makes the same rule double-exponential at
-both ends (Takahasi-Mori 1974; Mori-Sugihara 2001).  Endpoints are never
-evaluated; nodes are strictly interior by construction.
+One level loop serves two double-exponential node maps on one t grid: the
+exp-sinh trapezoid rule on (0, inf), x = exp(pi/2 sinh t), and the sinh
+rule on (-inf, inf), u = pi/2 sinh t, for integrands that decay like
+e^{-|u|} at both ends (Takahasi-Mori 1974; Mori-Sugihara 2001).  Each
+refinement halves the mesh and reuses the previous nodes.  The
+level-to-level difference supplies the error estimate; once three
+differences in a row contract, it is extrapolated one level ahead
+(Borwein-Bailey-Girgensohn), so a call need not run the level that would
+only confirm it.  On the ray the estimate also counts the mass below the
+smallest node.  A finite interval (a, b) is mapped onto the ray by
+y = a + (b - a) x / (1 + x), which makes the exp-sinh rule
+double-exponential at both ends.  Endpoints are never evaluated; nodes are
+strictly interior by construction.
 
 Level 0 (step 1 in t) also decides where the later levels sample.  A unit
 interval of t at either end whose two level-0 end terms are both below EPS
@@ -18,14 +22,14 @@ weighted integrand is unimodal at the scale of one step (see
 integrate_semi_infinite), and the error estimate pays for every interval
 skipped.  n_evals counts only the nodes of the intervals kept.
 
-The nodes and weights do not depend on the integrand, so the rule keeps one
+The nodes and weights do not depend on the integrand, so each map keeps one
 table per level, built on first use and shared by every later call.  Its
 columns are tuples, which a level's loop walks without boxing a number per
 node, and the loop calls the integrand itself: on CPython 3.11 a call
-through map, from C into a Python function, costs more.  A caller whose
+through the builtin map, from C into a Python function, costs more.  A caller whose
 integrand is f(x) g(x) with a fixed weight g, the same in every call (the
 lhs's -tanh(u) / (2 cosh u) or its complex continuation, the contour's
-sech(pi t / 2)), passes g separately: the rule keeps a second table per
+sech(pi t / 2)), passes g separately: the map keeps a second table per
 level with the weights w g(x) folded in, so each node costs one f(x) alone.
 A node whose tabled weight is exactly 0, past g's tail cut-off, adds nothing
 and f is not called there; n_evals and the max_evals budget still count it.
@@ -39,7 +43,8 @@ from typing import Callable, NamedTuple
 
 from .complexfn import EPS
 
-__all__ = ["QuadConfig", "QuadResult", "integrate_finite", "integrate_semi_infinite"]
+__all__ = ["QuadConfig", "QuadResult", "integrate_finite", "integrate_line",
+           "integrate_semi_infinite"]
 
 _HALF_PI = 0.5 * math.pi
 _MAX_LEVEL = 10
@@ -87,28 +92,96 @@ class QuadResult(NamedTuple):
 _DEFAULT_CFG = QuadConfig()
 
 
+def _exp_sinh(t: float) -> tuple[float, float]:
+    """The ray's node map: x = exp(pi/2 sinh t) on (0, inf), and dx/dt."""
+    x = math.exp(_HALF_PI * math.sinh(t))
+    return x, x * _HALF_PI * math.cosh(t)
+
+
+def _sinh(t: float) -> tuple[float, float]:
+    """The line's node map: u = pi/2 sinh t on (-inf, inf), and du/dt."""
+    return _HALF_PI * math.sinh(t), _HALF_PI * math.cosh(t)
+
+
 @lru_cache(maxsize=None)
-def _nodes(level: int, weight: Callable[[float], complex] | None
+def _nodes(level: int, node_map: Callable[[float], tuple[float, float]],
+           weight: Callable[[float], complex] | None
            ) -> tuple[tuple[float, ...], tuple[complex, ...]]:
-    """Columns x = exp(pi/2 sinh t) and weight w = x (pi/2) cosh t = dx/dt for
+    """Columns x and weight w = dx/dt of node_map (_exp_sinh or _sinh) at
     the t = j*h, h = 2^-level, that a level adds over [-6, 6], ascending:
     every j at level 0, odd j after.  Given a weight g, real or complex, the
     second column is w g(x), next to the same x column.  One table is kept
-    per level and weight object, so g should be a module-level function.  The
-    weight has no default: the cache keys _nodes(0) and _nodes(0, None) apart."""
+    per level, map and weight object, so g should be a module-level
+    function.  No argument has a default: the cache keys _nodes(0, m) and
+    _nodes(0, m, None) apart, so every caller passes all three."""
     if weight is not None:
-        xs, ws = _nodes(level, None)
+        xs, ws = _nodes(level, node_map, None)
         return xs, tuple([w * weight(x) for x, w in zip(xs, ws)])
     h = math.ldexp(1.0, -level)
     n = int(6.0 / h)
     xs = []
     ws = []
     for j in range(-n, n + 1) if level == 0 else range(-n | 1, n + 1, 2):
-        t = j * h
-        x = math.exp(_HALF_PI * math.sinh(t))
+        x, w = node_map(j * h)
         xs.append(x)
-        ws.append(x * _HALF_PI * math.cosh(t))
+        ws.append(w)
     return tuple(xs), tuple(ws)
+
+
+def _integrate(f: Callable[[float], complex], cfg: QuadConfig,
+               node_map: Callable[[float], tuple[float, float]],
+               weight: Callable[[float], complex] | None) -> QuadResult:
+    """The level loop of both rules, on node_map's nodes (see
+    integrate_semi_infinite for the trim and the stop rule).  Only the ray
+    has a singular end, so only the ray adds the mass below its first node."""
+    xs, ws = _nodes(0, node_map, weight)
+    terms = [f(x) * w if w else 0j for x, w in zip(xs, ws)]
+    total = 0j
+    for term in terms:
+        total += term
+    mags = [abs(term) for term in terms]
+    thr = EPS * sum(mags)
+    kept = [j for j, mag in enumerate(mags) if mag > thr]
+    # the kept window in level-0 steps: unit intervals [lo, hi) of [0, _SPAN)
+    lo, hi = (max(kept[0] - 1, 0), min(kept[-1] + 1, _SPAN)) if kept else (0, _SPAN)
+    dropped = lo + _SPAN - hi
+    trim_err = dropped * thr if dropped else 0.0
+    if node_map is _exp_sinh:
+        # the mass below the smallest node, from |f g| = c x^p through the
+        # first two; the unweighted dx/dt column divides the terms back to |f g|
+        dxdt = _nodes(0, _exp_sinh, None)[1]
+        f0, f1 = mags[0] / dxdt[0], mags[1] / dxdt[1]
+        if f0 and f1:
+            p1 = (math.log(f1) - math.log(f0)) / math.log(xs[1] / xs[0]) + 1.0
+            trim_err += f0 * xs[0] / p1 if p1 > 0.0 else math.inf
+    value = total
+    n_evals = len(terms)
+    err = math.inf
+    d1 = d2 = math.nan  # the two previous level differences, newest first
+    converged = False
+    for level in range(1, _MAX_LEVEL + 1):
+        # a level's new nodes are 2^(level-1) per unit interval, ascending
+        xs, ws = _nodes(level, node_map, weight)
+        per_unit = 1 << (level - 1)
+        start, stop = lo * per_unit, hi * per_unit
+        if n_evals + stop - start > cfg.max_evals:
+            break
+        for x, w in zip(xs[start:stop], ws[start:stop]):
+            if w:
+                total += f(x) * w
+        n_evals += stop - start
+        value, prev = math.ldexp(1.0, -level) * total, value
+        d = est = abs(value - prev)
+        if d < d1 < d2:
+            est = min(d, max(d * max(d / d1, d1 / d2), n_evals * thr))
+        d1, d2 = d, d1
+        err = max(est, 8.0 * EPS * abs(value)) + trim_err
+        if err <= cfg.atol + cfg.rtol * abs(value):
+            converged = True
+            break
+    if not math.isfinite(err):
+        err = abs(value)
+    return QuadResult(value, err, n_evals, converged)
 
 
 def integrate_semi_infinite(f: Callable[[float], complex],
@@ -159,53 +232,23 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     The error estimate is that estimate raised to at least 8 EPS |value|,
     a floor, not an added term, plus the trim and below-node terms.
     """
-    xs, ws = _nodes(0, weight)
-    terms = [f(x) * w if w else 0j for x, w in zip(xs, ws)]
-    total = 0j
-    for term in terms:
-        total += term
-    mags = [abs(term) for term in terms]
-    thr = EPS * sum(mags)
-    kept = [j for j, mag in enumerate(mags) if mag > thr]
-    # the kept window in level-0 steps: unit intervals [lo, hi) of [0, _SPAN)
-    lo, hi = (max(kept[0] - 1, 0), min(kept[-1] + 1, _SPAN)) if kept else (0, _SPAN)
-    dropped = lo + _SPAN - hi
-    trim_err = dropped * thr if dropped else 0.0
-    # the mass below the smallest node, from |f g| = c x^p through the first
-    # two; the unweighted dx/dt column divides the terms back to |f g|
-    dxdt = _nodes(0, None)[1]
-    f0, f1 = mags[0] / dxdt[0], mags[1] / dxdt[1]
-    if f0 and f1:
-        p1 = (math.log(f1) - math.log(f0)) / math.log(xs[1] / xs[0]) + 1.0
-        trim_err += f0 * xs[0] / p1 if p1 > 0.0 else math.inf
-    value = total
-    n_evals = len(terms)
-    err = math.inf
-    d1 = d2 = math.nan  # the two previous level differences, newest first
-    converged = False
-    for level in range(1, _MAX_LEVEL + 1):
-        # a level's new nodes are 2^(level-1) per unit interval, ascending
-        xs, ws = _nodes(level, weight)
-        per_unit = 1 << (level - 1)
-        start, stop = lo * per_unit, hi * per_unit
-        if n_evals + stop - start > cfg.max_evals:
-            break
-        for x, w in zip(xs[start:stop], ws[start:stop]):
-            if w:
-                total += f(x) * w
-        n_evals += stop - start
-        value, prev = math.ldexp(1.0, -level) * total, value
-        d = est = abs(value - prev)
-        if d < d1 < d2:
-            est = min(d, max(d * max(d / d1, d1 / d2), n_evals * thr))
-        d1, d2 = d, d1
-        err = max(est, 8.0 * EPS * abs(value)) + trim_err
-        if err <= cfg.atol + cfg.rtol * abs(value):
-            converged = True
-            break
-    if not math.isfinite(err):
-        err = abs(value)
-    return QuadResult(value, err, n_evals, converged)
+    return _integrate(f, cfg, _exp_sinh, weight)
+
+
+def integrate_line(f: Callable[[float], complex],
+                   cfg: QuadConfig = _DEFAULT_CFG,
+                   weight: Callable[[float], complex] | None = None) -> QuadResult:
+    """Integral of f over (-inf, inf), or of f * weight, by the sinh rule on
+    u = pi/2 sinh t, whose dt-weight is pi/2 cosh t (Takahasi-Mori 1974).
+
+    Its nodes u are the ray's log x, on the same t grid, and the levels,
+    the weight's node table, the tail trim, the stop rule and the
+    cfg.max_evals budget are integrate_semi_infinite's.  f g must decay
+    at least exponentially at both ends, as f times the lhs's weight
+    -tanh(u) / (2 cosh u) does; the outermost nodes are at |u| = 317.
+    Neither end is singular, so there is no below-node term.
+    """
+    return _integrate(f, cfg, _sinh, weight)
 
 
 def integrate_finite(f: Callable[[float], complex], a: float, b: float,

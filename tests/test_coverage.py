@@ -39,7 +39,7 @@ TABLE = {
 }
 # (route, method) over all 675 cells; "" is a skipped route
 METHODS = {
-    ("lhs", "fold"): 405, ("lhs", "lift"): 270,
+    ("lhs", "line"): 405, ("lhs", "lift"): 270,
     ("zeta", "em"): 675,
     ("series", "cvz"): 300, ("series", ""): 375,
     ("contour", "rays"): 300, ("contour", ""): 375,

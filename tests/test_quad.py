@@ -6,7 +6,8 @@ import pytest
 
 from zetaquad import identities
 from zetaquad.identities import DEFAULT_A_GRID, DEFAULT_K_GRID, sweep
-from zetaquad.quad import QuadConfig, _nodes, integrate_finite, integrate_semi_infinite
+from zetaquad.quad import (QuadConfig, _exp_sinh, _nodes, _sinh, integrate_finite, integrate_line,
+                           integrate_semi_infinite)
 
 CFG = QuadConfig()
 
@@ -97,21 +98,37 @@ class TestSemiInfinite:
         assert not r.converged
 
 
+class TestLine:
+    # sech u, e^{-u^2} and u^2 sech u over (-inf, inf)
+    @pytest.mark.parametrize("f,truth", [
+        (lambda u: complex(1.0 / math.cosh(u)), math.pi),
+        (lambda u: complex(math.exp(-u * u)), math.sqrt(math.pi)),
+        (lambda u: complex(u * u / math.cosh(u)), math.pi ** 3 / 4.0),
+    ], ids=["sech", "gauss", "u2_sech"])
+    def test_reference_integrals(self, f, truth):
+        r = integrate_line(f)
+        assert r.converged
+        assert abs(r.value - truth) <= r.err_estimate
+
+
 @pytest.mark.parametrize("max_evals,count", [(40, 25), (100, 97), (10 ** 7, 12_289)])
 def test_node_counts(max_evals, count):
     # random terms f(x) w of one size never settle and are
-    # never trimmed, so every level the budget allows is run in full
+    # never trimmed, so every level the budget allows is run in full; on
+    # the line w = du/dt grows at both ends, so f(u) may be random itself
     cfg = QuadConfig(atol=1e-15, rtol=1e-15, max_evals=max_evals)
-    rng = random.Random(0)
-    calls = []
+    for integrate, scale in ((integrate_semi_infinite, lambda x: 1.0 / x),
+                             (integrate_line, lambda u: 1.0)):
+        rng = random.Random(0)
+        calls = []
 
-    def f(x):
-        calls.append(x)
-        return complex(rng.random()) / x
+        def f(x):
+            calls.append(x)
+            return complex(rng.random()) * scale(x)
 
-    r = integrate_semi_infinite(f, cfg)
-    assert not r.converged
-    assert r.n_evals == len(calls) == count
+        r = integrate(f, cfg)
+        assert not r.converged
+        assert r.n_evals == len(calls) == count
 
 
 @pytest.mark.parametrize("max_evals,semi,finite", [
@@ -142,6 +159,7 @@ def test_budget_respected(max_evals):
     cfg = QuadConfig(atol=1e-15, rtol=1e-15, max_evals=max_evals)
     f = lambda x: complex(math.sin(1e6 * x))  # never settles
     assert integrate_semi_infinite(f, cfg).n_evals <= max_evals
+    assert integrate_line(f, cfg).n_evals <= max_evals
     assert integrate_finite(f, 0.0, 1.0, cfg).n_evals <= max_evals
 
 
@@ -150,9 +168,10 @@ def test_budget_respected(max_evals):
 # tables must reproduce them bit for bit, with the same stop rule: the level
 # difference, extrapolated once the last three contract, and the mass below
 # the smallest node.  With trim=False the reference is the rule before the
-# trim: every node of every level is evaluated.
+# trim: every node of every level is evaluated.  With ray=False it is the
+# line's rule, which has no below-node term.
 
-def _reference_refine(sample, t_max, cfg, trim=True):
+def _reference_refine(sample, t_max, cfg, trim=True, ray=True):
     h = 1.0
     n0 = int(t_max / h)
     terms = [sample(j * h) for j in range(-n0, n0 + 1)]
@@ -171,7 +190,7 @@ def _reference_refine(sample, t_max, cfg, trim=True):
     x0, x1 = (math.exp(math.pi / 2 * math.sinh(t)) for t in (-n0, 1 - n0))
     f0 = abs(terms[0]) / (x0 * (math.pi / 2) * math.cosh(-n0))
     f1 = abs(terms[1]) / (x1 * (math.pi / 2) * math.cosh(1 - n0))
-    if f0 != 0.0 and f1 != 0.0:
+    if ray and f0 != 0.0 and f1 != 0.0:
         p = (math.log(f1) - math.log(f0)) / math.log(x1 / x0)
         trim_err += f0 * x0 / (p + 1.0) if p + 1.0 > 0.0 else math.inf
     diffs = []
@@ -226,6 +245,14 @@ def _semi_infinite_sample(f):
     return sample
 
 
+def _line_sample(f):
+    # u = (pi/2) sinh t, du/dt = (pi/2) cosh t
+    def sample(t):
+        return f(math.pi / 2 * math.sinh(t)) * (math.pi / 2 * math.cosh(t))
+
+    return sample
+
+
 _CAPS = (13, 40, 100, 10 ** 4, 10 ** 7)
 _TOLS = (1e-15, 1e-10, 1e-4)
 _NEVER = lambda x: complex(math.sin(1e6 * x), math.cos(3e5 * x))
@@ -241,7 +268,7 @@ def _recorded(f):
     return g, seen
 
 
-def _check_against_reference(run, sample, f):
+def _check_against_reference(run, sample, f, ray=True):
     """run(g, cfg) matches the trimmed per-node reference bit for bit."""
     for cap in _CAPS:
         for tol in _TOLS:
@@ -249,12 +276,12 @@ def _check_against_reference(run, sample, f):
             g, seen = _recorded(f)
             r = run(g, cfg)
             g_ref, seen_ref = _recorded(f)
-            ref, _ = _reference_refine(sample(g_ref), 6.0, cfg)
+            ref, _ = _reference_refine(sample(g_ref), 6.0, cfg, ray=ray)
             assert (r.value, r.err_estimate, r.n_evals, r.converged) == ref
             assert seen == seen_ref
 
 
-def _check_trim_keeps_value(sample):
+def _check_trim_keeps_value(sample, ray=True):
     """Uncapped, the trimmed rule stops at the same level as the untrimmed
     one with the same value and no more evaluations.  Its estimate is no
     smaller, except by the rounding floor's share thr of each node it skips:
@@ -265,8 +292,8 @@ def _check_trim_keeps_value(sample):
     thr = 2.2e-16 * sum(abs(sample(float(j))) for j in range(-6, 7))
     for tol in (1e-10, 1e-4):
         cfg = QuadConfig(atol=tol, rtol=tol)
-        trimmed, level = _reference_refine(sample, 6.0, cfg)
-        full, full_level = _reference_refine(sample, 6.0, cfg, trim=False)
+        trimmed, level = _reference_refine(sample, 6.0, cfg, ray=ray)
+        full, full_level = _reference_refine(sample, 6.0, cfg, trim=False, ray=ray)
         assert level == full_level
         assert trimmed[0] == full[0]
         assert trimmed[1] >= full[1] - (full[2] - trimmed[2]) * thr
@@ -287,6 +314,24 @@ def test_semi_infinite_matches_per_node_reference(name):
     _check_against_reference(integrate_semi_infinite, _semi_infinite_sample, f)
     if f is not _NEVER:
         _check_trim_keeps_value(_semi_infinite_sample(f))
+
+
+_LINE = {
+    "sech": lambda u: complex(1.0 / math.cosh(u)),
+    "off_centre": lambda u: complex(math.exp(-(u - 30.0) ** 2 / 50.0)),
+    # off 0, so that no part of the value cancels to 0, where the trimmed
+    # terms would move the rounding noise left in it
+    "oscillatory": lambda u: cmath.exp(3j * u) / math.cosh(u - 1.0),
+    "never": _NEVER,
+}
+
+
+@pytest.mark.parametrize("name", _LINE)
+def test_line_matches_per_node_reference(name):
+    f = _LINE[name]
+    _check_against_reference(integrate_line, _line_sample, f, ray=False)
+    if f is not _NEVER:
+        _check_trim_keeps_value(_line_sample(f), ray=False)
 
 
 @pytest.mark.parametrize("make", [
@@ -327,10 +372,11 @@ _INVERSE_POWER = lambda x: x ** -0.9
 @pytest.mark.parametrize("level", [0, 1, 4])
 def test_weighted_nodes_share_the_x_column(level):
     g = _DECAY[1.0]
-    xs, ws = _nodes(level, None)
-    weighted_xs, weighted_ws = _nodes(level, g)
-    assert weighted_xs is xs
-    assert list(weighted_ws) == [w * g(x) for x, w in zip(xs, ws)]
+    for node_map in (_exp_sinh, _sinh):
+        xs, ws = _nodes(level, node_map, None)
+        weighted_xs, weighted_ws = _nodes(level, node_map, g)
+        assert weighted_xs is xs
+        assert list(weighted_ws) == [w * g(x) for x, w in zip(xs, ws)]
 
 
 @pytest.mark.parametrize("c,p", [
@@ -378,6 +424,22 @@ def test_zero_weight_nodes_are_not_evaluated(weight, rate, cfg):
     # must be that of f guarded to 0j there, bit for bit and with the same
     # n_evals, which still counts the skipped nodes: four at level 0 and
     # more on later levels.
+    _check_zero_weight_nodes_skipped(integrate_semi_infinite, weight, rate, cfg)
+
+
+def _cut_sech(u):
+    """sech u, and 0 past |u| = 40, inside the line's outermost nodes."""
+    return 0.0 if abs(u) > 40.0 else 1.0 / math.cosh(u)
+
+
+@pytest.mark.parametrize("cfg", [CFG, QuadConfig(1e-15, 1e-15), QuadConfig(max_evals=40)])
+def test_line_skips_zero_weight_nodes(cfg):
+    # as on the ray: past |u| = 40 the six outer level-0 nodes and more on
+    # later levels are counted but not evaluated
+    _check_zero_weight_nodes_skipped(integrate_line, _cut_sech, 0.99, cfg)
+
+
+def _check_zero_weight_nodes_skipped(integrate, weight, rate, cfg):
     def grow(x):
         return cmath.exp(complex(rate, 0.5) * x)
 
@@ -392,8 +454,8 @@ def test_zero_weight_nodes_are_not_evaluated(weight, rate, cfg):
     def guarded(x):
         return 0j if weight(x) == 0 else grow(x)
 
-    got = integrate_semi_infinite(raising, cfg, weight=weight)
-    ref = integrate_semi_infinite(guarded, cfg, weight=weight)
+    got = integrate(raising, cfg, weight=weight)
+    ref = integrate(guarded, cfg, weight=weight)
     assert repr(got) == repr(ref)
     assert got.n_evals > len(called) + 4
 
