@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-evals", type=int, default=quad_defaults.max_evals,
                         help="evaluation budget per quadrature call, at least 13 "
                              "(the lhs integral is one call, or two, its lift "
-                             "method, when theta < 0.25); a call "
+                             "method, when theta < 0.5); a call "
                              "evaluates at most 12289 nodes, so a larger budget "
                              "changes nothing")
         if verdict_flags:
