@@ -111,8 +111,8 @@ class IdentityCase(_IdentityCase):
 class RouteResult(NamedTuple):
     """What one route gave; its key in VerificationReport.routes names it.
 
-    status is ok (the value is compared), unconverged (a quadrature stopped
-    short of its tolerance; its last iterate is kept but not compared),
+    status is ok (the value is compared), unconverged (its QuadResult fails
+    _run_route's rule; the value is kept but not compared),
     skipped (outside the route's region) or failed (the route raised or gave
     a value that is not finite), and reason says why it is not ok.  An ok
     lhs whose y-integral diverges holds the analytic continuation, and its
@@ -343,35 +343,37 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     return integrate_line(power, case.quad_cfg, weight=_lhs_weight)
 
 
-def rhs_zeta(case: IdentityCase) -> complex:
-    """The Hurwitz-zeta closed form; k = 0 short-circuits to 0."""
+def rhs_zeta(case: IdentityCase) -> QuadResult:
+    """The Hurwitz-zeta closed form, exact (err_estimate 0.0, n_evals 0,
+    converged); k = 0 short-circuits to 0."""
     k = case.k
     if _plan(case)["zeta"][0] == "zero":
-        return 0j
+        return QuadResult(0j, 0.0, 0, True)
     log_a = case.a.log_value
     q_shift = -1j * log_a / TWO_PI
     s = 1.0 - k
     z1 = hurwitz_zeta(s, 0.25 + q_shift)
     z3 = hurwitz_zeta(s, 0.75 + q_shift)
     pref = 2.0 ** (k - 1.0) * k * math.pi ** k * cmath.exp(0.5j * math.pi * (k + 1.0))
-    return pref * (z1 - z3)
+    return QuadResult(pref * (z1 - z3), 0.0, 0, True)
 
 
-def rhs_series(case: IdentityCase) -> complex:
+def rhs_series(case: IdentityCase) -> QuadResult:
     """The alternating series
 
     -pi * k * sum_{n>=0} (-1)^n (pi i (2n+1)/2 + log a)^{k-1},
 
-    valid for Re(k) < 1; if 320 terms do not settle it, alternating_sum
-    raises ConvergenceError and the route fails.  The Gamma(k+1)/Gamma(k)
-    ratio is simplified to k, so non-positive integer k needs no special case.
+    valid for Re(k) < 1, exact as rhs_zeta is; if 320 terms do not settle
+    it, alternating_sum raises ConvergenceError and the route fails.  The
+    Gamma(k+1)/Gamma(k) ratio is simplified to k, so non-positive integer k
+    needs no special case.
     """
     k = case.k
     method, reason = _plan(case)["series"]
     if not method:
         raise RegionError(f"series route does not apply: {reason}")
     if method == "zero":
-        return 0j
+        return QuadResult(0j, 0.0, 0, True)
     log_a = case.a.log_value
     half_pi_i = 0.5j * math.pi
     km1 = k - 1.0
@@ -380,7 +382,7 @@ def rhs_series(case: IdentityCase) -> complex:
     def term(n: int) -> complex:
         return (half_pi_i * (2 * n + 1) + log_a) ** km1
 
-    return -math.pi * k * alternating_sum(term)
+    return QuadResult(-math.pi * k * alternating_sum(term), 0.0, 0, True)
 
 
 def _contour_weight(t: float) -> float:
@@ -427,10 +429,9 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2).
 
-    The estimate is |pref| times the ray's plus 8 eps |value|.  The ray
+    The estimate is |pref| times the ray's plus 8 eps |value|; the ray
     meets its tolerance in its own units, which a huge |pref| makes loose
-    (ROADMAP item 7), so the route is ok only if its estimate is also below
-    max(|value|, atol).
+    (ROADMAP item 7).
     """
     k = case.k
     method, reason = _plan(case)["contour"]
@@ -457,8 +458,7 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     if method == "rays-sub":
         value += 1j * k * half_pi_i ** k
     err = abs(pref) * res.err_estimate + 8.0 * EPS * abs(value)
-    converged = res.converged and err < max(abs(value), case.quad_cfg.atol)
-    return QuadResult(value, err, res.n_evals, converged)
+    return QuadResult(value, err, res.n_evals, res.converged)
 
 
 def contour_cauchy_check(y: complex, k: int) -> complex:
@@ -480,29 +480,27 @@ def contour_cauchy_check(y: complex, k: int) -> complex:
     return total / _CAUCHY_NODES
 
 
-def _run_route(case: IdentityCase, evaluate: Callable[[IdentityCase], object],
+def _run_route(case: IdentityCase, evaluate: Callable[[IdentityCase], QuadResult],
                method: str, reason: str = "") -> RouteResult:
     """Run one route by method on the case and record the outcome: skipped
     for reason, if method is "", without calling evaluate; the DomainError
-    or ArithmeticError (ConvergenceError among them) it raised; or what it
-    returned, ok with reason if it converged.  A quadrature returns a
-    QuadResult, a closed form its bare value; a value or estimate that is
+    or ArithmeticError (ConvergenceError among them) it raised; or the
+    QuadResult it returned, ok with reason if it converged and its estimate
+    is below max(|value|, atol), which a quadrature meeting its tolerance in
+    its own units need not be (ROADMAP item 7).  A value or estimate that is
     not finite fails.  Any other error propagates."""
     if not method:
         return RouteResult(None, None, None, "skipped", reason)
     try:
-        result = evaluate(case)
+        value, err, n_evals, converged = evaluate(case)
     except (DomainError, ArithmeticError) as exc:
         return RouteResult(None, None, None, "failed", str(exc), method)
-    if not isinstance(result, QuadResult):  # a closed form: exact, no evaluations
-        result = QuadResult(result, 0.0, 0, True)
-    if not (cmath.isfinite(result.value) and math.isfinite(result.err_estimate)):
+    if not (cmath.isfinite(value) and math.isfinite(err)):
         return RouteResult(None, None, None, "failed", "non-finite value", method)
-    if result.converged:
-        return RouteResult(result.value, result.err_estimate, result.n_evals, "ok", reason,
-                           method)
-    return RouteResult(result.value, result.err_estimate, result.n_evals,
-                       "unconverged", "quadrature did not converge", method)
+    if converged and (err < case.quad_cfg.atol or err < abs(value)):
+        return RouteResult(value, err, n_evals, "ok", reason, method)
+    return RouteResult(value, err, n_evals, "unconverged", "quadrature did not converge",
+                       method)
 
 
 def _judge(case: IdentityCase, routes: dict[str, RouteResult]) -> VerificationReport:
@@ -576,8 +574,8 @@ def loggamma_case(quad_cfg: QuadConfig = QuadConfig()) -> VerificationReport:
     closed = 0.25 * math.pi * (cmath.log(81.0 / (4.0 * math.pi ** 2 * math.e ** 2) * ratio4)
                                - 1j * math.pi)
     step = 1e-4
-    fd = (rhs_zeta(IdentityCase(1.0 + step, case.a))
-          - rhs_zeta(IdentityCase(1.0 - step, case.a))) / (2.0 * step)
+    fd = (rhs_zeta(IdentityCase(1.0 + step, case.a)).value
+          - rhs_zeta(IdentityCase(1.0 - step, case.a)).value) / (2.0 * step)
     i_pi = 1j * math.pi
 
     def direct(t: float) -> complex:

@@ -34,8 +34,8 @@ TABLE = {
     1.5: (0, 0, 0, 0, 0, 75, 0),
     2.5: (0, 0, 0, 0, 0, 75, 0),
     5.0: (0, 0, 0, 0, 0, 75, 0),
-    10.0: (5, 0, 0, 0, 0, 70, 0),
-    20.0: (43, 0, 0, 0, 0, 32, 0),
+    10.0: (4, 0, 1, 0, 0, 70, 0),
+    20.0: (42, 0, 1, 0, 0, 32, 0),
 }
 # (route, method) over all 675 cells; "" is a skipped route
 METHODS = {

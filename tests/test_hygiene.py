@@ -25,6 +25,8 @@
   at most one table per level to that cache;
 * every exception class the package defines is raised somewhere in the
   package, so none outlives the last raise of it;
+* every route verify runs is annotated to return a QuadResult, the one
+  record _run_route judges;
 * the package re-exports every public name of its library modules;
 * the README's method table lists exactly the (route, method) pairs that
   identities._plan can give, so a deleted or new method cannot leave it
@@ -281,6 +283,17 @@ def test_every_exception_class_is_raised():
                 raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", ""))
     assert len(defined) >= 5
     assert sorted(defined - raised) == [], "exception classes the package never raises"
+
+
+def test_routes_return_quad_results():
+    tree = _tree(SRC / "identities.py")
+    routes = {node.args[1].id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _call_name(node) == "_run_route"
+              and isinstance(node.args[1], ast.Name)}
+    assert routes == {"lhs_integral", "rhs_zeta", "rhs_series", "rhs_contour"}
+    returns = {node.name: node.returns and ast.unparse(node.returns) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in routes}
+    assert returns == dict.fromkeys(routes, "QuadResult")
 
 
 @pytest.mark.parametrize("module", ["complexfn", "hurwitz", "quad", "identities"])

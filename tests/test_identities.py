@@ -156,39 +156,39 @@ class TestLhsIntegral:
         # the integrand is O(u^{k+1}) at u = 0, almost 1/u here; the lifted
         # line passes pi/4 above it, so nothing cancels as k -> -2
         c = case(-2.0 + dk)
-        res, ref = lhs_integral(c), rhs_series(c)
+        res, ref = lhs_integral(c), rhs_series(c).value
         assert res.converged
         assert abs(res.value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 class TestRhsZeta:
     def test_catalan_instance(self):
-        assert abs(rhs_zeta(case(-1.0)) - CATALAN_TARGET) <= 1e-10
+        assert abs(rhs_zeta(case(-1.0)).value - CATALAN_TARGET) <= 1e-10
 
     def test_k_two_vanishes(self):
         # zeta(-1, 1/4) = zeta(-1, 3/4) = 1/96; the difference cancels
-        assert abs(rhs_zeta(case(2.0))) <= 1e-9
+        assert abs(rhs_zeta(case(2.0)).value) <= 1e-9
 
     def test_k_three(self):
         # zeta(-2, 1/4) = -1/64, zeta(-2, 3/4) = 1/64
         ref = -3.0 * math.pi ** 3 / 8.0
-        assert abs(rhs_zeta(case(3.0)) - ref) <= 1e-8 * abs(ref)
+        assert abs(rhs_zeta(case(3.0)).value - ref) <= 1e-8 * abs(ref)
 
     def test_k_zero_short_circuit(self):
-        assert rhs_zeta(case(0.0)) == 0
+        assert rhs_zeta(case(0.0)).value == 0
 
 
 class TestRhsSeries:
     def test_catalan_instance(self):
-        assert abs(rhs_series(case(-1.0)) - CATALAN_TARGET) <= 1e-10
+        assert abs(rhs_series(case(-1.0)).value - CATALAN_TARGET) <= 1e-10
 
     def test_k_zero(self):
-        assert rhs_series(case(0.0, BranchedConstant(2.0, 1.0))) == 0
+        assert rhs_series(case(0.0, BranchedConstant(2.0, 1.0))).value == 0
 
     def test_matches_zeta_at_half(self):
         c = case(0.5)
-        s = rhs_series(c)
-        z = rhs_zeta(c)
+        s = rhs_series(c).value
+        z = rhs_zeta(c).value
         assert abs(s - z) <= 1e-9 * abs(z)
 
     def test_region(self):
@@ -264,14 +264,14 @@ class TestRhsContour:
     def test_matches_series_at_half(self):
         c = case(0.5)
         r = rhs_contour(c)
-        s = rhs_series(c)
+        s = rhs_series(c).value
         assert r.converged
         assert abs(r.value - s) <= 1e-6 * abs(s)
 
     def test_matches_zeta_a_two(self):
         c = case(-0.5, BranchedConstant(2.0))
         r = rhs_contour(c)
-        z = rhs_zeta(c)
+        z = rhs_zeta(c).value
         assert abs(r.value - z) <= 1e-6 * abs(z)
 
     def test_next_to_integer_k_matches_series(self):
@@ -283,7 +283,7 @@ class TestRhsContour:
         for k in ks + [1.0 - 1e-11]:
             for a in (BranchedConstant(2.0), BranchedConstant(1.2), BranchedConstant(2.0, 1.0)):
                 c = case(k, a)
-                r, s = rhs_contour(c), rhs_series(c)
+                r, s = rhs_contour(c), rhs_series(c).value
                 assert r.converged, (k, a)
                 assert abs(r.value - s) <= 1e-12 * max(1.0, abs(s)), (k, a)
 
@@ -371,6 +371,21 @@ class TestVerify:
         # lhs, series and contour agree, but a route that ran did not give a value
         assert rep.verdict == "partial"
 
+    # (value, estimate, converged) and the record's status under the one rule
+    # for every route: ok only if converged with the estimate below
+    # max(|value|, atol), here atol = 1e-10
+    @pytest.mark.parametrize("value,err,converged,status", [
+        (3 + 4j, 4.99, True, "ok"), (3 + 4j, 5.0, True, "unconverged"),
+        (1e-12, 0.99e-10, True, "ok"), (1e-12, 1e-10, True, "unconverged"),
+        (0j, 0.0, True, "ok"), (3 + 4j, 0.0, False, "unconverged")])
+    def test_one_rule_decides_ok(self, monkeypatch, value, err, converged, status):
+        monkeypatch.setattr(identities, "rhs_zeta",
+                            lambda c: QuadResult(complex(value), err, 7, converged))
+        rep = verify(case(-1.0, quad_cfg=QuadConfig(atol=1e-10)))
+        reason = "" if status == "ok" else "quadrature did not converge"
+        assert rep.routes["zeta"] == RouteResult(value, err, 7, status, reason, "em")
+        assert ("lhs|zeta" in rep.residuals) == (status == "ok")
+
 
 class TestSweep:
     def test_single_case_consistency(self):
@@ -408,6 +423,22 @@ class TestSweep:
         assert [r.verdict for r in reports] == ["pass", "partial"]
 
 
+@pytest.mark.parametrize("k", [0.0, -0.5 + 0.3j, 2.0 - 1.0j])
+@pytest.mark.parametrize("route", [lhs_integral, rhs_zeta, rhs_series, rhs_contour],
+                         ids=lambda f: f.__name__)
+def test_every_route_returns_a_quad_result(route, k):
+    # one record type for _run_route to judge; a closed form's is exact
+    c = case(k, BranchedConstant(2.0, 1.0))
+    if k.real >= 1.0 and route in (rhs_series, rhs_contour):
+        with pytest.raises(RegionError):
+            route(c)
+        return
+    res = route(c)
+    assert type(res) is QuadResult and res.converged
+    if route in (rhs_zeta, rhs_series):
+        assert (res.err_estimate, res.n_evals) == (0.0, 0)
+
+
 class TestCrossRouteProperties:
     def test_series_zeta_identity_random(self):
         rng = random.Random(99)
@@ -419,8 +450,8 @@ class TestCrossRouteProperties:
             a = BranchedConstant(rng.uniform(0.5, 2.0),
                                  rng.uniform(0.1, 2 * math.pi - 0.1))
             c = IdentityCase(k, a)
-            s = rhs_series(c)
-            z = rhs_zeta(c)
+            s = rhs_series(c).value
+            z = rhs_zeta(c).value
             assert abs(s - z) <= 1e-9 * max(abs(s), abs(z))
             done += 1
 
@@ -524,8 +555,7 @@ def _reference_contour(c):
     res = integrate_semi_infinite(f, c.quad_cfg, weight=_reference_sech)
     value = pref * res.value
     err = abs(pref) * res.err_estimate + 8.0 * 2.2e-16 * abs(value)
-    converged = res.converged and err < max(abs(value), c.quad_cfg.atol)
-    return QuadResult(value, err, res.n_evals, converged)
+    return QuadResult(value, err, res.n_evals, res.converged)
 
 
 def _reference_loggamma_direct(cfg):
@@ -738,7 +768,7 @@ def test_series_matches_zeta_oracle():
     cases += [(0.5 + y * 1j, BranchedConstant(1.0, 0.5)) for y in (10.0, -10.0, 20.0, -20.0)]
     for k, a in cases:
         ref = _zeta_oracle(mpmath, k, a)
-        got = rhs_series(case(k, a))
+        got = rhs_series(case(k, a)).value
         assert abs(got - ref) <= 2e-14 * max(1.0, abs(ref)), (k, a, got, ref)
 
 
@@ -1037,7 +1067,15 @@ OUTCOMES = {
     # stops short of its tolerance, 8.8e-4 off with an estimate of 1.4e-4
     ("-2.402712820710665-22.341628507476607i", "289713255917.29846@1.9720497447425476"):
         (None, UNC, OK, ("failed", "alternating series acceleration stalled after 320 terms"),
-         None),
+         UNC),
+    # an estimate not below max(|value|, atol) says nothing of the value, so
+    # the record is unconverged, whatever the quadrature's own test said: at
+    # k = 10 the lhs gives 7.3e-10 with an estimate of 5.2e-4, at k = 20
+    # 4.0e2 with 1.5e4, and at k = -100.5 4.1e-6 with 1.3e-5, where the
+    # value is 3.9e-18 (ROADMAP items 7 and 13)
+    ("10", "1"): ("partial", UNC, OK, RE_K, RE_K),
+    ("20", "1"): ("partial", UNC, OK, RE_K, RE_K),
+    ("-100.5", "1"): ("partial", UNC, OK, OK, OK),
     # a starved or stalled quadrature is flagged, not compared; at 0.5+400i
     # the contour stops at 0.02+0.04i, and the true value is about 1e-200
     ("0.5", "1", "--max-evals", "40"): ("partial", UNC, OK, OK, UNC),
@@ -1067,6 +1105,9 @@ OUTCOME_METHODS = {
     ("-2", "0.36787944117144233@1e-200"): ("lift", "em", "cvz", "rays"),
     ("-2.402712820710665-22.341628507476607i", "289713255917.29846@1.9720497447425476"):
         ("line", "em", "cvz", "rays"),
+    ("10", "1"): ("lift", "em", "", ""),
+    ("20", "1"): ("lift", "em", "", ""),
+    ("-100.5", "1"): ("lift", "em", "cvz", "rays"),
     ("0.5", "1", "--max-evals", "40"): ("lift", "em", "cvz", "rays"),
     ("-1.99", "1", "--max-evals", "40"): ("lift", "em", "cvz", "rays"),
     ("0.5+400i", "3@1"): ("line", "em", "cvz", "rays"),
