@@ -199,7 +199,7 @@ def _plan(case: IdentityCase) -> dict[str, tuple[str, str]]:
         series = contour = ("", "Re(k) >= 1")
     else:
         series = (zero or "cvz", "")
-        contour = ("rays-sub" if k.real > 0.5 else "rays", "")
+        contour = (zero or ("rays-sub" if k.real > 0.5 else "rays"), "")
     return {"lhs": lhs, "zeta": (zero or "em", ""), "series": series, "contour": contour}
 
 
@@ -385,13 +385,13 @@ def rhs_series(case: IdentityCase) -> QuadResult:
     return QuadResult(-math.pi * k * alternating_sum(term), 0.0, 0, True)
 
 
-def _contour_weight(t: float) -> float:
-    """sech(pi t / 2), the contour's weight, and 0 past t = 450, where it is
-    below 3e-307 and the ray's integrand is 0 too: t^{-k} may overflow
-    there, so the quadrature skips those nodes."""
-    if t > 450.0:
-        return 0.0
-    return 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + math.exp(-math.pi * t))
+def _contour_weight(y: float) -> float:
+    """sech(pi t / 2) / (1 + y) at t = log(1 + y): the contour's y-weight,
+    with no cut-off.  It decays like y^{-1-pi/2}; on the ray's nodes
+    y <= e^317, so t <= 317, and it underflows to 0 only past t = 289,
+    where the quadrature calls no integrand."""
+    t = math.log1p(y)
+    return 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + math.exp(-math.pi * t)) / (1.0 + y)
 
 
 def rhs_contour(case: IdentityCase) -> QuadResult:
@@ -407,11 +407,12 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     by e^{2 pi i k} - 1 = 2 i e^{i pi k} sin(pi k) and Euler's reflection
     formula.  The second form is finite for Re(k) < 1, integers included,
-    and has no rounded phase of e^{2 pi i k} to cancel against 1.
+    and has no rounded phase of e^{2 pi i k} to cancel against 1.  At k = 0
+    it is 0, and the route gives 0 with no work (_plan's zero).
 
     The ray's start is singular: the integrand behaves like t^p with
-    p = -k near t = 0.  There exp-sinh, whose smallest node is x = e^{-317},
-    misses about x^{p+1} / |p+1| of the mass and needs every level as
+    p = -k near t = 0.  There exp-sinh, whose smallest node is e^{-317},
+    misses about t^{p+1} / |p+1| of the mass and needs every level as
     Re p -> -1.  So for Re k > 1/2, Re p < -1/2, rays-sub subtracts the
     singularity in closed form (Davis and Rabinowitz, Methods of Numerical
     Integration, 2.12): the ray integrates
@@ -422,42 +423,53 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     tail, leaves no kink, which a cut at (0, delta] would.  For Re k <= 1/2
     the plain rule converges at its usual depth and is kept unchanged.
 
-    sech(pi t/2) does not depend on the case, so the quadrature keeps it in
-    its node table (_contour_weight) and the ray evaluates only the factor
-    before it: e^{i t log a} t^{-k}, or, subtracted, since
-    e^{-pi t/2} = sech(pi t/2) (1 + e^{-pi t}) / 2,
+    The ray decays like e^{-(pi/2 + theta) t}, for which exp-sinh, built for
+    algebraic decay, is not the double-exponential map.  So it runs in
+    t = log(1 + y), as the lhs's lift does, one exp-sinh call against the
+    y-weight sech(pi t/2) / (1 + y) (_contour_weight), which decays like
+    y^{-1-pi/2}.  The weight does not depend on the case, so the quadrature
+    keeps it in its node table and the ray evaluates only the factor before
+    it, with pref folded in: e^{i t log a + log pref} t^{-k}, or, subtracted,
+    since e^{-pi t/2} = sech(pi t/2) (1 + e^{-pi t}) / 2,
 
-    t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2).
+    pref t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2),
 
-    The estimate is |pref| times the ray's plus 8 eps |value|; the ray
-    meets its tolerance in its own units, which a huge |pref| makes loose
-    (ROADMAP item 7).
+    both terms against the same rounded pref.  So the quadrature meets the
+    case's tolerance in the route's units, and a value below atol is
+    computed to atol, as the lhs's is.  The estimate is the ray's plus
+    (8 + |log pref|) eps |value|, the rounding of pref.
     """
     k = case.k
     method, reason = _plan(case)["contour"]
     if not method:
         raise RegionError(f"contour route does not apply: {reason}")
+    if method == "zero":
+        return QuadResult(0j, 0.0, 0, True)
     log_a = case.a.log_value
     i_log_a = complex(-log_a.imag, log_a.real)  # i log a, built once
     half_pi_i = 0.5j * math.pi
     pref = half_pi_i * k * cmath.exp(half_pi_i * k) / gamma(1.0 - k)
+    if not pref:  # e^{i pi k/2} underflowed, at Im k >~ 474: no log to fold
+        raise ArithmeticError("contour prefactor underflows")
+    log_pref = cmath.log(pref)
 
     neg_k, neg_pi = -k, -math.pi
-    exp, cexp = math.exp, cmath.exp
+    exp, cexp, log1p = math.exp, cmath.exp, math.log1p
 
-    # past t = 450 the weight is 0, so the quadrature calls f only below it
     if method == "rays-sub":
-        def f(t: float) -> complex:
-            return t ** neg_k * (cexp(t * i_log_a) - 0.5 * (1.0 + exp(neg_pi * t)))
+        def f(y: float) -> complex:
+            t = log1p(y)
+            return pref * t ** neg_k * (cexp(t * i_log_a) - 0.5 * (1.0 + exp(neg_pi * t)))
     else:
-        def f(t: float) -> complex:
-            return cexp(t * i_log_a) * t ** neg_k
+        def f(y: float) -> complex:
+            t = log1p(y)
+            return cexp(t * i_log_a + log_pref) * t ** neg_k
 
     res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight)
-    value = pref * res.value
+    value = res.value
     if method == "rays-sub":
         value += 1j * k * half_pi_i ** k
-    err = abs(pref) * res.err_estimate + 8.0 * EPS * abs(value)
+    err = res.err_estimate + (8.0 + abs(log_pref)) * EPS * abs(value)
     return QuadResult(value, err, res.n_evals, res.converged)
 
 
@@ -486,9 +498,9 @@ def _run_route(case: IdentityCase, evaluate: Callable[[IdentityCase], QuadResult
     for reason, if method is "", without calling evaluate; the DomainError
     or ArithmeticError (ConvergenceError among them) it raised; or the
     QuadResult it returned, ok with reason if it converged and its estimate
-    is below max(|value|, atol), which a quadrature meeting its tolerance in
-    its own units need not be (ROADMAP item 7).  A value or estimate that is
-    not finite fails.  Any other error propagates."""
+    is below max(|value|, atol), which a quadrature whose parts each meet
+    the tolerance need not be (the lift's half-lines, ROADMAP item 13).  A
+    value or estimate that is not finite fails.  Any other error propagates."""
     if not method:
         return RouteResult(None, None, None, "skipped", reason)
     try:

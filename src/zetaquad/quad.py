@@ -29,10 +29,11 @@ node, and the loop calls the integrand itself: on CPython 3.11 a call
 through the builtin map, from C into a Python function, costs more.  A caller whose
 integrand is f(x) g(x) with a fixed weight g, the same in every call (the
 lhs's -tanh(u) / (2 cosh u) or its complex continuation, the contour's
-sech(pi t / 2)), passes g separately: the map keeps a second table per
-level with the weights w g(x) folded in, so each node costs one f(x) alone.
-A node whose tabled weight is exactly 0, past g's tail cut-off, adds nothing
-and f is not called there; n_evals and the max_evals budget still count it.
+sech(pi t / 2) / (1 + y) at t = log(1 + y)), passes g separately: the map
+keeps a second table per level with the weights w g(x) folded in, so each
+node costs one f(x) alone.  A node whose tabled weight is exactly 0, past
+g's tail cut-off or where it underflows, adds nothing and f is not called
+there; n_evals and the max_evals budget still count it.
 """
 
 from __future__ import annotations
@@ -190,10 +191,11 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     """Integral of f over (0, inf) by exp-sinh quadrature, or of f * weight.
 
     A weight g that does not depend on the call, such as the lhs's
-    -tanh(u) / (2 cosh u) or the contour's sech(pi t / 2), is folded into the
-    node table once (see _nodes), so each node costs one f(x) evaluation
-    and one multiplication; everything below applies to the product f g,
-    whose terms are f(x) (w g(x)), and g may be complex.  A node whose
+    -tanh(u) / (2 cosh u) or the contour's sech(pi t / 2) / (1 + y) at
+    t = log(1 + y), is folded into the node table once (see _nodes), so
+    each node costs one f(x) evaluation and one multiplication; everything
+    below applies to the product f g, whose terms are f(x) (w g(x)), and g
+    may be complex.  A node whose
     tabled weight is exactly 0 adds nothing, and f is not called there (g
     owns its tail cut-off, where f may overflow); n_evals still counts it.
 

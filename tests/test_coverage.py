@@ -27,10 +27,10 @@ THETA = (0.0, 0.01, 1.0, 3.0, 6.0)
 # for a != 1 and at Re k <= -2 for a = 1
 COLUMNS = ("fail/2", "fail/3+", "partial/1", "partial/2", "partial/3+", "pass/2", "pass/3+")
 TABLE = {
-    -2.5: (0, 2, 0, 0, 2, 0, 71),
-    -1.5: (0, 2, 0, 0, 0, 0, 73),
-    -0.5: (0, 3, 0, 0, 2, 0, 70),
-    0.5: (0, 0, 0, 5, 3, 0, 67),
+    -2.5: (0, 0, 0, 2, 7, 0, 66),
+    -1.5: (0, 0, 0, 0, 9, 0, 66),
+    -0.5: (0, 0, 0, 5, 10, 0, 60),
+    0.5: (0, 0, 0, 5, 15, 0, 55),
     1.5: (0, 0, 0, 0, 0, 75, 0),
     2.5: (0, 0, 0, 0, 0, 75, 0),
     5.0: (0, 0, 0, 0, 0, 75, 0),

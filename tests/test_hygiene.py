@@ -305,7 +305,7 @@ def test_package_exports_every_public_name(module):
 
 def _readme_methods():
     """(route, method) of every row of the README's method table; a row for
-    two routes, "zeta, series", gives a pair for each."""
+    several routes, "zeta, series, contour", gives a pair for each."""
     lines = (ROOT / "README.md").read_text().splitlines()
     start = lines.index("| route | method | when | what it computes |")
     pairs = set()
@@ -317,7 +317,7 @@ def _readme_methods():
 
 def test_readme_method_table_matches_plan():
     # The probes reach every branch of _plan: k = 0, Re k >= 1, Re k on
-    # either side of 1/2, theta on either side of 0.25.  The methods
+    # either side of 1/2, theta on either side of 0.5.  The methods
     # they give must be every method among _plan's string literals (the
     # routes, the methods and the skip reasons, which have spaces), so a new
     # branch needs a probe here and a row in the table.

@@ -413,12 +413,12 @@ def test_weighted_tables_are_built_once():
     assert _nodes.cache_info().currsize == size
 
 
-@pytest.mark.parametrize("weight,rate", [(identities._lhs_weight, 0.99),
-                                         (identities._contour_weight, 1.5)])
+@pytest.mark.parametrize("weight,rate", [(identities._lhs_weight, 0.99)])
 @pytest.mark.parametrize("cfg", [CFG, QuadConfig(1e-15, 1e-15), QuadConfig(max_evals=40)])
 def test_zero_weight_nodes_are_not_evaluated(weight, rate, cfg):
-    # Each weight is 0 past its cut-off, where the integrands it multiplies
-    # may overflow (the lift's y-weight needs none: see test_lift_weights).
+    # The lhs weight is 0 past its cut-off, where the integrands it
+    # multiplies may overflow (the y-weights of the lift and the contour
+    # need none: see test_lift_weights and test_contour_weight_has_no_cut_off).
     # f grows almost as fast as the weight decays, so the refined window
     # reaches past the cut-off, where f raises.  The result
     # must be that of f guarded to 0j there, bit for bit and with the same
