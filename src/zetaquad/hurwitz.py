@@ -7,32 +7,36 @@ The expansion is
                + (N+q)^{-s} / 2
                + sum_{j=1}^{M} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * (N+q)^{-s-2j+1}
 
-with M = 25.  Let m count the direct terms with Re(n + q) <= 0 (none when
-Re(q) > 0).  N - m runs through the powers of two, so the tail always
+with M at most 25.  Let m count the direct terms with Re(n + q) <= 0 (none
+when Re(q) > 0).  N - m runs through the powers of two, so the tail always
 starts at Re(N + q) > 1.  The first N tried is the first at which
-2 pi |N + q| reaches |Im s|, plus ln(1/tolerance) when Re(s) >= 1: a tail
-seldom converges below it.  N - m then doubles until the first neglected
-tail term drops below the fixed tolerance 1e-13, relative to the quantity
-being computed once that exceeds 1; each doubling adds only the new direct
-terms to the sum kept from the previous one.  N - m reaching _N_CAP
-unconverged, or a nan tail term, raises ConvergenceError, and a sum that is
-not finite, as where (N+q)^{1-s} overflows, OverflowError.  A call
-sums only the quantity it returns: hurwitz_zeta the expansion above,
-hurwitz_zeta_ds its term-by-term s-derivative.  A non-finite s or q, a
-non-positive integer q, where a direct term has no value, and
-Re(q) < -_N_CAP, which would take more direct terms than the cap on summed
-terms, raise DomainError.  All powers are Python's principal ``**``, the
-branch fixed in complexfn.
+2 pi |N + q| reaches |Im s|, plus 2 ln(1/tolerance) when Re(s) >= 1: below
+it a tail seldom converges, or, at Re(s) >= 1, needs many terms.  A tail
+ends at its first neglected term: the 26th, the first (j >= 3) larger than
+the one before, or, at Re(s) >= 1 only, the first within a hundredth of the
+tolerance.  N - m doubles until that term drops below the fixed tolerance
+1e-13, relative to the quantity being computed once that exceeds 1; each
+doubling adds only the new direct terms to the sum kept from the
+previous one.  N - m reaching _N_CAP unconverged, or a nan tail term, raises
+ConvergenceError, and a sum that is not finite, as where (N+q)^{1-s}
+overflows, OverflowError.  A call sums only the quantity it returns:
+hurwitz_zeta the expansion above, hurwitz_zeta_ds its term-by-term
+s-derivative.  A non-finite s or q, a non-positive integer q, where a direct
+term has no value, and Re(q) < -_N_CAP, which would take more direct terms
+than the cap on summed terms, raise DomainError.  All powers are Python's
+principal ``**``, the branch fixed in complexfn.
 
-The tail's factors that depend on s alone are built once per call, by
+The tail's factors that depend on s alone come from the recurrence
 P_{j+1} = P_j (s+2j-1)(s+2j) from P_1 = s: for the value B_{2j}/(2j)! P_j(s),
 for the derivative B_{2j}/(2j)!, P_j(s) and dP_j/ds by the product rule.
-One memo keeps the value's weights of the last s, as rhs_zeta's two calls
-share s, and so does every a of one k in a sweep.  It is keyed on the value
-of s: the weights of 2+0j and 2-0j differ only in the signs of zero parts,
-and every sum here starts at +0j, to which adding a signed zero changes
-nothing.  The derivative builds its weights on every call, since no route
-repeats its s.
+At Re(s) >= 1 each pass forms them as it sums its few terms.  Below, every
+pass sums all 26, from weights built once per call, and one memo keeps the
+value's weights of the last such s, as rhs_zeta's two calls share s, and so
+does every a of one k in a sweep.  It is keyed on the value of s: the
+weights of 0.5+0j and 0.5-0j differ only in the signs of zero parts, and
+every sum here starts at +0j, to which adding a signed zero changes nothing.
+The derivative builds its weights on every call, since no route repeats its
+s.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ _TAIL_TERMS = 25
 _TOLERANCE = 1e-13
 _N_CAP = 200_000
 _MARGIN = math.log(1.0 / _TOLERANCE)
+_SHORT_STOP = 0.01 * _TOLERANCE  # at Re s >= 1 a term this small, relative, ends a tail
 
 
 @lru_cache(maxsize=None)
@@ -125,22 +130,30 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
         inv_sq = 1.0 / sq if sq else complex(math.inf)
         if not cmath.isfinite(inv_sq):
             raise OverflowError(f"1/(s - 1)^2 overflows at |s - 1| = {abs(sm1):.3g}")
-        weights = _derivative_weights(s)
-    else:
-        weights = _value_weights(s)
     direct = 0j  # sum of the summands n < done, extended as N doubles
     done = 0
     m = max(0, math.floor(-q.real) + 1)  # how many direct terms have Re(n + q) <= 0
     n = m + 1
     # Skip, without summing a tail, the doublings at which no tail can meet
     # the tolerance.  A tail term shrinks by about |s + 2j|^2 / (2 pi |N + q|)^2
-    # per step, so a tail needs 2 pi |N + q| > |Im s|, and for Re s >= 1 about
-    # ln(1/tolerance) more, as its smallest term is near e^{-2 pi |N + q|}
-    # relative to the sum.  Below Re s = 1 the terms also carry a factor
-    # 1/Gamma(s), which vanishes at the non-positive integers, so a tail can
-    # converge well inside that margin, and every direct term past that point
-    # adds to the direct sum's cancellation: there only |Im s| is relied on.
-    reach = abs(s.imag) + (_MARGIN if s.real >= 1.0 else 0.0)
+    # per step, so a tail needs 2 pi |N + q| > |Im s|.  For Re s >= 1 the
+    # first N has 2 pi |N + q| >= |Im s| + 2 ln(1/tolerance), so the smallest
+    # term, near e^{-2 pi |N + q|} relative to the sum, lies far below the
+    # tolerance: one pass sums a few terms, forming each weight as it goes,
+    # and stops at the first within a hundredth of the tolerance.  (A reach
+    # of twice |Im s| shortens the tail less than it lengthens the direct
+    # sum, and doubles N at |Im s| = 1e5.)  Below Re s = 1 the terms also
+    # carry a factor 1/Gamma(s), which vanishes at the non-positive integers,
+    # so a tail can converge at a far smaller N, and every direct term past
+    # that point adds to the direct sum's cancellation: there only |Im s| is
+    # relied on, and every pass sums the full tail against weights built
+    # once per call.
+    if s.real >= 1.0:
+        reach = abs(s.imag) + 2.0 * _MARGIN
+        weights = None  # formed by each pass as it sums its terms
+    else:
+        reach = abs(s.imag)
+        weights = _derivative_weights(s) if derivative else _value_weights(s)
     while n - m < _N_CAP and 2.0 * math.pi * abs(n + q) < reach:
         n = 2 * n - m
     while True:
@@ -163,25 +176,59 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
             lx = cmath.log(x)
             total = direct + x * xs * (-lx / sm1 - inv_sq)
             total -= 0.5 * lx * xs
-            for j, (c, prod, dprod) in enumerate(weights, 1):
-                term = c * (dprod - prod * lx) * pw
-                mag = abs(term)
-                if j > _TAIL_TERMS or (j >= 3 and mag > prev_mag) or isnan(mag):
-                    break  # a turned tail stops here
-                total += term
-                prev_mag = mag
-                pw *= step
+            if weights is None:
+                stop = _SHORT_STOP * max(1.0, abs(total))
+                prod = s
+                dprod = 1.0 + 0j
+                for j, (c, odd, even) in enumerate(_tail_steps(), 1):
+                    term = c * (dprod - prod * lx) * pw
+                    mag = abs(term)
+                    if (mag <= stop or j > _TAIL_TERMS or (j >= 3 and mag > prev_mag)
+                            or isnan(mag)):
+                        break  # a small enough or a turned tail stops here
+                    total += term
+                    prev_mag = mag
+                    pw *= step
+                    a = s + odd
+                    b = s + even
+                    dprod = dprod * a + prod
+                    prod = prod * a
+                    dprod = dprod * b + prod
+                    prod = prod * b
+            else:
+                for j, (c, prod, dprod) in enumerate(weights, 1):
+                    term = c * (dprod - prod * lx) * pw
+                    mag = abs(term)
+                    if j > _TAIL_TERMS or (j >= 3 and mag > prev_mag) or isnan(mag):
+                        break  # a turned tail stops here
+                    total += term
+                    prev_mag = mag
+                    pw *= step
         else:
             total = direct + x * xs / sm1
             total += 0.5 * xs
-            for j, cw in enumerate(weights, 1):
-                term = cw * pw
-                mag = abs(term)
-                if j > _TAIL_TERMS or (j >= 3 and mag > prev_mag) or isnan(mag):
-                    break  # a turned tail stops here
-                total += term
-                prev_mag = mag
-                pw *= step
+            if weights is None:
+                stop = _SHORT_STOP * max(1.0, abs(total))
+                prod = s
+                for j, (c, odd, even) in enumerate(_tail_steps(), 1):
+                    term = c * prod * pw
+                    mag = abs(term)
+                    if (mag <= stop or j > _TAIL_TERMS or (j >= 3 and mag > prev_mag)
+                            or isnan(mag)):
+                        break  # a small enough or a turned tail stops here
+                    total += term
+                    prev_mag = mag
+                    pw *= step
+                    prod = prod * (s + odd) * (s + even)
+            else:
+                for j, cw in enumerate(weights, 1):
+                    term = cw * pw
+                    mag = abs(term)
+                    if j > _TAIL_TERMS or (j >= 3 and mag > prev_mag) or isnan(mag):
+                        break  # a turned tail stops here
+                    total += term
+                    prev_mag = mag
+                    pw *= step
         if isnan(mag):
             # an overflowed x^{-s} or x^{-(s+1)}, or an overflowed P_j(s)
             # times an underflowed power: a larger N only makes the power

@@ -406,17 +406,19 @@ class TestCommands:
         assert "1.6449340668" in out
 
     def test_zeta_signed_zero_s_shares_weights(self, capsys):
-        # 2-0i and 2 are equal, so whichever comes second reads the tail
+        # 0.5-0i and 0.5 are equal, so whichever comes second reads the tail
         # weights the first built, and both orders print the same bytes
-        outputs = []
-        for order in (["--s=2-0i", "--s=2"], ["--s=2", "--s=2-0i"]):
-            _value_weights.cache_clear()
-            for s in order:
-                assert main(["zeta", s, "--q", "0.25"]) == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-        assert outputs[0].err == ""
-        assert len(set(outputs[0].out.splitlines())) == 1
+        # (at Re s >= 1, as at s = 2, each call forms its own weights)
+        for x in ("0.5", "2"):
+            outputs = []
+            for order in ([f"--s={x}-0i", f"--s={x}"], [f"--s={x}", f"--s={x}-0i"]):
+                _value_weights.cache_clear()
+                for s in order:
+                    assert main(["zeta", s, "--q", "0.25"]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1]
+            assert outputs[0].err == ""
+            assert len(set(outputs[0].out.splitlines())) == 1
 
     @pytest.mark.parametrize("argv", ZETA_REFUSALS)
     def test_zeta_refusal(self, capsys, argv):

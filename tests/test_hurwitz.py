@@ -145,8 +145,11 @@ class TestProperties:
 # The engine before the direct sum was extended across doublings: every pass
 # re-sums all direct terms and carries the value and the derivative together.
 # Kept as the reference for the single-quantity engine, with its powers
-# written as the engine writes them, Python's principal **.
-def _reference_em_pass(s, q, n_direct, coefs, monitor_derivative):
+# written as the engine writes them, Python's principal **.  At Re s >= 1 a
+# pass ends at the first monitored tail term at or below stop_rel times
+# max(1, |monitored sum before the tail|); below, stop_rel is None and every
+# pass sums the full tail.
+def _reference_em_pass(s, q, n_direct, coefs, monitor_derivative, stop_rel):
     v = 0j
     d = 0j
     for i in range(n_direct):
@@ -163,6 +166,7 @@ def _reference_em_pass(s, q, n_direct, coefs, monitor_derivative):
     d += x * xs * (-lx / sm1 - 1.0 / (sm1 * sm1))
     v += 0.5 * xs
     d -= 0.5 * lx * xs
+    stop = None if stop_rel is None else stop_rel * max(1.0, abs(d if monitor_derivative else v))
     prod = s
     dprod = 1.0 + 0j
     pw = x ** -(s + 1.0)
@@ -173,6 +177,9 @@ def _reference_em_pass(s, q, n_direct, coefs, monitor_derivative):
         term = c * prod * pw
         dterm = c * (dprod - prod * lx) * pw
         mag = abs(dterm) if monitor_derivative else abs(term)
+        if stop is not None and mag <= stop:
+            neglected = mag
+            break
         if j == _TAIL_TERMS + 1:
             neglected = mag
             break
@@ -199,11 +206,16 @@ def _reference_hurwitz_pair(s, q, monitor_derivative):
     coefs = [c for c, _, _ in _tail_steps()]
     m = max(0, math.floor(-q.real) + 1)
     n = m + 1
-    reach = abs(s.imag) + (math.log(1.0 / _TOLERANCE) if s.real >= 1.0 else 0.0)
+    if s.real >= 1.0:
+        reach = abs(s.imag) + 2.0 * math.log(1.0 / _TOLERANCE)
+        stop_rel = 0.01 * _TOLERANCE
+    else:
+        reach = abs(s.imag)
+        stop_rel = None
     while n - m < _N_CAP and 2.0 * math.pi * abs(n + q) < reach:
         n = 2 * n - m
     while True:
-        v, d, neglected = _reference_em_pass(s, q, n, coefs, monitor_derivative)
+        v, d, neglected = _reference_em_pass(s, q, n, coefs, monitor_derivative, stop_rel)
         ref = abs(d) if monitor_derivative else abs(v)
         if neglected <= _TOLERANCE * max(1.0, ref):
             return v, d
@@ -256,8 +268,8 @@ class TestReferenceEngine:
     def test_repeated_s_matches_reference(self):
         # Calls in sweep order, where the tail weights of s are reused: q,
         # then q + 1/2, as rhs_zeta calls, with the value and derivative
-        # calls interleaved; each pair twice, so every call after the first
-        # of an s reads the weights the first one built.
+        # calls interleaved; each pair twice, so below Re s = 1 every value
+        # call after the first of an s reads the weights the first one built.
         for s, q in _reference_points():
             for _ in range(2):
                 for q_call in (q, q + 0.5):
@@ -269,9 +281,9 @@ class TestReferenceEngine:
     @pytest.mark.parametrize("x", [2.0, -3.0, 0.5, -2.5])
     def test_signed_zero_imaginary_part_of_s(self, x):
         # s = x + 0j and x - 0j are equal, so in either order the second call
-        # reads the weights the first built; they differ only in the signs of
-        # zero parts, and adding a signed zero to a sum begun at +0j changes
-        # nothing
+        # reads the weights the first built (below Re s = 1; at x = 2 each call
+        # forms its own); they differ only in the signs of zero parts, and
+        # adding a signed zero to a sum begun at +0j changes nothing
         for q, imags in itertools.product((0.25, 0.75, 0.25 + 0.1j),
                                           ((0.0, -0.0), (-0.0, 0.0))):
             _value_weights.cache_clear()
@@ -282,11 +294,13 @@ class TestReferenceEngine:
 
     def test_default_sweep_reuses_value_weights(self):
         # rhs_zeta's two calls share s, and sweep runs every a of one k back
-        # to back: one miss per distinct k, every other call a hit
+        # to back: one miss per distinct k with Re s = Re(1 - k) < 1, every
+        # other call there a hit; the 3 k with Re s >= 1 form their weights
+        # as they sum them and do not read the memo
         _value_weights.cache_clear()
         sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
         info = _value_weights.cache_info()
-        assert (info.misses, info.hits) == (7, 63)
+        assert (info.misses, info.hits) == (4, 36)
 
 
 class TestShiftBound:
@@ -396,11 +410,32 @@ def _box(seed, n, re_s, im_s, tol):
                          for _ in range(n)], tol)
 
 
+def _re_s_at_least_1():
+    # Re s in [1, 12], |Im s| <= 60, where one Euler-Maclaurin pass sums a
+    # short tail: q from the benchmark's zeta map, and every fourth draw with
+    # Re q in [-3, 0]; none near a pole in s or q.  The tolerance is met
+    # since that pass stops at a hundredth of the engine's; the full 26-term
+    # tail at a smaller N was up to 7.2e-14 off here.
+    rng = random.Random(61)
+    points = []
+    for i in range(200):
+        s = complex(rng.uniform(1.0, 12.0), rng.uniform(-60.0, 60.0))
+        if i % 4 == 3:
+            q = complex(rng.uniform(-3.0, 0.0), rng.uniform(-1.0, 1.0))
+        else:
+            q = complex(rng.uniform(0.25, 1.75), rng.uniform(-0.25, 0.25))
+        if abs(s - 1) >= 0.2 and min(abs(q + m) for m in range(4)) >= 0.05:
+            points.append((s, q))
+    assert len(points) >= 190
+    return _with_mpmath(points, 3e-14)
+
+
 ZETA_STRATA = {  # name: () -> rows for both functions
     "nonpositive_q": _nonpositive_q,
     # the benchmark's zeta map: Re s in [-6, 10], |Im s| <= 50
     "workload": functools.partial(_box, 43, 200, (-6.0, 10.0), 50.0, 1e-9),
     "below_re_s_minus_9": functools.partial(_box, 51, 40, (-25.0, -9.0), 20.0, 1e-9),
+    "re_s_at_least_1": _re_s_at_least_1,
 }
 _ITEM_3 = pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 3: below Re s = -8.8 "
                             "the engine returns wrong values with no error")
