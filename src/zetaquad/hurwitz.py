@@ -10,8 +10,11 @@ The expansion is
 with M at most 25.  Let m count the direct terms with Re(n + q) <= 0 (none
 when Re(q) > 0).  N - m runs through the powers of two, so the tail always
 starts at Re(N + q) > 1.  The first N tried is the first at which
-2 pi |N + q| reaches |Im s|, plus 2 ln(1/tolerance) when Re(s) >= 1: below
-it a tail seldom converges, or, at Re(s) >= 1, needs many terms.  A tail
+2 pi |N + q| reaches |Im s| plus a margin: 2 ln(1/tolerance) at Re(s) >= 1,
+and 20 + ln(gap) below, where gap = |s - n| is the distance to the nearest
+non-positive integer n, counted only at Re(s) <= 1/2 with gap < 1; at gap = 0
+the margin is 0.  Below that N a tail seldom converges in one pass, and at
+Re(s) >= 1 needs many terms.  A tail
 ends at its first neglected term: the 26th, the first (j >= 3) larger than
 the one before, or, at Re(s) >= 1 only, the first within a hundredth of the
 tolerance.  N - m doubles until that term drops below the fixed tolerance
@@ -63,6 +66,7 @@ _TAIL_TERMS = 25
 _TOLERANCE = 1e-13
 _N_CAP = 200_000
 _MARGIN = math.log(1.0 / _TOLERANCE)
+_LOW_MARGIN = 20.0  # about 2/3 _MARGIN: the first N's reach below Re s = 1
 _SHORT_STOP = 0.01 * _TOLERANCE  # at Re s >= 1 a term this small, relative, ends a tail
 
 
@@ -142,17 +146,24 @@ def _hurwitz(s: complex, q: complex, derivative: bool) -> complex:
     # tolerance: one pass sums a few terms, forming each weight as it goes,
     # and stops at the first within a hundredth of the tolerance.  (A reach
     # of twice |Im s| shortens the tail less than it lengthens the direct
-    # sum, and doubles N at |Im s| = 1e5.)  Below Re s = 1 the terms also
-    # carry a factor 1/Gamma(s), which vanishes at the non-positive integers,
-    # so a tail can converge at a far smaller N, and every direct term past
-    # that point adds to the direct sum's cancellation: there only |Im s| is
-    # relied on, and every pass sums the full tail against weights built
-    # once per call.
+    # sum, and doubles N at |Im s| = 1e5.)  Below Re s = 1 every direct term
+    # adds to the direct sum's cancellation, so the reach stops short of
+    # that: |Im s| + _LOW_MARGIN takes about half the calls in one pass of
+    # the full tail, and the doubling the rest.  The terms there also carry
+    # a factor 1/Gamma(s), which vanishes at the non-positive integers n, so
+    # within gap = |s - n| < 1 of one they are about gap times smaller and
+    # the reach drops by ln(1/gap); at gap = 0 it is |Im s| alone.  Every
+    # pass there sums the full tail against weights built once per call.
     if s.real >= 1.0:
         reach = abs(s.imag) + 2.0 * _MARGIN
         weights = None  # formed by each pass as it sums its terms
     else:
         reach = abs(s.imag)
+        gap = abs(s - round(s.real)) if s.real <= 0.5 else 1.0
+        if gap:
+            reach += _LOW_MARGIN
+            if gap < 1.0:
+                reach += math.log(gap)
         weights = _derivative_weights(s) if derivative else _value_weights(s)
     while n - m < _N_CAP and 2.0 * math.pi * abs(n + q) < reach:
         n = 2 * n - m

@@ -148,7 +148,7 @@ class TestProperties:
 # written as the engine writes them, Python's principal **.  At Re s >= 1 a
 # pass ends at the first monitored tail term at or below stop_rel times
 # max(1, |monitored sum before the tail|); below, stop_rel is None and every
-# pass sums the full tail.
+# pass sums the full tail.  passes, if given, gets each pass's N.
 def _reference_em_pass(s, q, n_direct, coefs, monitor_derivative, stop_rel):
     v = 0j
     d = 0j
@@ -196,7 +196,7 @@ def _reference_em_pass(s, q, n_direct, coefs, monitor_derivative, stop_rel):
     return v, d, neglected
 
 
-def _reference_hurwitz_pair(s, q, monitor_derivative):
+def _reference_hurwitz_pair(s, q, monitor_derivative, passes=None):
     s = complex(s)
     q = complex(q)
     if s == 1:
@@ -210,11 +210,20 @@ def _reference_hurwitz_pair(s, q, monitor_derivative):
         reach = abs(s.imag) + 2.0 * math.log(1.0 / _TOLERANCE)
         stop_rel = 0.01 * _TOLERANCE
     else:
+        # |Im s| + 20 + ln(gap), gap = |s - n| for the non-positive integer n
+        # nearest s, used only at Re s <= 1/2 with gap < 1; at gap = 0, |Im s|
         reach = abs(s.imag)
+        gap = abs(s - round(s.real)) if s.real <= 0.5 else 1.0
+        if gap:
+            reach += 20.0
+            if gap < 1.0:
+                reach += math.log(gap)
         stop_rel = None
     while n - m < _N_CAP and 2.0 * math.pi * abs(n + q) < reach:
         n = 2 * n - m
     while True:
+        if passes is not None:
+            passes.append(n)
         v, d, neglected = _reference_em_pass(s, q, n, coefs, monitor_derivative, stop_rel)
         ref = abs(d) if monitor_derivative else abs(v)
         if neglected <= _TOLERANCE * max(1.0, ref):
@@ -247,6 +256,10 @@ def _reference_points():
                complex(rng.uniform(-2.5, 2.0), rng.uniform(-1.0, 1.0)))
               for _ in range(400)]
     points += [(complex(n), complex(q)) for n in range(-4, 5) if n != 1
+               for q in (0.25, 0.75, 1 + 0.5j)]
+    # near the non-positive integers, where the first N depends on ln|s + n|
+    points += [(s, complex(q)) for n in range(7)
+               for s in (complex(-n - 1e-3), complex(-n + 1e-3), complex(-n, 1e-9))
                for q in (0.25, 0.75, 1 + 0.5j)]
     points += [(2 + 0j, -1.5 + 0j), (0.5 - 3j, -0.5 + 0j), (1 + 0j, 0.5 + 0j),
                (2 + 0j, -2 + 0j), (2 + 0j, 0j)]
@@ -301,6 +314,40 @@ class TestReferenceEngine:
         sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
         info = _value_weights.cache_info()
         assert (info.misses, info.hits) == (4, 36)
+
+
+def _passes(s, q, monitor_derivative=False):
+    """The N of each pass the reference makes for (s, q)."""
+    passes = []
+    _reference_hurwitz_pair(s, q, monitor_derivative, passes)
+    return passes
+
+
+class TestPassCount:
+    # The reference's passes are the engine's, since TestReferenceEngine
+    # matches their outcomes bit for bit, doublings included.
+    def test_half_starts_at_n_4(self):
+        # Re s = 1/2, gap 1/2: 2 pi |N + q| >= 20 + ln(1/2) first at N = 4,
+        # where the tail meets the tolerance at q = 3/4 but not at q = 1/4
+        for fn in (False, True):
+            assert _passes(0.5, 0.25, fn) == [4, 8]
+            assert _passes(0.5, 0.75, fn) == [4]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_integer_s_keeps_first_start(self, n):
+        # gap 0: the tail's 1/Gamma(s) factor vanishes, so the value's tail
+        # is exact at N = m + 1 and no reach is added
+        for q, m in ((0.25, 0), (0.75, 0), (1 + 0.5j, 0), (-1.5 + 0.2j, 2)):
+            assert _passes(complex(-n), q)[0] == m + 1
+            assert _passes(complex(-n), q, True)[0] == m + 1
+
+    def test_workload_box_below_re_s_1(self):
+        # the zeta map's "workload" stratum at Re s < 1: 92 points, each
+        # function once, and half the calls take one pass
+        counts = [len(_passes(s, q, fn)) for s, q in _box_points(*_WORKLOAD_BOX)
+                  if s.real < 1.0
+                  for fn in (False, True)]
+        assert (len(counts), sum(counts), counts.count(1)) == (184, 276, 92)
 
 
 class TestShiftBound:
@@ -401,13 +448,20 @@ def _nonpositive_q():
     return _with_mpmath(points, 1e-8)
 
 
-def _box(seed, n, re_s, im_s, tol):
-    """Rows at n seeded (s, q) with Re s in re_s and |Im s| <= im_s, and q in
-    the benchmark's zeta map: Re q in [0.25, 1.75], |Im q| <= 0.25."""
+def _zeta_map_q(rng):
+    """A q in the benchmark's zeta map: Re q in [0.25, 1.75], |Im q| <= 0.25."""
+    return complex(rng.uniform(0.25, 1.75), rng.uniform(-0.25, 0.25))
+
+
+def _box_points(seed, n, re_s, im_s):
+    """n seeded (s, q) with Re s in re_s, |Im s| <= im_s and q in the zeta map."""
     rng = random.Random(seed)
-    return _with_mpmath([(complex(rng.uniform(*re_s), rng.uniform(-im_s, im_s)),
-                          complex(rng.uniform(0.25, 1.75), rng.uniform(-0.25, 0.25)))
-                         for _ in range(n)], tol)
+    return [(complex(rng.uniform(*re_s), rng.uniform(-im_s, im_s)), _zeta_map_q(rng))
+            for _ in range(n)]
+
+
+def _box(seed, n, re_s, im_s, tol):
+    return _with_mpmath(_box_points(seed, n, re_s, im_s), tol)
 
 
 def _re_s_at_least_1():
@@ -423,19 +477,40 @@ def _re_s_at_least_1():
         if i % 4 == 3:
             q = complex(rng.uniform(-3.0, 0.0), rng.uniform(-1.0, 1.0))
         else:
-            q = complex(rng.uniform(0.25, 1.75), rng.uniform(-0.25, 0.25))
+            q = _zeta_map_q(rng)
         if abs(s - 1) >= 0.2 and min(abs(q + m) for m in range(4)) >= 0.05:
             points.append((s, q))
     assert len(points) >= 190
     return _with_mpmath(points, 3e-14)
 
 
+def _below_re_s_1():
+    # Re s in [-2, 1), |Im s| <= 60, where the first N depends on how near s
+    # lies to a non-positive integer: every fifth draw lies 1e-12 to 1e-1
+    # from 0, -1 or -2, at a random angle; q from the zeta map, none near
+    # the pole at s = 1.
+    rng = random.Random(71)
+    points = []
+    for i in range(200):
+        if i % 5 == 4:
+            gap = 10.0 ** rng.uniform(-12.0, -1.0)
+            s = rng.choice((0, -1, -2)) + cmath.rect(gap, rng.uniform(-math.pi, math.pi))
+        else:
+            s = complex(rng.uniform(-2.0, 1.0), rng.uniform(-60.0, 60.0))
+        if abs(s - 1) >= 0.2:
+            points.append((s, _zeta_map_q(rng)))
+    assert len(points) >= 195
+    return _with_mpmath(points, 5e-13)
+
+
+# the benchmark's zeta map: Re s in [-6, 10], |Im s| <= 50
+_WORKLOAD_BOX = (43, 200, (-6.0, 10.0), 50.0)
 ZETA_STRATA = {  # name: () -> rows for both functions
     "nonpositive_q": _nonpositive_q,
-    # the benchmark's zeta map: Re s in [-6, 10], |Im s| <= 50
-    "workload": functools.partial(_box, 43, 200, (-6.0, 10.0), 50.0, 1e-9),
+    "workload": functools.partial(_box, *_WORKLOAD_BOX, 1e-9),
     "below_re_s_minus_9": functools.partial(_box, 51, 40, (-25.0, -9.0), 20.0, 1e-9),
     "re_s_at_least_1": _re_s_at_least_1,
+    "below_re_s_1": _below_re_s_1,
 }
 _ITEM_3 = pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 3: below Re s = -8.8 "
                             "the engine returns wrong values with no error")
