@@ -343,6 +343,15 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     return integrate_line(power, case.quad_cfg, weight=_lhs_weight)
 
 
+@lru_cache(maxsize=1)
+def _zeta_pref(k: complex, re_sign: float, im_sign: float) -> complex:
+    """rhs_zeta's 2^{k-1} k pi^k e^{i pi (k+1)/2}, kept for the last k, as
+    every a of one k in a sweep shares it.  The signs of k's parts key the
+    slot too (see _contour_pref): at k = -1+0j its imaginary part is +0,
+    at -1-0j it is -0, and so is the value's."""
+    return 2.0 ** (k - 1.0) * k * math.pi ** k * cmath.exp(0.5j * math.pi * (k + 1.0))
+
+
 def rhs_zeta(case: IdentityCase) -> QuadResult:
     """The Hurwitz-zeta closed form, exact (err_estimate 0.0, n_evals 0,
     converged); k = 0 short-circuits to 0."""
@@ -354,7 +363,7 @@ def rhs_zeta(case: IdentityCase) -> QuadResult:
     s = 1.0 - k
     z1 = hurwitz_zeta(s, 0.25 + q_shift)
     z3 = hurwitz_zeta(s, 0.75 + q_shift)
-    pref = 2.0 ** (k - 1.0) * k * math.pi ** k * cmath.exp(0.5j * math.pi * (k + 1.0))
+    pref = _zeta_pref(k, math.copysign(1.0, k.real), math.copysign(1.0, k.imag))
     return QuadResult(pref * (z1 - z3), 0.0, 0, True)
 
 
@@ -392,6 +401,27 @@ def _contour_weight(y: float) -> float:
     where the quadrature calls no integrand."""
     t = math.log1p(y)
     return 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + math.exp(-math.pi * t)) / (1.0 + y)
+
+
+@lru_cache(maxsize=1)
+def _contour_pref(k: complex, re_sign: float, im_sign: float,
+                  method: str) -> tuple[complex, complex, complex | None]:
+    """rhs_contour's factors that depend on k alone: pref, log pref and, for
+    rays-sub, the add-back i k (i pi/2)^k, else None; method is a function
+    of k (see _plan).  One slot keeps them for the last k, as every a of one
+    k in a sweep shares them.  A raise (gamma's, or pref's underflow) is not
+    kept, so the next call with that k raises it again.
+
+    The slot is keyed on the signs of k's parts as well as on its value:
+    0.5+0j and 0.5-0j are equal, but a zero part's sign can reach a factor
+    through the sum of two zero products: at k = -9.4e-224 +- 0j pref's
+    zero real part changes sign with k's imaginary part."""
+    half_pi_i = 0.5j * math.pi
+    pref = half_pi_i * k * cmath.exp(half_pi_i * k) / gamma(1.0 - k)
+    if not pref:  # e^{i pi k/2} underflowed, at Im k >~ 474: no log to fold
+        raise ArithmeticError("contour prefactor underflows")
+    add_back = 1j * k * half_pi_i ** k if method == "rays-sub" else None
+    return pref, cmath.log(pref), add_back
 
 
 def rhs_contour(case: IdentityCase) -> QuadResult:
@@ -434,7 +464,8 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     pref t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2),
 
-    both terms against the same rounded pref.  So the quadrature meets the
+    both terms against the same rounded pref, which _contour_pref keeps
+    for the last k with log pref and the add-back.  So the quadrature meets the
     case's tolerance in the route's units, and a value below atol is
     computed to atol, as the lhs's is.  The estimate is the ray's plus
     (8 + |log pref|) eps |value|, the rounding of pref.
@@ -447,11 +478,8 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
         return QuadResult(0j, 0.0, 0, True)
     log_a = case.a.log_value
     i_log_a = complex(-log_a.imag, log_a.real)  # i log a, built once
-    half_pi_i = 0.5j * math.pi
-    pref = half_pi_i * k * cmath.exp(half_pi_i * k) / gamma(1.0 - k)
-    if not pref:  # e^{i pi k/2} underflowed, at Im k >~ 474: no log to fold
-        raise ArithmeticError("contour prefactor underflows")
-    log_pref = cmath.log(pref)
+    pref, log_pref, add_back = _contour_pref(k, math.copysign(1.0, k.real),
+                                             math.copysign(1.0, k.imag), method)
 
     neg_k, neg_pi = -k, -math.pi
     exp, cexp, log1p = math.exp, cmath.exp, math.log1p
@@ -467,8 +495,8 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight)
     value = res.value
-    if method == "rays-sub":
-        value += 1j * k * half_pi_i ** k
+    if add_back is not None:
+        value += add_back
     err = res.err_estimate + (8.0 + abs(log_pref)) * EPS * abs(value)
     return QuadResult(value, err, res.n_evals, res.converged)
 
@@ -520,14 +548,19 @@ def _judge(case: IdentityCase, routes: dict[str, RouteResult]) -> VerificationRe
 
     The verdict is fail if any pair disagrees.  Otherwise it is pass if at
     least two routes are ok and every route that ran is ok, else partial.
+    The rule is residual_ok's, written out on the same operands; once a
+    pair disagrees it is not applied again.
     """
     ok = [(name, r.value) for name, r in routes.items() if r.status == "ok"]
     residuals = {}
     agree = True
+    atol, rtol = case.verdict_atol, case.verdict_rtol
     for i, (x, vx) in enumerate(ok):
         for y, vy in ok[i + 1:]:
-            residuals[f"{x}|{y}"] = abs(vx - vy)
-            agree = agree and residual_ok(vx, vy, case.verdict_atol, case.verdict_rtol)
+            residuals[x + "|" + y] = r = abs(vx - vy)
+            # residual_ok(vx, vy, atol, rtol), nan failing as there
+            if agree and not r <= atol + rtol * max(abs(vx), abs(vy)):
+                agree = False
     if not agree:
         verdict = "fail"
     elif len(ok) >= 2 and all(r.status in ("ok", "skipped") for r in routes.values()):

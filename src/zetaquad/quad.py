@@ -33,7 +33,9 @@ sech(pi t / 2) / (1 + y) at t = log(1 + y)), passes g separately: the map
 keeps a second table per level with the weights w g(x) folded in, so each
 node costs one f(x) alone.  A node whose tabled weight is exactly 0, past
 g's tail cut-off or where it underflows, adds nothing and f is not called
-there; n_evals and the max_evals budget still count it.
+there; n_evals and the max_evals budget still count it.  So past level 0 a
+level walks a second table of its (x, w) pairs with w != 0, grouped by unit
+interval of t, also built on first use, and tests no weight per node.
 """
 
 from __future__ import annotations
@@ -129,6 +131,27 @@ def _nodes(level: int, node_map: Callable[[float], tuple[float, float]],
     return tuple(xs), tuple(ws)
 
 
+@lru_cache(maxsize=None)
+def _segments(level: int, node_map: Callable[[float], tuple[float, float]],
+              weight: Callable[[float], complex] | None
+              ) -> tuple[tuple[tuple[float, complex], ...], ...]:
+    """The (x, w) pairs of _nodes(level, node_map, weight), level >= 1, with
+    w != 0, in _SPAN groups: group u holds the pairs of t in (u - 6, u - 5),
+    ascending, so that the groups [lo, hi) hold a level's kept nodes in
+    _nodes' order."""
+    xs, ws = _nodes(level, node_map, weight)
+    per_unit = 1 << (level - 1)
+    return tuple(tuple([(x, w) for x, w in zip(xs[j:j + per_unit], ws[j:j + per_unit]) if w])
+                 for j in range(0, _SPAN * per_unit, per_unit))
+
+
+# the ray's two smallest level-0 nodes and their unweighted dx/dt, the
+# fixed inputs of the below-node fit (see integrate_semi_infinite)
+_X0, _DXDT0 = _exp_sinh(-6.0)
+_X1, _DXDT1 = _exp_sinh(-5.0)
+_LOG_X1_X0 = math.log(_X1 / _X0)
+
+
 def _integrate(f: Callable[[float], complex], cfg: QuadConfig,
                node_map: Callable[[float], tuple[float, float]],
                weight: Callable[[float], complex] | None) -> QuadResult:
@@ -149,28 +172,29 @@ def _integrate(f: Callable[[float], complex], cfg: QuadConfig,
     trim_err = dropped * thr if dropped else 0.0
     if node_map is _exp_sinh:
         # the mass below the smallest node, from |f g| = c x^p through the
-        # first two; the unweighted dx/dt column divides the terms back to |f g|
-        dxdt = _nodes(0, _exp_sinh, None)[1]
-        f0, f1 = mags[0] / dxdt[0], mags[1] / dxdt[1]
+        # first two; the unweighted dx/dt divides the terms back to |f g|
+        f0, f1 = mags[0] / _DXDT0, mags[1] / _DXDT1
         if f0 and f1:
-            p1 = (math.log(f1) - math.log(f0)) / math.log(xs[1] / xs[0]) + 1.0
-            trim_err += f0 * xs[0] / p1 if p1 > 0.0 else math.inf
+            p1 = (math.log(f1) - math.log(f0)) / _LOG_X1_X0 + 1.0
+            trim_err += f0 * _X0 / p1 if p1 > 0.0 else math.inf
     value = total
     n_evals = len(terms)
     err = math.inf
     d1 = d2 = math.nan  # the two previous level differences, newest first
     converged = False
+    span = hi - lo
     for level in range(1, _MAX_LEVEL + 1):
         # a level's new nodes are 2^(level-1) per unit interval, ascending
-        xs, ws = _nodes(level, node_map, weight)
-        per_unit = 1 << (level - 1)
-        start, stop = lo * per_unit, hi * per_unit
-        if n_evals + stop - start > cfg.max_evals:
+        n_new = span << (level - 1)
+        if n_evals + n_new > cfg.max_evals:
             break
-        for x, w in zip(xs[start:stop], ws[start:stop]):
-            if w:
+        for segment in _segments(level, node_map, weight)[lo:hi]:
+            for x, w in segment:
                 total += f(x) * w
-        n_evals += stop - start
+        n_evals += n_new
+        # ldexp also resets errno.  CPython's complex abs reads errno when a
+        # part is nan, so after an underflowing math.exp in f the abs below
+        # would otherwise raise OverflowError
         value, prev = math.ldexp(1.0, -level) * total, value
         d = est = abs(value - prev)
         if d < d1 < d2:

@@ -527,3 +527,17 @@ def _rows(name):
     for name in ZETA_STRATA for fn in BOTH])
 def test_zeta_map(name, fn):
     _assert_rows([row for row in _rows(name) if row[0] is fn])
+
+
+# Two points inside the benchmark's zeta map where the derivative misses the
+# engine's own tolerance 1e-13 by _assert_rows' rule without raising: the
+# direct sum's cancellation, which its log factors make worse (ROADMAP item 3).
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: hurwitz_zeta_ds is 2.6e-12 and 8e-12 relative off")
+@pytest.mark.parametrize("s, q", [
+    pytest.param(-6 + 1e-6, 0.8 + 0.1j, id="near_minus_6"),
+    pytest.param(-4.937330517269479 - 8.955073809227073j,
+                 0.5837070316911317 - 0.09288602555877917j, id="zeta_seed_1"),
+])
+def test_derivative_misses_inside_the_zeta_map(s, q):
+    _assert_rows([row for row in _with_mpmath([(s, q)], 1e-13) if row[0] is hurwitz_zeta_ds])

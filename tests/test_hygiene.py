@@ -23,6 +23,10 @@
   in an unbounded cache, so a lambda or closure would build a new table on
   every call and grow memory without bound; a sweep over ten real a adds
   at most one table per level to that cache;
+* every lru_cache in the package holds one entry (maxsize=1), or is one of
+  the named tables keyed on nothing a case chooses (a size, a level, a node
+  map and a module-level weight), so no unbounded cache keyed on case data
+  can grow with a sweep;
 * every exception class the package defines is raised somewhere in the
   package, so none outlives the last raise of it;
 * every route verify runs is annotated to return a QuadResult, the one
@@ -256,6 +260,43 @@ def test_sweep_over_real_a_adds_no_table_per_case():
     reports = zetaquad.sweep(ks, [zetaquad.BranchedConstant(0.3 + 0.25 * j) for j in range(10)])
     assert len(reports) == 20
     assert quad._nodes.cache_info().currsize - before <= quad._MAX_LEVEL + 1
+
+
+# the unbounded caches, each keyed on sizes, levels, node maps or
+# module-level weights alone
+CASE_INDEPENDENT_CACHES = {"_bernoulli_floats", "_tail_steps", "_cvz_weights", "_nodes",
+                           "_segments"}
+
+
+def _cache_name(node):
+    """"lru_cache" or "cache" if the node names functools' cache decorator."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def test_caches_hold_one_entry_or_a_case_independent_table():
+    decorated = {}
+    uses = 0
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.Name, ast.Attribute)) and _cache_name(node):
+                uses += 1
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    call = dec if isinstance(dec, ast.Call) else None
+                    if _cache_name(call.func if call else dec):
+                        size = None  # a bare @lru_cache keeps 128 entries, @cache all
+                        if call:
+                            given = ([kw.value for kw in call.keywords if kw.arg == "maxsize"]
+                                     + call.args[:1])
+                            size = ast.literal_eval(given[0]) if given else 128
+                        decorated[f"{path.name}:{node.name}"] = (node.name, size == 1)
+    assert uses == len(decorated), "a cache is built other than by a decorator"
+    unbounded = {name for name, one in decorated.values() if not one}
+    assert unbounded <= CASE_INDEPENDENT_CACHES, sorted(unbounded - CASE_INDEPENDENT_CACHES)
+    # the list names no cache that has gone
+    assert unbounded == CASE_INDEPENDENT_CACHES
+    assert any(one for _, one in decorated.values())
 
 
 def _is_exception(base, defined):

@@ -9,11 +9,13 @@ import math
 import random
 import sys
 from array import array
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from zetaquad import cli, identities, quad
+from zetaquad import cli, hurwitz, identities, quad
 from zetaquad.complexfn import BranchedConstant, DomainError, complex_pow, gamma
 from zetaquad.hurwitz import ConvergenceError
 from zetaquad.identities import (
@@ -26,6 +28,7 @@ from zetaquad.identities import (
     catalan_reference,
     contour_cauchy_check,
     integrand,
+    residual_ok,
     lhs_integral,
     loggamma_case,
     rhs_contour,
@@ -453,6 +456,134 @@ class TestSweep:
     def test_overflowing_case_does_not_stop_sweep(self):
         reports = sweep([2, 201], [A_ONE])
         assert [r.verdict for r in reports] == ["pass", "partial"]
+
+    # k-major, as a sweep runs: 0.5+0j right after 0.5-0j and the reverse;
+    # -1+-0j, where zeta's value is +-0 imaginary; -9.4e-224+-0j, where the
+    # contour's pref has a zero real part of k's imaginary sign; a rays-sub
+    # k; a k >= 1; and -50+480i, where the contour prefactor underflows,
+    # after another k and after itself
+    MEMO_KS = (complex(0.5, -0.0), 0.5 + 0j, complex(0.5, -0.0), -1 + 0j, complex(-1, -0.0),
+               -1 + 0j, complex(-9.405158893803899e-224, 0.0),
+               complex(-9.405158893803899e-224, -0.0), 0.75 + 0.2j, -50 + 480j, -50 + 480j,
+               2.0 + 1.0j, 0.75 + 0.2j)
+    MEMO_AS = (A_ONE, BranchedConstant(2.0, 1.0), BranchedConstant(0.5))
+
+    def test_memos_isolate_cases(self):
+        # every memo holds one k's factors (identities) or one s's tail weights
+        # (hurwitz): a sweep must give each case the record it gets alone
+        alone = []
+        for k in self.MEMO_KS:
+            for a in self.MEMO_AS:
+                _clear_memos()
+                alone.append(repr(verify(case(k, a))))
+        _clear_memos()
+        assert [repr(rep) for rep in sweep(self.MEMO_KS, self.MEMO_AS)] == alone
+        assert identities._zeta_pref.cache_info().hits > 0
+        assert identities._contour_pref.cache_info().hits > 0
+
+    @pytest.mark.parametrize("before", [None, 0.5 + 0j, -50 + 480j, -50.5 + 480j])
+    def test_underflowing_prefactor_is_not_memoised(self, before):
+        # the same failed reason whatever ran before, and no exception kept:
+        # the slot neither gains an entry nor serves a hit
+        _clear_memos()
+        if before is not None:
+            verify(case(before, A_ONE))
+        info = identities._contour_pref.cache_info()
+        contour = verify(case(-50 + 480j, A_ONE)).routes["contour"]
+        assert contour == RouteResult(None, None, None, "failed", "contour prefactor underflows",
+                                      "rays")
+        after = identities._contour_pref.cache_info()
+        assert (after.hits, after.currsize) == (info.hits, info.currsize)
+
+
+def _clear_memos():
+    identities._zeta_pref.cache_clear()
+    identities._contour_pref.cache_clear()
+    hurwitz._value_weights.cache_clear()
+
+
+def _reference_judge(case, routes):
+    """_judge as it read with one residual_ok call per pair."""
+    ok = [(name, r.value) for name, r in routes.items() if r.status == "ok"]
+    residuals = {}
+    agree = True
+    for i, (x, vx) in enumerate(ok):
+        for y, vy in ok[i + 1:]:
+            residuals[f"{x}|{y}"] = abs(vx - vy)
+            agree = agree and residual_ok(vx, vy, case.verdict_atol, case.verdict_rtol)
+    if not agree:
+        verdict = "fail"
+    elif len(ok) >= 2 and all(r.status in ("ok", "skipped") for r in routes.values()):
+        verdict = "pass"
+    else:
+        verdict = "partial"
+    return identities.VerificationReport(case, routes, residuals, verdict)
+
+
+@functools.lru_cache(maxsize=None)
+def _workloads():
+    """The benchmark's workloads module, loaded from its file."""
+    spec = spec_from_file_location("_perfbench_workloads", Path(__file__).resolve().parents[1]
+                                   / "perfbench" / "workloads.py")
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_judge_matches_residual_ok_on_grid_reports(seed):
+    # each grid report judged again at tolerances that make some pairs fail
+    verdicts = set()
+    for k, a in _workloads().inputs("grid", seed):
+        rep = verify(case(k, a))
+        assert repr(rep) == repr(_reference_judge(rep.case, rep.routes))
+        for tol in (1e-9, 1e-13, 0.0):
+            tight = rep.case._replace(verdict_atol=tol, verdict_rtol=tol)
+            judged = identities._judge(tight, rep.routes)
+            assert repr(judged) == repr(_reference_judge(tight, rep.routes))
+            verdicts.add(judged.verdict)
+    assert {"pass", "fail"} <= verdicts
+
+
+def _atol_for(threshold, scaled):
+    """An atol >= 0 with atol + scaled == threshold in floating point."""
+    atol = threshold - scaled
+    for _ in range(64):
+        if atol >= 0.0 and atol + scaled == threshold:
+            return atol
+        atol = math.nextafter(atol, math.inf if atol + scaled < threshold else -math.inf)
+    raise AssertionError(f"no atol puts the threshold at {threshold!r}")
+
+
+@pytest.mark.parametrize("x, y, rtol", [
+    (1 + 0j, 0.999997 + 0j, 2.0 ** -20), (0j, 3e-9 + 4e-9j, 0.0),
+    (2 + 1j, 2.00001 + 0.99999j, 1e-6), (-7.5e-3 + 1e-3j, -7.5e-3 + 1.0000007e-3j, 1e-9)])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_judge_rule_at_its_boundary(x, y, rtol, ulps):
+    # the residual exactly on atol + rtol max(|x|, |y|), or one ulp to either
+    # side of it: above it the pair disagrees
+    residual = abs(x - y)
+    threshold = residual
+    for _ in range(abs(ulps)):
+        threshold = math.nextafter(threshold, math.inf if ulps > 0 else -math.inf)
+    atol = _atol_for(threshold, rtol * max(abs(x), abs(y)))
+    c = case(0.5, verdict_atol=atol, verdict_rtol=rtol)
+    routes = {"p": RouteResult(x), "q": RouteResult(y),
+              "s": RouteResult(None, None, None, "skipped", "Re(k) >= 1")}
+    rep = identities._judge(c, routes)
+    assert repr(rep) == repr(_reference_judge(c, routes))
+    assert rep.residuals == {"p|q": residual}
+    assert rep.verdict == ("fail" if ulps < 0 else "pass")
+
+
+def test_judge_rule_fails_a_nan_residual():
+    # residual_ok is False against nan, and so is the rule written out
+    routes = {"p": RouteResult(complex(math.nan, 0.0)), "q": RouteResult(1 + 0j),
+              "r": RouteResult(1 + 0j)}
+    rep = identities._judge(case(0.5), routes)
+    assert repr(rep) == repr(_reference_judge(case(0.5), routes))
+    assert rep.verdict == "fail"
 
 
 @pytest.mark.parametrize("k", [0.0, -0.5 + 0.3j, 2.0 - 1.0j])

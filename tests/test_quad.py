@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zetaquad import identities
+from zetaquad import identities, quad
 from zetaquad.identities import DEFAULT_A_GRID, DEFAULT_K_GRID, sweep
 from zetaquad.quad import (QuadConfig, _exp_sinh, _nodes, _sinh, integrate_finite, integrate_line,
                            integrate_semi_infinite)
@@ -369,6 +369,11 @@ _DECAY = {c: (lambda x, c=c: math.exp(-x / c)) for c in (1e-3, 1.0, 1e8)}
 _INVERSE_POWER = lambda x: x ** -0.9
 
 
+def _cut_sech(u):
+    """sech u, and 0 past |u| = 40, inside the line's outermost nodes."""
+    return 0.0 if abs(u) > 40.0 else 1.0 / math.cosh(u)
+
+
 @pytest.mark.parametrize("level", [0, 1, 4])
 def test_weighted_nodes_share_the_x_column(level):
     g = _DECAY[1.0]
@@ -377,6 +382,31 @@ def test_weighted_nodes_share_the_x_column(level):
         weighted_xs, weighted_ws = _nodes(level, node_map, g)
         assert weighted_xs is xs
         assert list(weighted_ws) == [w * g(x) for x, w in zip(xs, ws)]
+
+
+@pytest.mark.parametrize("level", [1, 2, 6])
+@pytest.mark.parametrize("node_map, weight", [
+    (_exp_sinh, None), (_exp_sinh, _DECAY[1e-3]), (_sinh, _cut_sech)])
+def test_segments_hold_the_nonzero_weight_nodes_in_order(level, node_map, weight):
+    # a level past 0 walks these groups, one per unit interval of t, so the
+    # pairs of groups [lo, hi) must be the table's nodes there with w != 0,
+    # in its order; both weights given are 0 at some nodes
+    xs, ws = _nodes(level, node_map, weight)
+    segments = quad._segments(level, node_map, weight)
+    per_unit = 1 << (level - 1)
+    assert len(segments) == quad._SPAN
+    for lo, hi in ((0, quad._SPAN), (3, 9), (5, 6)):
+        start, stop = lo * per_unit, hi * per_unit
+        assert ([pair for segment in segments[lo:hi] for pair in segment]
+                == [(x, w) for x, w in zip(xs[start:stop], ws[start:stop]) if w])
+    assert weight is None or 0 in ws
+
+
+def test_below_node_constants_are_the_tables():
+    # the below-node fit reads its two nodes and their dx/dt as constants
+    xs, ws = _nodes(0, _exp_sinh, None)
+    assert (quad._X0, quad._X1, quad._DXDT0, quad._DXDT1) == (xs[0], xs[1], ws[0], ws[1])
+    assert quad._LOG_X1_X0 == math.log(xs[1] / xs[0])
 
 
 @pytest.mark.parametrize("c,p", [
@@ -425,11 +455,6 @@ def test_zero_weight_nodes_are_not_evaluated(weight, rate, cfg):
     # n_evals, which still counts the skipped nodes: four at level 0 and
     # more on later levels.
     _check_zero_weight_nodes_skipped(integrate_semi_infinite, weight, rate, cfg)
-
-
-def _cut_sech(u):
-    """sech u, and 0 past |u| = 40, inside the line's outermost nodes."""
-    return 0.0 if abs(u) > 40.0 else 1.0 / math.cosh(u)
 
 
 @pytest.mark.parametrize("cfg", [CFG, QuadConfig(1e-15, 1e-15), QuadConfig(max_evals=40)])
