@@ -343,15 +343,6 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     return integrate_line(power, case.quad_cfg, weight=_lhs_weight)
 
 
-@lru_cache(maxsize=1)
-def _zeta_pref(k: complex, re_sign: float, im_sign: float) -> complex:
-    """rhs_zeta's 2^{k-1} k pi^k e^{i pi (k+1)/2}, kept for the last k, as
-    every a of one k in a sweep shares it.  The signs of k's parts key the
-    slot too (see _contour_pref): at k = -1+0j its imaginary part is +0,
-    at -1-0j it is -0, and so is the value's."""
-    return 2.0 ** (k - 1.0) * k * math.pi ** k * cmath.exp(0.5j * math.pi * (k + 1.0))
-
-
 def rhs_zeta(case: IdentityCase) -> QuadResult:
     """The Hurwitz-zeta closed form, exact (err_estimate 0.0, n_evals 0,
     converged); k = 0 short-circuits to 0."""
@@ -363,7 +354,7 @@ def rhs_zeta(case: IdentityCase) -> QuadResult:
     s = 1.0 - k
     z1 = hurwitz_zeta(s, 0.25 + q_shift)
     z3 = hurwitz_zeta(s, 0.75 + q_shift)
-    pref = _zeta_pref(k, math.copysign(1.0, k.real), math.copysign(1.0, k.imag))
+    pref = 2.0 ** (k - 1.0) * k * math.pi ** k * cmath.exp(0.5j * math.pi * (k + 1.0))
     return QuadResult(pref * (z1 - z3), 0.0, 0, True)
 
 
@@ -404,24 +395,22 @@ def _contour_weight(y: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _contour_pref(k: complex, re_sign: float, im_sign: float,
-                  method: str) -> tuple[complex, complex, complex | None]:
-    """rhs_contour's factors that depend on k alone: pref, log pref and, for
-    rays-sub, the add-back i k (i pi/2)^k, else None; method is a function
-    of k (see _plan).  One slot keeps them for the last k, as every a of one
-    k in a sweep shares them.  A raise (gamma's, or pref's underflow) is not
-    kept, so the next call with that k raises it again.
+def _contour_pref(k: complex) -> tuple[complex, complex]:
+    """rhs_contour's pref and log pref, which depend on k alone.  One slot
+    keeps them for the last k, as every a of one k in a sweep shares them.
+    A raise (gamma's, or pref's underflow) is not kept, so the next call
+    with that k raises it again.
 
-    The slot is keyed on the signs of k's parts as well as on its value:
-    0.5+0j and 0.5-0j are equal, but a zero part's sign can reach a factor
-    through the sum of two zero products: at k = -9.4e-224 +- 0j pref's
-    zero real part changes sign with k's imaginary part."""
+    k and its twin with a zero part of the other sign are equal keys and
+    share the slot.  The zero's sign can reach pref (at k = -9.4e-224 +- 0j
+    pref's zero real part follows k's imaginary part) but not the report:
+    rays reads only log pref, whose argument a zero real part does not move,
+    and rays-sub runs at Re k > 1/2, where both parts of pref are nonzero."""
     half_pi_i = 0.5j * math.pi
     pref = half_pi_i * k * cmath.exp(half_pi_i * k) / gamma(1.0 - k)
     if not pref:  # e^{i pi k/2} underflowed, at Im k >~ 474: no log to fold
         raise ArithmeticError("contour prefactor underflows")
-    add_back = 1j * k * half_pi_i ** k if method == "rays-sub" else None
-    return pref, cmath.log(pref), add_back
+    return pref, cmath.log(pref)
 
 
 def rhs_contour(case: IdentityCase) -> QuadResult:
@@ -465,9 +454,9 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     pref t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2),
 
     both terms against the same rounded pref, which _contour_pref keeps
-    for the last k with log pref and the add-back.  So the quadrature meets the
-    case's tolerance in the route's units, and a value below atol is
-    computed to atol, as the lhs's is.  The estimate is the ray's plus
+    for the last k with log pref; rays-sub forms its add-back at each call.
+    So the quadrature meets the case's tolerance in the route's units, and a
+    value below atol is computed to atol, as the lhs's is.  The estimate is the ray's plus
     (8 + |log pref|) eps |value|, the rounding of pref.
     """
     k = case.k
@@ -478,8 +467,7 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
         return QuadResult(0j, 0.0, 0, True)
     log_a = case.a.log_value
     i_log_a = complex(-log_a.imag, log_a.real)  # i log a, built once
-    pref, log_pref, add_back = _contour_pref(k, math.copysign(1.0, k.real),
-                                             math.copysign(1.0, k.imag), method)
+    pref, log_pref = _contour_pref(k)
 
     neg_k, neg_pi = -k, -math.pi
     exp, cexp, log1p = math.exp, cmath.exp, math.log1p
@@ -495,8 +483,8 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
 
     res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight)
     value = res.value
-    if add_back is not None:
-        value += add_back
+    if method == "rays-sub":
+        value += 1j * k * (0.5j * math.pi) ** k
     err = res.err_estimate + (8.0 + abs(log_pref)) * EPS * abs(value)
     return QuadResult(value, err, res.n_evals, res.converged)
 
@@ -548,8 +536,6 @@ def _judge(case: IdentityCase, routes: dict[str, RouteResult]) -> VerificationRe
 
     The verdict is fail if any pair disagrees.  Otherwise it is pass if at
     least two routes are ok and every route that ran is ok, else partial.
-    The rule is residual_ok's, written out on the same operands; once a
-    pair disagrees it is not applied again.
     """
     ok = [(name, r.value) for name, r in routes.items() if r.status == "ok"]
     residuals = {}
@@ -557,10 +543,8 @@ def _judge(case: IdentityCase, routes: dict[str, RouteResult]) -> VerificationRe
     atol, rtol = case.verdict_atol, case.verdict_rtol
     for i, (x, vx) in enumerate(ok):
         for y, vy in ok[i + 1:]:
-            residuals[x + "|" + y] = r = abs(vx - vy)
-            # residual_ok(vx, vy, atol, rtol), nan failing as there
-            if agree and not r <= atol + rtol * max(abs(vx), abs(vy)):
-                agree = False
+            residuals[x + "|" + y] = abs(vx - vy)
+            agree = agree and residual_ok(vx, vy, atol, rtol)
     if not agree:
         verdict = "fail"
     elif len(ok) >= 2 and all(r.status in ("ok", "skipped") for r in routes.values()):

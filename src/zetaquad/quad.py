@@ -23,19 +23,19 @@ integrate_semi_infinite), and the error estimate pays for every interval
 skipped.  n_evals counts only the nodes of the intervals kept.
 
 The nodes and weights do not depend on the integrand, so each map keeps one
-table per level, built on first use and shared by every later call.  Its
-columns are tuples, which a level's loop walks without boxing a number per
-node, and the loop calls the integrand itself: on CPython 3.11 a call
-through the builtin map, from C into a Python function, costs more.  A caller whose
+table of (x, w) pairs per level, built on first use and shared by every
+later call (_table).  A level's loop walks it without boxing a number per
+node and calls the integrand itself: on CPython 3.11 a call through the
+builtin map, from C into a Python function, costs more.  A caller whose
 integrand is f(x) g(x) with a fixed weight g, the same in every call (the
 lhs's -tanh(u) / (2 cosh u) or its complex continuation, the contour's
-sech(pi t / 2) / (1 + y) at t = log(1 + y)), passes g separately: the map
-keeps a second table per level with the weights w g(x) folded in, so each
-node costs one f(x) alone.  A node whose tabled weight is exactly 0, past
-g's tail cut-off or where it underflows, adds nothing and f is not called
-there; n_evals and the max_evals budget still count it.  So past level 0 a
-level walks a second table of its (x, w) pairs with w != 0, grouped by unit
-interval of t, also built on first use, and tests no weight per node.
+sech(pi t / 2) / (1 + y) at t = log(1 + y)), passes g separately, and its
+table holds the weights w g(x) instead, so each node costs one f(x) alone.
+A node whose tabled weight is exactly 0, past g's tail cut-off or where it
+underflows, adds nothing and f is not called there; n_evals and the
+max_evals budget still count it.  So past level 0 a table holds only the
+pairs with w != 0, grouped by unit interval of t, and the loop tests no
+weight per node.
 """
 
 from __future__ import annotations
@@ -107,42 +107,29 @@ def _sinh(t: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _nodes(level: int, node_map: Callable[[float], tuple[float, float]],
-           weight: Callable[[float], complex] | None
-           ) -> tuple[tuple[float, ...], tuple[complex, ...]]:
-    """Columns x and weight w = dx/dt of node_map (_exp_sinh or _sinh) at
-    the t = j*h, h = 2^-level, that a level adds over [-6, 6], ascending:
-    every j at level 0, odd j after.  Given a weight g, real or complex, the
-    second column is w g(x), next to the same x column.  One table is kept
-    per level, map and weight object, so g should be a module-level
-    function.  No argument has a default: the cache keys _nodes(0, m) and
-    _nodes(0, m, None) apart, so every caller passes all three."""
-    if weight is not None:
-        xs, ws = _nodes(level, node_map, None)
-        return xs, tuple([w * weight(x) for x, w in zip(xs, ws)])
+def _table(level: int, node_map: Callable[[float], tuple[float, float]],
+           weight: Callable[[float], complex] | None) -> tuple:
+    """The (x, w) pairs of node_map (_exp_sinh or _sinh), w = dx/dt, or
+    dx/dt g(x) given a weight g, real or complex, at the t = j*h,
+    h = 2^-level, that a level adds over [-6, 6], ascending.  Level 0 holds
+    all 13, j = -6 .. 6, zero weights included: the trim and the below-node
+    fit read every one.  A later level holds its odd j with w != 0 in _SPAN
+    groups: group u holds the pairs of t in (u - 6, u - 5), so that groups
+    [lo, hi) hold the level's kept nodes.  One table is kept per level, map
+    and weight object, so g should be a module-level function.  No argument
+    has a default: the cache keys _table(0, m) and _table(0, m, None) apart,
+    so every caller passes all three."""
     h = math.ldexp(1.0, -level)
     n = int(6.0 / h)
-    xs = []
-    ws = []
+    pairs = []
     for j in range(-n, n + 1) if level == 0 else range(-n | 1, n + 1, 2):
         x, w = node_map(j * h)
-        xs.append(x)
-        ws.append(w)
-    return tuple(xs), tuple(ws)
-
-
-@lru_cache(maxsize=None)
-def _segments(level: int, node_map: Callable[[float], tuple[float, float]],
-              weight: Callable[[float], complex] | None
-              ) -> tuple[tuple[tuple[float, complex], ...], ...]:
-    """The (x, w) pairs of _nodes(level, node_map, weight), level >= 1, with
-    w != 0, in _SPAN groups: group u holds the pairs of t in (u - 6, u - 5),
-    ascending, so that the groups [lo, hi) hold a level's kept nodes in
-    _nodes' order."""
-    xs, ws = _nodes(level, node_map, weight)
+        pairs.append((x, w if weight is None else w * weight(x)))
+    if level == 0:
+        return tuple(pairs)
     per_unit = 1 << (level - 1)
-    return tuple(tuple([(x, w) for x, w in zip(xs[j:j + per_unit], ws[j:j + per_unit]) if w])
-                 for j in range(0, _SPAN * per_unit, per_unit))
+    return tuple(tuple([pair for pair in pairs[j:j + per_unit] if pair[1]])
+                 for j in range(0, len(pairs), per_unit))
 
 
 # the ray's two smallest level-0 nodes and their unweighted dx/dt, the
@@ -158,8 +145,7 @@ def _integrate(f: Callable[[float], complex], cfg: QuadConfig,
     """The level loop of both rules, on node_map's nodes (see
     integrate_semi_infinite for the trim and the stop rule).  Only the ray
     has a singular end, so only the ray adds the mass below its first node."""
-    xs, ws = _nodes(0, node_map, weight)
-    terms = [f(x) * w if w else 0j for x, w in zip(xs, ws)]
+    terms = [f(x) * w if w else 0j for x, w in _table(0, node_map, weight)]
     total = 0j
     for term in terms:
         total += term
@@ -188,7 +174,7 @@ def _integrate(f: Callable[[float], complex], cfg: QuadConfig,
         n_new = span << (level - 1)
         if n_evals + n_new > cfg.max_evals:
             break
-        for segment in _segments(level, node_map, weight)[lo:hi]:
+        for segment in _table(level, node_map, weight)[lo:hi]:
             for x, w in segment:
                 total += f(x) * w
         n_evals += n_new
@@ -216,7 +202,7 @@ def integrate_semi_infinite(f: Callable[[float], complex],
 
     A weight g that does not depend on the call, such as the lhs's
     -tanh(u) / (2 cosh u) or the contour's sech(pi t / 2) / (1 + y) at
-    t = log(1 + y), is folded into the node table once (see _nodes), so
+    t = log(1 + y), is folded into the node table once (see _table), so
     each node costs one f(x) evaluation and one multiplication; everything
     below applies to the product f g, whose terms are f(x) (w g(x)), and g
     may be complex.  A node whose

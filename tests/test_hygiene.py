@@ -256,16 +256,15 @@ def test_sweep_over_real_a_adds_no_table_per_case():
     # weight both lifted half-lines share, but not one table per case.
     ks = [0.5 + 0j, 2.0 + 1.0j]
     zetaquad.sweep(ks, [zetaquad.BranchedConstant(2.0)])
-    before = quad._nodes.cache_info().currsize
+    before = quad._table.cache_info().currsize
     reports = zetaquad.sweep(ks, [zetaquad.BranchedConstant(0.3 + 0.25 * j) for j in range(10)])
     assert len(reports) == 20
-    assert quad._nodes.cache_info().currsize - before <= quad._MAX_LEVEL + 1
+    assert quad._table.cache_info().currsize - before <= quad._MAX_LEVEL + 1
 
 
 # the unbounded caches, each keyed on sizes, levels, node maps or
 # module-level weights alone
-CASE_INDEPENDENT_CACHES = {"_bernoulli_floats", "_tail_steps", "_cvz_weights", "_nodes",
-                           "_segments"}
+CASE_INDEPENDENT_CACHES = {"_bernoulli_floats", "_tail_steps", "_cvz_weights", "_table"}
 
 
 def _cache_name(node):

@@ -457,14 +457,17 @@ class TestSweep:
         reports = sweep([2, 201], [A_ONE])
         assert [r.verdict for r in reports] == ["pass", "partial"]
 
-    # k-major, as a sweep runs: 0.5+0j right after 0.5-0j and the reverse;
-    # -1+-0j, where zeta's value is +-0 imaginary; -9.4e-224+-0j, where the
-    # contour's pref has a zero real part of k's imaginary sign; a rays-sub
-    # k; a k >= 1; and -50+480i, where the contour prefactor underflows,
-    # after another k and after itself
+    # k-major, as a sweep runs, so that each k's twin with a zero part of
+    # the other sign finds the slot k filled: 0.5+0j right after 0.5-0j and
+    # the reverse; -1+-0j, where zeta's value is +-0 imaginary;
+    # -9.4e-224+-0j, where the contour's pref has a zero real part of k's
+    # imaginary sign; 0.75+-0j, rays-sub; +-0+2i, a zero real part;
+    # 0.75+0.2i, rays-sub, twice; a k >= 1; and -50+480i, where the contour
+    # prefactor underflows, after another k and after itself
     MEMO_KS = (complex(0.5, -0.0), 0.5 + 0j, complex(0.5, -0.0), -1 + 0j, complex(-1, -0.0),
                -1 + 0j, complex(-9.405158893803899e-224, 0.0),
-               complex(-9.405158893803899e-224, -0.0), 0.75 + 0.2j, -50 + 480j, -50 + 480j,
+               complex(-9.405158893803899e-224, -0.0), 0.75 + 0j, complex(0.75, -0.0),
+               complex(0.0, 2.0), complex(-0.0, 2.0), 0.75 + 0.2j, -50 + 480j, -50 + 480j,
                2.0 + 1.0j, 0.75 + 0.2j)
     MEMO_AS = (A_ONE, BranchedConstant(2.0, 1.0), BranchedConstant(0.5))
 
@@ -478,7 +481,6 @@ class TestSweep:
                 alone.append(repr(verify(case(k, a))))
         _clear_memos()
         assert [repr(rep) for rep in sweep(self.MEMO_KS, self.MEMO_AS)] == alone
-        assert identities._zeta_pref.cache_info().hits > 0
         assert identities._contour_pref.cache_info().hits > 0
 
     @pytest.mark.parametrize("before", [None, 0.5 + 0j, -50 + 480j, -50.5 + 480j])
@@ -497,7 +499,6 @@ class TestSweep:
 
 
 def _clear_memos():
-    identities._zeta_pref.cache_clear()
     identities._contour_pref.cache_clear()
     hurwitz._value_weights.cache_clear()
 
@@ -765,8 +766,11 @@ def test_fused_integrands_match_reference(k):
 
 
 def _node_columns(levels=range(5)):
-    """The x columns of the quadrature's node tables at the given levels."""
-    return [x for level in levels for x in quad._nodes(level, quad._exp_sinh, None)[0]]
+    """The x's of the ray's unweighted node tables at the given levels; their
+    weights dx/dt are never 0, so the tables hold every node."""
+    tables = {level: quad._table(level, quad._exp_sinh, None) for level in levels}
+    return [x for level, table in tables.items() for group in (table if level else [table])
+            for x, _ in group]
 
 
 def test_lhs_weight_is_exactly_odd():
@@ -844,7 +848,7 @@ def _bits(values):
 
 
 # The ray's top node y = e^{316.85...} sits at x = log(1 + y) = _TOP_X.
-_TOP_X = math.log1p(quad._nodes(0, quad._exp_sinh, None)[0][-1])
+_TOP_X = math.log1p(quad._table(0, quad._exp_sinh, None)[-1][0])
 
 
 # y = 1 is the level-0 node at t = 0, so at split log 2 = log(1 + 1) one

@@ -6,7 +6,7 @@ import pytest
 
 from zetaquad import identities, quad
 from zetaquad.identities import DEFAULT_A_GRID, DEFAULT_K_GRID, sweep
-from zetaquad.quad import (QuadConfig, _exp_sinh, _nodes, _sinh, integrate_finite, integrate_line,
+from zetaquad.quad import (QuadConfig, _exp_sinh, _sinh, _table, integrate_finite, integrate_line,
                            integrate_semi_infinite)
 
 CFG = QuadConfig()
@@ -376,37 +376,52 @@ def _cut_sech(u):
 
 @pytest.mark.parametrize("level", [0, 1, 4])
 def test_weighted_nodes_share_the_x_column(level):
+    # the same x's bit for bit and the weights w0 g(x), w0 the unweighted
+    # table's; past level 0 both hold only the pairs with w != 0, and on the
+    # ray g underflows at the top nodes, so the weighted groups drop those
     g = _DECAY[1.0]
     for node_map in (_exp_sinh, _sinh):
-        xs, ws = _nodes(level, node_map, None)
-        weighted_xs, weighted_ws = _nodes(level, node_map, g)
-        assert weighted_xs is xs
-        assert list(weighted_ws) == [w * g(x) for x, w in zip(xs, ws)]
+        plain = _table(level, node_map, None)
+        weighted = _table(level, node_map, g)
+        if level == 0:
+            assert repr(weighted) == repr(tuple((x, w * g(x)) for x, w in plain))
+            continue
+        assert len(weighted) == len(plain)
+        for got, group in zip(weighted, plain):
+            assert repr(list(got)) == repr([(x, w * g(x)) for x, w in group if w * g(x)])
 
 
 @pytest.mark.parametrize("level", [1, 2, 6])
 @pytest.mark.parametrize("node_map, weight", [
     (_exp_sinh, None), (_exp_sinh, _DECAY[1e-3]), (_sinh, _cut_sech)])
 def test_segments_hold_the_nonzero_weight_nodes_in_order(level, node_map, weight):
-    # a level past 0 walks these groups, one per unit interval of t, so the
-    # pairs of groups [lo, hi) must be the table's nodes there with w != 0,
-    # in its order; both weights given are 0 at some nodes
-    xs, ws = _nodes(level, node_map, weight)
-    segments = quad._segments(level, node_map, weight)
-    per_unit = 1 << (level - 1)
-    assert len(segments) == quad._SPAN
+    # a level past 0 walks its table's groups, one per unit interval of t,
+    # so the pairs of groups [lo, hi) must be node_map's at the odd
+    # multiples of h = 2^-level in (lo - 6, hi - 6) with w != 0, ascending;
+    # both weights given are 0 at some nodes
+    h = math.ldexp(1.0, -level)
+    groups = _table(level, node_map, weight)
+    assert len(groups) == quad._SPAN
+    zeros = 0
     for lo, hi in ((0, quad._SPAN), (3, 9), (5, 6)):
-        start, stop = lo * per_unit, hi * per_unit
-        assert ([pair for segment in segments[lo:hi] for pair in segment]
-                == [(x, w) for x, w in zip(xs[start:stop], ws[start:stop]) if w])
-    assert weight is None or 0 in ws
+        want = []
+        for j in range(((lo - 6) << level) + 1, (hi - 6) << level, 2):
+            x, w = node_map(j * h)
+            if weight is not None:
+                w *= weight(x)
+            if w:
+                want.append((x, w))
+            else:
+                zeros += 1
+        assert repr([pair for group in groups[lo:hi] for pair in group]) == repr(want)
+    assert (weight is None) == (zeros == 0)
 
 
 def test_below_node_constants_are_the_tables():
     # the below-node fit reads its two nodes and their dx/dt as constants
-    xs, ws = _nodes(0, _exp_sinh, None)
-    assert (quad._X0, quad._X1, quad._DXDT0, quad._DXDT1) == (xs[0], xs[1], ws[0], ws[1])
-    assert quad._LOG_X1_X0 == math.log(xs[1] / xs[0])
+    (x0, w0), (x1, w1) = _table(0, _exp_sinh, None)[:2]
+    assert (quad._X0, quad._X1, quad._DXDT0, quad._DXDT1) == (x0, x1, w0, w1)
+    assert quad._LOG_X1_X0 == math.log(x1 / x0)
 
 
 @pytest.mark.parametrize("c,p", [
@@ -438,9 +453,9 @@ def test_weight_below_node_fit_sees_the_weight(c):
 def test_weighted_tables_are_built_once():
     # the lhs passes module-level weights, so a second sweep adds no table
     sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
-    size = _nodes.cache_info().currsize
+    size = _table.cache_info().currsize
     sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
-    assert _nodes.cache_info().currsize == size
+    assert _table.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("weight,rate", [(identities._lhs_weight, 0.99)])
