@@ -22,7 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .complexfn import EPS, TWO_PI, BranchedConstant, DomainError, complex_pow, gamma
 from .hurwitz import ConvergenceError, hurwitz_zeta
@@ -169,11 +170,18 @@ def residual_ok(x: complex, y: complex, atol: float, rtol: float) -> bool:
     return abs(x - y) <= atol + rtol * max(abs(x), abs(y))
 
 
-def _plan(case: IdentityCase) -> dict[str, tuple[str, str]]:
+@lru_cache(maxsize=1)
+def _plan(case: IdentityCase) -> Mapping[str, tuple[str, str]]:
     """(method, reason) of each verify route at the case: "" and why the
     case is outside the route's region, or the variant the route runs and
     the reason its ok record holds, "" unless the value is not that of the
     definite integral.  Every variant chosen on (k, a) is chosen here.
+
+    One slot keeps the plan of the last case, read-only, since every caller
+    gets the same object: verify plans a case once, and each route it runs,
+    still a public route(case) callable, finds the plan there.  Equal cases
+    share it, twins whose k or theta differ only in a zero's sign among
+    them; no rule below reads that sign.
 
     The lhs lifts below theta = _LIFT_THETA = 0.5 and runs on the real line
     above it.  The line's cost falls as theta grows and the lift's does not
@@ -200,7 +208,11 @@ def _plan(case: IdentityCase) -> dict[str, tuple[str, str]]:
     else:
         series = (zero or "cvz", "")
         contour = (zero or ("rays-sub" if k.real > 0.5 else "rays"), "")
-    return {"lhs": lhs, "zeta": (zero or "em", ""), "series": series, "contour": contour}
+    return MappingProxyType({"lhs": lhs, "zeta": (zero or "em", ""), "series": series,
+                             "contour": contour})
+
+
+_CVZ_PASSES = (20, 40, 80, 160, 320)  # d overflows a double past n = 402
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +242,8 @@ def alternating_sum(term: Callable[[int], complex]) -> complex:
     """
     terms: list[complex] = []
     prev = None
-    for n in (20, 40, 80, 160, 320):  # d overflows a double past n = 402
-        terms.extend(term(j) for j in range(len(terms), n))
+    for n in _CVZ_PASSES:
+        terms.extend(map(term, range(len(terms), n)))
         d, weights = _cvz_weights(n)
         s = 0j
         for c, a in zip(weights, terms):
@@ -241,6 +253,11 @@ def alternating_sum(term: Callable[[int], complex]) -> complex:
             return est
         prev = est
     raise ConvergenceError("alternating series acceleration stalled after 320 terms")
+
+
+# i pi (2n + 1) / 2, the part of the series' base that does not depend on
+# the case, for every n that alternating_sum's last pass reads
+_SERIES_BASE = tuple(0.5j * math.pi * (2 * n + 1) for n in range(_CVZ_PASSES[-1]))
 
 
 def catalan_reference() -> float:
@@ -273,7 +290,8 @@ def _lift_weight(y: float) -> complex:
     """G(x) / (1 + y) at x = log(1 + y), G(x) = g(x + i pi/4) with g =
     _lhs_weight continued off the real axis: the lift's y-weight on both
     half-lines.  It decays like y^-2; on the ray's nodes y <= e^317, so
-    x <= 317 and cosh stays finite."""
+    x <= 317 and cosh stays finite.  It is read at y, once per node when
+    the quadrature builds its table; the table hands the half-lines x."""
     z = complex(math.log1p(y), _LIFT)
     return -cmath.tanh(z) / (2.0 * cmath.cosh(z) * (1.0 + y))
 
@@ -312,6 +330,8 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     call against the y-weight G(log(1 + y)) / (1 + y) (_lift_weight), which
     decays like y^-2.  In x, its nodes log(1 + exp(pi/2 sinh t)) follow the
     sinh rule's pi/2 sinh t at the top and cluster at 0 as exp-sinh's do.
+    The quadrature's table holds those x (log1p_nodes), so each half-line's
+    integrand is the power alone.
 
     h is analytic in k too, and the lifted line integral converges at every
     k.  So where the y-integral diverges (theta = 0, Re(k) <= -1, or <= -2 at
@@ -324,16 +344,15 @@ def lhs_integral(case: IdentityCase) -> QuadResult:
     if method == "lift":
         lift = log_a + 1j * _LIFT
         lift_c, k_c = lift.conjugate(), k.conjugate()
-        log1p = math.log1p
 
-        def right(y: float) -> complex:
-            return (lift + log1p(y)) ** k
+        def right(x: float) -> complex:
+            return (lift + x) ** k
 
-        def left(y: float) -> complex:
-            return (lift_c - log1p(y)) ** k_c
+        def left(x: float) -> complex:
+            return (lift_c - x) ** k_c
 
-        r = integrate_semi_infinite(right, case.quad_cfg, weight=_lift_weight)
-        m = integrate_semi_infinite(left, case.quad_cfg, weight=_lift_weight)
+        r = integrate_semi_infinite(right, case.quad_cfg, weight=_lift_weight, log1p_nodes=True)
+        m = integrate_semi_infinite(left, case.quad_cfg, weight=_lift_weight, log1p_nodes=True)
         return QuadResult(r.value - m.value.conjugate(), r.err_estimate + m.err_estimate,
                           r.n_evals + m.n_evals, r.converged and m.converged)
 
@@ -366,7 +385,9 @@ def rhs_series(case: IdentityCase) -> QuadResult:
     valid for Re(k) < 1, exact as rhs_zeta is; if 320 terms do not settle
     it, alternating_sum raises ConvergenceError and the route fails.  The
     Gamma(k+1)/Gamma(k) ratio is simplified to k, so non-positive integer k
-    needs no special case.
+    needs no special case.  pi i (2n+1)/2 does not depend on the case, so
+    each term reads it from _SERIES_BASE, one entry per term that
+    alternating_sum can ask for, and adds log a.
     """
     k = case.k
     method, reason = _plan(case)["series"]
@@ -375,12 +396,12 @@ def rhs_series(case: IdentityCase) -> QuadResult:
     if method == "zero":
         return QuadResult(0j, 0.0, 0, True)
     log_a = case.a.log_value
-    half_pi_i = 0.5j * math.pi
+    base = _SERIES_BASE
     km1 = k - 1.0
 
     # the base has imaginary part pi (n + 1/2) + theta > 0, so it is never 0
     def term(n: int) -> complex:
-        return (half_pi_i * (2 * n + 1) + log_a) ** km1
+        return (base[n] + log_a) ** km1
 
     return QuadResult(-math.pi * k * alternating_sum(term), 0.0, 0, True)
 
@@ -389,7 +410,8 @@ def _contour_weight(y: float) -> float:
     """sech(pi t / 2) / (1 + y) at t = log(1 + y): the contour's y-weight,
     with no cut-off.  It decays like y^{-1-pi/2}; on the ray's nodes
     y <= e^317, so t <= 317, and it underflows to 0 only past t = 289,
-    where the quadrature calls no integrand."""
+    where the quadrature calls no integrand.  It is read at y, once per
+    node when the quadrature builds its table; the table hands the ray t."""
     t = math.log1p(y)
     return 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + math.exp(-math.pi * t)) / (1.0 + y)
 
@@ -447,9 +469,10 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     t = log(1 + y), as the lhs's lift does, one exp-sinh call against the
     y-weight sech(pi t/2) / (1 + y) (_contour_weight), which decays like
     y^{-1-pi/2}.  The weight does not depend on the case, so the quadrature
-    keeps it in its node table and the ray evaluates only the factor before
-    it, with pref folded in: e^{i t log a + log pref} t^{-k}, or, subtracted,
-    since e^{-pi t/2} = sech(pi t/2) (1 + e^{-pi t}) / 2,
+    keeps it in its node table, beside the node t itself (log1p_nodes), and
+    the ray evaluates only the factor before it at t, with pref folded in:
+    e^{i t log a + log pref} t^{-k}, or, subtracted, since
+    e^{-pi t/2} = sech(pi t/2) (1 + e^{-pi t}) / 2,
 
     pref t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2),
 
@@ -470,18 +493,16 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     pref, log_pref = _contour_pref(k)
 
     neg_k, neg_pi = -k, -math.pi
-    exp, cexp, log1p = math.exp, cmath.exp, math.log1p
+    exp, cexp = math.exp, cmath.exp
 
     if method == "rays-sub":
-        def f(y: float) -> complex:
-            t = log1p(y)
+        def f(t: float) -> complex:
             return pref * t ** neg_k * (cexp(t * i_log_a) - 0.5 * (1.0 + exp(neg_pi * t)))
     else:
-        def f(y: float) -> complex:
-            t = log1p(y)
+        def f(t: float) -> complex:
             return cexp(t * i_log_a + log_pref) * t ** neg_k
 
-    res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight)
+    res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight, log1p_nodes=True)
     value = res.value
     if method == "rays-sub":
         value += 1j * k * (0.5j * math.pi) ** k

@@ -31,6 +31,10 @@ integrand is f(x) g(x) with a fixed weight g, the same in every call (the
 lhs's -tanh(u) / (2 cosh u) or its complex continuation, the contour's
 sech(pi t / 2) / (1 + y) at t = log(1 + y)), passes g separately, and its
 table holds the weights w g(x) instead, so each node costs one f(x) alone.
+The lift's half-lines and the contour's ray are written in x = log(1 + y)
+against a y-weight; their table, tagged for it, holds the node log1p(y)
+beside w g(y), so no node costs a log1p either (integrate_semi_infinite's
+log1p_nodes).
 A node whose tabled weight is exactly 0, past g's tail cut-off or where it
 underflows, adds nothing and f is not called there; n_evals and the
 max_evals budget still count it.  So past level 0 a table holds only the
@@ -101,6 +105,12 @@ def _exp_sinh(t: float) -> tuple[float, float]:
     return x, x * _HALF_PI * math.cosh(t)
 
 
+def _exp_sinh_log1p(t: float) -> tuple[float, float]:
+    """_exp_sinh's (y, dy/dt), tagged for an integrand in x = log(1 + y):
+    _table stores log1p(y) as the node beside the weight it computes from y."""
+    return _exp_sinh(t)
+
+
 def _sinh(t: float) -> tuple[float, float]:
     """The line's node map: u = pi/2 sinh t on (-inf, inf), and du/dt."""
     return _HALF_PI * math.sinh(t), _HALF_PI * math.cosh(t)
@@ -111,7 +121,10 @@ def _table(level: int, node_map: Callable[[float], tuple[float, float]],
            weight: Callable[[float], complex] | None) -> tuple:
     """The (x, w) pairs of node_map (_exp_sinh or _sinh), w = dx/dt, or
     dx/dt g(x) given a weight g, real or complex, at the t = j*h,
-    h = 2^-level, that a level adds over [-6, 6], ascending.  Level 0 holds
+    h = 2^-level, that a level adds over [-6, 6], ascending.  The tag
+    _exp_sinh_log1p pairs log1p(y) with _exp_sinh's w = dy/dt g(y), the
+    weight still computed from y, so an integrand in x = log(1 + y) takes
+    its x from the table and no node costs a log1p.  Level 0 holds
     all 13, j = -6 .. 6, zero weights included: the trim and the below-node
     fit read every one.  A later level holds its odd j with w != 0 in _SPAN
     groups: group u holds the pairs of t in (u - 6, u - 5), so that groups
@@ -121,10 +134,11 @@ def _table(level: int, node_map: Callable[[float], tuple[float, float]],
     so every caller passes all three."""
     h = math.ldexp(1.0, -level)
     n = int(6.0 / h)
+    tagged = node_map is _exp_sinh_log1p
     pairs = []
     for j in range(-n, n + 1) if level == 0 else range(-n | 1, n + 1, 2):
         x, w = node_map(j * h)
-        pairs.append((x, w if weight is None else w * weight(x)))
+        pairs.append((math.log1p(x) if tagged else x, w if weight is None else w * weight(x)))
     if level == 0:
         return tuple(pairs)
     per_unit = 1 << (level - 1)
@@ -144,7 +158,8 @@ def _integrate(f: Callable[[float], complex], cfg: QuadConfig,
                weight: Callable[[float], complex] | None) -> QuadResult:
     """The level loop of both rules, on node_map's nodes (see
     integrate_semi_infinite for the trim and the stop rule).  Only the ray
-    has a singular end, so only the ray adds the mass below its first node."""
+    has a singular end, so only the ray, in y or tagged in log(1 + y), adds
+    the mass below its first node y0, fitted in y on the same terms."""
     terms = [f(x) * w if w else 0j for x, w in _table(0, node_map, weight)]
     total = 0j
     for term in terms:
@@ -156,7 +171,7 @@ def _integrate(f: Callable[[float], complex], cfg: QuadConfig,
     lo, hi = (max(kept[0] - 1, 0), min(kept[-1] + 1, _SPAN)) if kept else (0, _SPAN)
     dropped = lo + _SPAN - hi
     trim_err = dropped * thr if dropped else 0.0
-    if node_map is _exp_sinh:
+    if node_map is not _sinh:
         # the mass below the smallest node, from |f g| = c x^p through the
         # first two; the unweighted dx/dt divides the terms back to |f g|
         f0, f1 = mags[0] / _DXDT0, mags[1] / _DXDT1
@@ -197,8 +212,16 @@ def _integrate(f: Callable[[float], complex], cfg: QuadConfig,
 
 def integrate_semi_infinite(f: Callable[[float], complex],
                             cfg: QuadConfig = _DEFAULT_CFG,
-                            weight: Callable[[float], complex] | None = None) -> QuadResult:
+                            weight: Callable[[float], complex] | None = None, *,
+                            log1p_nodes: bool = False) -> QuadResult:
     """Integral of f over (0, inf) by exp-sinh quadrature, or of f * weight.
+
+    With log1p_nodes, f is called at x = log(1 + y) in place of each node
+    y, that is, the integral of f(log(1 + y)) g(y) dy, for an integrand
+    written in x against a y-weight g such as the lift's or the contour's;
+    the table holds x (see _table), so no node costs a log1p.  Every term,
+    and so the value, estimate and n_evals, has the bits of the call
+    without it on f(log1p(y)).
 
     A weight g that does not depend on the call, such as the lhs's
     -tanh(u) / (2 cosh u) or the contour's sech(pi t / 2) / (1 + y) at
@@ -244,7 +267,7 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     The error estimate is that estimate raised to at least 8 EPS |value|,
     a floor, not an added term, plus the trim and below-node terms.
     """
-    return _integrate(f, cfg, _exp_sinh, weight)
+    return _integrate(f, cfg, _exp_sinh_log1p if log1p_nodes else _exp_sinh, weight)
 
 
 def integrate_line(f: Callable[[float], complex],

@@ -18,6 +18,10 @@
 * no function nested in a function of identities.py compares against a
   number: the quadrature skips a node whose tabled weight is 0, so a
   tail cut-off belongs to the weight alone;
+* no function nested in a function of identities.py calls log1p: the
+  node table hands the lift and the contour x = log(1 + y) itself;
+* the series' base table covers every term alternating_sum can ask for,
+  and holds i pi (2n + 1) / 2 as the term once computed it;
 * every weight= argument in identities.py names a module-level function,
   or picks between such names: quad keeps one node table per weight object
   in an unbounded cache, so a lambda or closure would build a new table on
@@ -48,6 +52,7 @@ import builtins
 import importlib
 import inspect
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -210,24 +215,43 @@ def test_integrands_call_no_package_function(name):
     assert found == [], f"package functions called inside an integrand: {found}"
 
 
-def test_integrands_leave_the_cut_off_to_the_weight():
-    # The quadrature skips a node whose tabled weight is 0, so the weight
-    # alone says where its tail is cut off; an integrand that tests x against
-    # a number (x > 700.0, say) repeats that cut-off in a second place.
-    tree = _tree(SRC / "identities.py")
-    found = []
+def _nested_nodes(tree):
+    """Every node inside a function or lambda nested in a function of the
+    tree: the integrands and terms."""
     for outer in ast.walk(tree):
         if not isinstance(outer, ast.FunctionDef):
             continue
         for inner in ast.walk(outer):
-            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.Lambda)):
-                continue
-            for node in ast.walk(inner):
-                if isinstance(node, ast.Compare) and any(
-                        isinstance(side, ast.Constant) and isinstance(side.value, (int, float))
-                        for side in [node.left, *node.comparators]):
-                    found.append(f"identities.py:{node.lineno}")
+            if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.Lambda)):
+                yield from ast.walk(inner)
+
+
+def test_integrands_leave_the_cut_off_to_the_weight():
+    # The quadrature skips a node whose tabled weight is 0, so the weight
+    # alone says where its tail is cut off; an integrand that tests x against
+    # a number (x > 700.0, say) repeats that cut-off in a second place.
+    found = [f"identities.py:{node.lineno}" for node in _nested_nodes(_tree(SRC / "identities.py"))
+             if isinstance(node, ast.Compare) and any(
+                 isinstance(side, ast.Constant) and isinstance(side.value, (int, float))
+                 for side in [node.left, *node.comparators])]
     assert found == [], f"nested functions compare against a number: {found}"
+
+
+def test_integrands_take_log1p_from_the_table():
+    # The tagged node table stores log1p(y) as the node (quad's
+    # log1p_nodes), so an integrand in x = log(1 + y) that takes log1p of
+    # its argument pays per node for what the table computed once.
+    found = [f"identities.py:{node.lineno}" for node in _nested_nodes(_tree(SRC / "identities.py"))
+             if isinstance(node, ast.Call) and "log1p" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == [], f"nested functions call log1p: {found}"
+
+
+def test_series_base_table_covers_every_term():
+    base = identities._SERIES_BASE
+    assert len(base) >= 320 and len(base) >= max(identities._CVZ_PASSES)
+    assert [repr(z) for z in base] == [repr(0.5j * math.pi * (2 * n + 1))
+                                       for n in range(len(base))]
 
 
 def _module_level_names(node, functions):

@@ -472,8 +472,9 @@ class TestSweep:
     MEMO_AS = (A_ONE, BranchedConstant(2.0, 1.0), BranchedConstant(0.5))
 
     def test_memos_isolate_cases(self):
-        # every memo holds one k's factors (identities) or one s's tail weights
-        # (hurwitz): a sweep must give each case the record it gets alone
+        # every memo holds one case's plan or one k's factors (identities) or
+        # one s's tail weights (hurwitz): a sweep must give each case the
+        # record it gets alone
         alone = []
         for k in self.MEMO_KS:
             for a in self.MEMO_AS:
@@ -482,6 +483,31 @@ class TestSweep:
         _clear_memos()
         assert [repr(rep) for rep in sweep(self.MEMO_KS, self.MEMO_AS)] == alone
         assert identities._contour_pref.cache_info().hits > 0
+        assert identities._plan.cache_info().hits > 0
+
+    def test_verify_plans_a_case_once(self):
+        # verify plans the case, and each of the four routes it runs finds
+        # that plan in the slot
+        _clear_memos()
+        rep = verify(case(0.5 + 0.3j, BranchedConstant(2.0, 1.0)))
+        assert [r.status for r in rep.routes.values()] == ["ok"] * 4
+        info = identities._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        # every caller reads the one kept plan, so none may change it
+        with pytest.raises(TypeError):
+            identities._plan(rep.case)["lhs"] = ("line", "")
+
+    @pytest.mark.parametrize("k, twin", [(0.75 + 0j, complex(0.75, -0.0)),
+                                         (complex(0.0, 2.0), complex(-0.0, 2.0))])
+    def test_signed_zero_twins_share_a_plan(self, k, twin):
+        # the twins are equal keys, so the second reads the first's plan;
+        # planned alone, each gets that same plan
+        plan = identities._plan.__wrapped__
+        for first, second in ((k, twin), (twin, k)):
+            _clear_memos()
+            kept = identities._plan(case(first))
+            assert identities._plan(case(second)) is kept
+            assert plan(case(first)) == kept == plan(case(second))
 
     @pytest.mark.parametrize("before", [None, 0.5 + 0j, -50 + 480j, -50.5 + 480j])
     def test_underflowing_prefactor_is_not_memoised(self, before):
@@ -499,6 +525,7 @@ class TestSweep:
 
 
 def _clear_memos():
+    identities._plan.cache_clear()
     identities._contour_pref.cache_clear()
     hurwitz._value_weights.cache_clear()
 
@@ -860,8 +887,9 @@ _TOP_X = math.log1p(quad._table(0, quad._exp_sinh, None)[-1][0])
                                    for m in (1.0, -1.0)] + [1.0, math.log1p(1.0)])
 def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
     # the lhs at a = e^{-split} (theta = 0.1 at split 0)
-    # hands the quadrature the lifted half-lines in x = log(1 + y): at every
-    # node y of every level the integrands give the bits of (L + x)^k and
+    # hands the quadrature the lifted half-lines in x = log(1 + y), on the
+    # table's log1p(y) nodes: at x = log1p(y) for every node y of every
+    # level the integrands give the bits of (L + x)^k and
     # (conj L - x)^{conj k}, L = log a + i pi/4, against the one table
     # y-weight G(x) / (1 + y), where G continues the lhs weight to
     # Im u = pi/4; the left half-line's sum is conjugated and negated, as
@@ -871,18 +899,18 @@ def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
     a = BranchedConstant(math.exp(-split), 0.1 if split == 0.0 else 0.0)
     made = []
 
-    def capturing(f, cfg, weight=None):
-        made.append((f, weight))
+    def capturing(f, cfg, weight=None, *, log1p_nodes=False):
+        made.append((f, weight, log1p_nodes))
         return QuadResult(0j, 0.0, 0, True)
 
     monkeypatch.setattr(identities, "integrate_semi_infinite", capturing)
     lhs_integral(case(k, a))
-    assert [w for _, w in made] == [identities._lift_weight, identities._lift_weight]
+    assert [(w, tag) for _, w, tag in made] == [(identities._lift_weight, True)] * 2
     lift = a.log_value + 1j * 0.25 * math.pi
     nodes = _node_columns(range(11))
     above = 0
-    for (f, _), sign in zip(made, (1.0, -1.0)):
-        got = [f(y) for y in nodes]
+    for (f, _, _), sign in zip(made, (1.0, -1.0)):
+        got = [f(math.log1p(y)) for y in nodes]
         ref = []
         for y in nodes:
             z = complex(lift.real + sign * math.log1p(y), sign * lift.imag)
@@ -897,6 +925,49 @@ def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
                           / (2.0 * cmath.cosh(-z.conjugate())) / (1.0 + y)), y
     if split in (math.log1p(1.0), _TOP_X, -_TOP_X):
         assert above == 1
+
+
+# rays at 0.5 and -1.5+0.3j, rays-sub at 0.75 and 0.995+0.4j; a = 1, 2@0.1
+# and e^{+-27}, where t i log a is largest at the top node
+@pytest.mark.parametrize("k", [0.5, -1.5 + 0.3j, 0.75, 0.995 + 0.4j])
+@pytest.mark.parametrize("a", [A_ONE, BranchedConstant(2.0, 0.1), BranchedConstant(math.exp(27.0)),
+                               BranchedConstant(math.exp(-27.0))])
+def test_contour_integrand_runs_at_t(k, a, monkeypatch):
+    # the contour hands the quadrature its ray in t = log(1 + y), on the
+    # table's log1p(y) nodes, against _contour_weight: at t = log1p(y) for
+    # every node y of every level the integrand gives the bits of the ray
+    # written in y, pref e^{i t log a} t^{-k}, pref folded in as log pref,
+    # or, subtracted, pref t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2)
+    k = complex(k)
+    c = case(k, a)
+    method = identities._plan(c)["contour"][0]
+    assert method == ("rays-sub" if k.real > 0.5 else "rays")
+    made = []
+
+    def capturing(f, cfg, weight=None, *, log1p_nodes=False):
+        made.append((f, weight, log1p_nodes))
+        return QuadResult(0j, 0.0, 0, True)
+
+    monkeypatch.setattr(identities, "integrate_semi_infinite", capturing)
+    rhs_contour(c)
+    [(f, weight, tag)] = made
+    assert (weight, tag) == (identities._contour_weight, True)
+    log_a = a.log_value
+    i_log_a = complex(-log_a.imag, log_a.real)
+    pref = 0.5j * math.pi * k * cmath.exp(0.5j * math.pi * k) / gamma(1.0 - k)
+    log_pref = cmath.log(pref)
+
+    def in_y(y):
+        t = math.log1p(y)
+        if method == "rays-sub":
+            return pref * t ** -k * (cmath.exp(t * i_log_a) - 0.5 * (1.0 + math.exp(-math.pi * t)))
+        return cmath.exp(t * i_log_a + log_pref) * t ** -k
+
+    nodes = _node_columns(range(11))
+    got = [f(math.log1p(y)) for y in nodes]
+    ref = [in_y(y) for y in nodes]
+    assert _bits(got) == _bits(ref), next(
+        (y, g, r) for y, g, r in zip(nodes, got, ref) if repr(g) != repr(r))
 
 
 def test_lift_weights():

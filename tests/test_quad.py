@@ -450,6 +450,45 @@ def test_weight_below_node_fit_sees_the_weight(c):
     assert abs(split.value - truth) <= split.err_estimate
 
 
+@pytest.mark.parametrize("weight", [identities._lift_weight, identities._contour_weight])
+def test_log1p_tagged_tables_hold_log1p_of_the_nodes(weight):
+    # the tagged table pairs log1p(y) with the weight the untagged table
+    # computes at y, group for group, and its below-node fit reads the
+    # ray's constants in y: the tag's map is _exp_sinh's
+    tag = quad._exp_sinh_log1p
+    for level in range(quad._MAX_LEVEL + 1):
+        plain, tagged = _table(level, _exp_sinh, weight), _table(level, tag, weight)
+        if level == 0:
+            plain, tagged = [plain], [tagged]
+        assert len(tagged) == len(plain)
+        for got, group in zip(tagged, plain):
+            assert repr(list(got)) == repr([(math.log1p(y), w) for y, w in group]), level
+    assert (tag(-6.0), tag(-5.0)) == (_exp_sinh(-6.0), _exp_sinh(-5.0))
+    assert tag(-6.0) == (quad._X0, quad._DXDT0) and tag(-5.0) == (quad._X1, quad._DXDT1)
+
+
+def _lift_power(x):
+    return (0.3 + 0.7853981633974483j + x) ** (0.5 + 0.3j)
+
+
+def _ray_start(t):
+    # singular at t = 0 like the contour's ray as Re k -> 1, so the
+    # below-node fit adds about 3e-6 to the estimate
+    return cmath.exp(t * (-0.1 + 0.7j)) * t ** (-0.95 - 0.2j)
+
+
+@pytest.mark.parametrize("f, weight", [(_lift_power, identities._lift_weight),
+                                       (_ray_start, identities._contour_weight)])
+@pytest.mark.parametrize("max_evals", [13, 40, 10 ** 6])
+def test_log1p_nodes_run_like_the_composed_integrand(f, weight, max_evals):
+    # f on the tagged table's x = log1p(y) against the y-weight is the
+    # untagged call of f(log1p(y)), value, estimate, n_evals and all
+    cfg = QuadConfig(max_evals=max_evals)
+    tagged = integrate_semi_infinite(f, cfg, weight=weight, log1p_nodes=True)
+    composed = integrate_semi_infinite(lambda y: f(math.log1p(y)), cfg, weight=weight)
+    assert repr(tagged) == repr(composed)
+
+
 def test_weighted_tables_are_built_once():
     # the lhs passes module-level weights, so a second sweep adds no table
     sweep(DEFAULT_K_GRID, DEFAULT_A_GRID)
