@@ -207,7 +207,7 @@ def _plan(case: IdentityCase) -> Mapping[str, tuple[str, str]]:
         series = contour = ("", "Re(k) >= 1")
     else:
         series = (zero or "cvz", "")
-        contour = (zero or ("rays-sub" if k.real > 0.5 else "rays"), "")
+        contour = (zero or "rays", "")
     return MappingProxyType({"lhs": lhs, "zeta": (zero or "em", ""), "series": series,
                              "contour": contour})
 
@@ -407,32 +407,28 @@ def rhs_series(case: IdentityCase) -> QuadResult:
 
 
 def _contour_weight(y: float) -> float:
-    """sech(pi t / 2) / (1 + y) at t = log(1 + y): the contour's y-weight,
-    with no cut-off.  It decays like y^{-1-pi/2}; on the ray's nodes
-    y <= e^317, so t <= 317, and it underflows to 0 only past t = 289,
+    """e^{-pi t/2} tanh(pi t/2) / (t (1 + y)) at t = log(1 + y): the
+    contour's y-weight, with no cut-off.  It tends to pi/2 as y -> 0, which
+    is never a node, and decays like y^{-1-pi/2}; on the ray's nodes
+    y <= e^317, so t <= 317, and it underflows to 0 only past t = 287,
     where the quadrature calls no integrand.  It is read at y, once per
     node when the quadrature builds its table; the table hands the ray t."""
     t = math.log1p(y)
-    return 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + math.exp(-math.pi * t)) / (1.0 + y)
+    x = 0.5 * math.pi * t
+    return math.exp(-x) * math.tanh(x) / (t * (1.0 + y))
 
 
 @lru_cache(maxsize=1)
-def _contour_pref(k: complex) -> tuple[complex, complex]:
-    """rhs_contour's pref and log pref, which depend on k alone.  One slot
-    keeps them for the last k, as every a of one k in a sweep shares them.
-    A raise (gamma's, or pref's underflow) is not kept, so the next call
-    with that k raises it again.
-
-    k and its twin with a zero part of the other sign are equal keys and
-    share the slot.  The zero's sign can reach pref (at k = -9.4e-224 +- 0j
-    pref's zero real part follows k's imaginary part) but not the report:
-    rays reads only log pref, whose argument a zero real part does not move,
-    and rays-sub runs at Re k > 1/2, where both parts of pref are nonzero."""
+def _contour_pref(k: complex) -> complex:
+    """log pref of rhs_contour, which depends on k alone.  One slot keeps it
+    for the last k, as every a of one k in a sweep shares it.  A raise
+    (gamma's, or pref's underflow) is not kept, so the next call with that
+    k raises it again."""
     half_pi_i = 0.5j * math.pi
     pref = half_pi_i * k * cmath.exp(half_pi_i * k) / gamma(1.0 - k)
     if not pref:  # e^{i pi k/2} underflowed, at Im k >~ 474: no log to fold
         raise ArithmeticError("contour prefactor underflows")
-    return pref, cmath.log(pref)
+    return cmath.log(pref)
 
 
 def rhs_contour(case: IdentityCase) -> QuadResult:
@@ -451,35 +447,34 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
     and has no rounded phase of e^{2 pi i k} to cancel against 1.  At k = 0
     it is 0, and the route gives 0 with no work (_plan's zero).
 
-    The ray's start is singular: the integrand behaves like t^p with
-    p = -k near t = 0.  There exp-sinh, whose smallest node is e^{-317},
-    misses about t^{p+1} / |p+1| of the mass and needs every level as
-    Re p -> -1.  So for Re k > 1/2, Re p < -1/2, rays-sub subtracts the
-    singularity in closed form (Davis and Rabinowitz, Methods of Numerical
-    Integration, 2.12): the ray integrates
-    t^{-k} (e^{i t log a} sech(pi t/2) - e^{-pi t/2}), which is O(t^{1-k})
-    at the start and converges in a few levels, and pref times
-    Gamma(1-k) (pi/2)^{k-1}, the integral of t^{-k} e^{-pi t/2}, that is
-    i k (i pi/2)^k, is added back.  The smooth weight e^{-pi t/2}, the sech
-    tail, leaves no kink, which a cut at (0, delta] would.  For Re k <= 1/2
-    the plain rule converges at its usual depth and is kept unchanged.
+    The ray's start is singular: the integrand behaves like t^{-k} near
+    t = 0.  There exp-sinh, whose smallest node is e^{-317}, misses about
+    t^{1-k} / |1-k| of the mass and needs every level as Re k -> 1.  So the
+    ray subtracts the singularity in closed form (Davis and Rabinowitz,
+    Methods of Numerical Integration, 2.12).  With beta = pi/2 - i log a,
+    whose real part pi/2 + theta is positive,
+
+    e^{i t log a} sech(pi t/2) = e^{-beta t} (1 + tanh(pi t/2)),
+
+    and the constant term of 1 + tanh integrates in closed form: the
+    integral of t^{-k} e^{-beta t} is Gamma(1-k) beta^{k-1}.  So the ray
+    integrates pref e^{i t log a} t^{-k} e^{-pi t/2} tanh(pi t/2), which is
+    O(t^{1-k}) at the start and converges in a few levels, and the route
+    adds back pref Gamma(1-k) beta^{k-1} = (pi/2) i k e^{i pi k/2} beta^{k-1},
+    formed at each call.  The subtracted term is smooth and leaves no kink,
+    which a cut at (0, delta] would.
 
     The ray decays like e^{-(pi/2 + theta) t}, for which exp-sinh, built for
     algebraic decay, is not the double-exponential map.  So it runs in
     t = log(1 + y), as the lhs's lift does, one exp-sinh call against the
-    y-weight sech(pi t/2) / (1 + y) (_contour_weight), which decays like
-    y^{-1-pi/2}.  The weight does not depend on the case, so the quadrature
-    keeps it in its node table, beside the node t itself (log1p_nodes), and
-    the ray evaluates only the factor before it at t, with pref folded in:
-    e^{i t log a + log pref} t^{-k}, or, subtracted, since
-    e^{-pi t/2} = sech(pi t/2) (1 + e^{-pi t}) / 2,
-
-    pref t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2),
-
-    both terms against the same rounded pref, which _contour_pref keeps
-    for the last k with log pref; rays-sub forms its add-back at each call.
-    So the quadrature meets the case's tolerance in the route's units, and a
-    value below atol is computed to atol, as the lhs's is.  The estimate is the ray's plus
+    y-weight e^{-pi t/2} tanh(pi t/2) / (t (1 + y)) (_contour_weight), which
+    decays like y^{-1-pi/2}.  The weight does not depend on the case, so the
+    quadrature keeps it in its node table, beside the node t itself
+    (log1p_nodes), and the ray evaluates only the factor before it at t,
+    with pref folded in as log pref, which _contour_pref keeps for the last
+    k: e^{i t log a + log pref} t^{1-k}.  So the quadrature meets the case's
+    tolerance in the route's units, and a value below atol is computed to
+    atol, as the lhs's is.  The estimate is the ray's plus
     (8 + |log pref|) eps |value|, the rounding of pref.
     """
     k = case.k
@@ -490,22 +485,16 @@ def rhs_contour(case: IdentityCase) -> QuadResult:
         return QuadResult(0j, 0.0, 0, True)
     log_a = case.a.log_value
     i_log_a = complex(-log_a.imag, log_a.real)  # i log a, built once
-    pref, log_pref = _contour_pref(k)
+    log_pref = _contour_pref(k)
+    one_k, cexp = 1.0 - k, cmath.exp
 
-    neg_k, neg_pi = -k, -math.pi
-    exp, cexp = math.exp, cmath.exp
-
-    if method == "rays-sub":
-        def f(t: float) -> complex:
-            return pref * t ** neg_k * (cexp(t * i_log_a) - 0.5 * (1.0 + exp(neg_pi * t)))
-    else:
-        def f(t: float) -> complex:
-            return cexp(t * i_log_a + log_pref) * t ** neg_k
+    def f(t: float) -> complex:
+        return cexp(t * i_log_a + log_pref) * t ** one_k
 
     res = integrate_semi_infinite(f, case.quad_cfg, weight=_contour_weight, log1p_nodes=True)
-    value = res.value
-    if method == "rays-sub":
-        value += 1j * k * (0.5j * math.pi) ** k
+    half_pi_i = 0.5j * math.pi
+    beta = complex(0.5 * math.pi + log_a.imag, -log_a.real)
+    value = res.value + half_pi_i * k * cmath.exp(half_pi_i * k) * beta ** (k - 1.0)
     err = res.err_estimate + (8.0 + abs(log_pref)) * EPS * abs(value)
     return QuadResult(value, err, res.n_evals, res.converged)
 

@@ -29,8 +29,9 @@ node and calls the integrand itself: on CPython 3.11 a call through the
 builtin map, from C into a Python function, costs more.  A caller whose
 integrand is f(x) g(x) with a fixed weight g, the same in every call (the
 lhs's -tanh(u) / (2 cosh u) or its complex continuation, the contour's
-sech(pi t / 2) / (1 + y) at t = log(1 + y)), passes g separately, and its
-table holds the weights w g(x) instead, so each node costs one f(x) alone.
+e^{-pi t/2} tanh(pi t/2) / (t (1 + y)) at t = log(1 + y)), passes g
+separately, and its table holds the weights w g(x) instead, so each node
+costs one f(x) alone.
 The lift's half-lines and the contour's ray are written in x = log(1 + y)
 against a y-weight; their table, tagged for it, holds the node log1p(y)
 beside w g(y), so no node costs a log1p either (integrate_semi_infinite's
@@ -224,9 +225,10 @@ def integrate_semi_infinite(f: Callable[[float], complex],
     without it on f(log1p(y)).
 
     A weight g that does not depend on the call, such as the lhs's
-    -tanh(u) / (2 cosh u) or the contour's sech(pi t / 2) / (1 + y) at
-    t = log(1 + y), is folded into the node table once (see _table), so
-    each node costs one f(x) evaluation and one multiplication; everything
+    -tanh(u) / (2 cosh u) or the contour's
+    e^{-pi t/2} tanh(pi t/2) / (t (1 + y)) at t = log(1 + y), is folded
+    into the node table once (see _table), so each node costs one f(x)
+    evaluation and one multiplication; everything
     below applies to the product f g, whose terms are f(x) (w g(x)), and g
     may be complex.  A node whose
     tabled weight is exactly 0 adds nothing, and f is not called there (g

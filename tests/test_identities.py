@@ -180,6 +180,20 @@ class TestRhsZeta:
     def test_k_zero_short_circuit(self):
         assert rhs_zeta(case(0.0)).value == 0
 
+    # 1 - k rounds to 1, zeta's pole, for real 0 < k <= 5.5e-17, and next to
+    # it the two zeta values cancel their 1/k pole terms
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 20: zeta fails at its own pole for real k <= 5.5e-17 "
+                              "and is 5e-6 relative off at k = 1e-11")
+    @pytest.mark.parametrize("k", [1e-17, 5e-17, 1e-11])
+    @pytest.mark.parametrize("a", [BranchedConstant(2.0), BranchedConstant(1.0, 1.0)])
+    def test_tiny_real_k_matches_oracle(self, k, a):
+        mpmath = pytest.importorskip("mpmath")
+        zeta = verify(case(k, a)).routes["zeta"]
+        ref = _zeta_oracle(mpmath, k, a)
+        assert zeta.status == "ok"
+        assert abs(zeta.value - ref) <= 1e-12 * abs(ref)
+
 
 class TestRhsSeries:
     def test_catalan_instance(self):
@@ -277,14 +291,15 @@ class TestRhsContour:
         z = rhs_zeta(c).value
         assert abs(r.value - z) <= 1e-6 * abs(z)
 
-    @pytest.mark.parametrize("k, a, n_evals", [(0.5, BranchedConstant(2.0), 76),
+    @pytest.mark.parametrize("k, a, n_evals", [(0.5, BranchedConstant(2.0), 69),
                                                (0.9, BranchedConstant(2.0), 69),
                                                (-1.99 + 0.3j, A_ONE, 62)])
     def test_ray_cost(self, k, a, n_evals):
         # The ray runs in t = log(1 + y), where exp-sinh meets the
         # y^{-1-pi/2} decay it is built for; a change that gives that saving
         # back shows here.  (0.5, 2) is the benchmark's pinned verify case,
-        # and (0.9, 2) runs rays-sub.
+        # and (0.9, 2) lies next to Re k = 1, where the ray start is most
+        # singular before its subtraction.
         r = rhs_contour(case(k, a))
         assert (r.converged, r.n_evals) == (True, n_evals)
 
@@ -296,6 +311,19 @@ class TestRhsContour:
         # estimate: 3.1e-22 off against 1.5e-21 at k = -40.5, a = 2
         mpmath = pytest.importorskip("mpmath")
         a = BranchedConstant(r)
+        got = rhs_contour(case(k, a))
+        assert got.converged
+        assert abs(got.value - _zeta_oracle(mpmath, k, a)) <= got.err_estimate
+
+    # a value below atol is ok by its estimate's being below atol, and each
+    # of these stops after 17 evaluations, 1.0-1.4x outside its estimate
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 13: a contour value below atol can lie just "
+                              "outside its estimate")
+    @pytest.mark.parametrize("k", [-30.5, -30.5 - 0.7j, -35.5 - 0.7j])
+    def test_value_below_atol_within_estimate(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        a = BranchedConstant(2.0, 1.0)
         got = rhs_contour(case(k, a))
         assert got.converged
         assert abs(got.value - _zeta_oracle(mpmath, k, a)) <= got.err_estimate
@@ -461,9 +489,9 @@ class TestSweep:
     # the other sign finds the slot k filled: 0.5+0j right after 0.5-0j and
     # the reverse; -1+-0j, where zeta's value is +-0 imaginary;
     # -9.4e-224+-0j, where the contour's pref has a zero real part of k's
-    # imaginary sign; 0.75+-0j, rays-sub; +-0+2i, a zero real part;
-    # 0.75+0.2i, rays-sub, twice; a k >= 1; and -50+480i, where the contour
-    # prefactor underflows, after another k and after itself
+    # imaginary sign; 0.75+-0j; +-0+2i, a zero real part; 0.75+0.2i, twice;
+    # a k >= 1; and -50+480i, where the contour prefactor underflows, after
+    # another k and after itself
     MEMO_KS = (complex(0.5, -0.0), 0.5 + 0j, complex(0.5, -0.0), -1 + 0j, complex(-1, -0.0),
                -1 + 0j, complex(-9.405158893803899e-224, 0.0),
                complex(-9.405158893803899e-224, -0.0), 0.75 + 0j, complex(0.75, -0.0),
@@ -665,21 +693,21 @@ class TestCrossRouteProperties:
 # The lhs and contour integrands as composed before they were fused: per-node
 # lambdas over a u-line h calling complex_pow, with the fixed weights written
 # out as their own helpers.  The fused integrands must reproduce them bit for
-# bit, except where the contour's ray-start singularity is subtracted
-# (Re k > 1/2), which changes the values on purpose.  The lhs reference is
-# h(u) = power(u) g(u) for a weight g built from the half-sech helper, which
-# takes e^{-2|u|} as the square of e^{-|u|}: for theta >= 0.5 it runs on
-# the whole real line, u = (pi/2) sinh t, one power per node against g as
-# the quadrature's weight; for every theta < 0.5, a = 1 included, the line
+# bit.  The lhs reference is h(u) = power(u) g(u) for a weight g built from
+# the half-sech helper, which takes e^{-2|u|} as the square of e^{-|u|}:
+# for theta >= 0.5 it runs on the whole real line, u = (pi/2) sinh t, one
+# power per node against g as the quadrature's weight; for every
+# theta < 0.5, a = 1 included, the line
 # is lifted to Im u = pi/4 and split at Re u = 0, whose half-lines raise
 # L +- x, L = log a + i pi/4, at x = log(1 + y) on the ray's y nodes,
 # against the y-weights G(x) / (1 + y), G(x) = g(x + i pi/4), and
 # g(-x + i pi/4) / (1 + y) = -conj G(x) / (1 + y), written with cmath.
 # lhs_integral sums the left half-line as -conj of (conj L - x)^{conj k}
 # against G alone, which gives the same bits.  The contour reference
-# integrates pref e^{i t log a} t^{-k}, pref folded into the exponent as
+# integrates pref e^{i t log a} t^{1-k}, pref folded into the exponent as
 # log pref, at t = log(1 + y) on the ray's y nodes, against its own
-# sech(pi t/2) / (1 + y) helper as the quadrature's weight.  The log-Gamma
+# e^{-pi t/2} tanh(pi t/2) / (t (1 + y)) helper as the quadrature's weight,
+# and adds back the subtracted term's closed form.  The log-Gamma
 # integrand is compared with its one-ray fold built from the same lhs
 # weight.
 def _reference_half_sech(u):
@@ -726,15 +754,16 @@ def _reference_lhs(c):
     return integrate_line(power, c.quad_cfg, weight=_reference_weight)
 
 
-def _reference_sech(t):
-    return 2.0 * math.exp(-0.5 * math.pi * t) / (1.0 + math.exp(-math.pi * t))
-
-
 def _reference_contour_weight(y):
-    return _reference_sech(math.log1p(y)) / (1.0 + y)
+    t = math.log1p(y)
+    x = 0.5 * math.pi * t
+    return math.exp(-x) * math.tanh(x) / (t * (1.0 + y))
 
 
 def _reference_contour(c):
+    # the ray written in y, pref e^{i t log a} t^{1-k} against
+    # e^{-pi t/2} tanh(pi t/2) / (t (1 + y)), and the add-back
+    # pref Gamma(1-k) beta^{k-1}, beta = pi/2 - i log a
     k = complex(c.k)
     log_a = c.a.log_value
     theta = log_a.imag
@@ -745,11 +774,14 @@ def _reference_contour(c):
 
     def f(y):
         t = math.log1p(y)
-        return cmath.exp(complex(-t * theta + log_pref.real, t * ln_r + log_pref.imag)) * t ** -k
+        return (cmath.exp(complex(-t * theta + log_pref.real, t * ln_r + log_pref.imag))
+                * t ** (1.0 - k))
 
     res = integrate_semi_infinite(f, c.quad_cfg, weight=_reference_contour_weight)
-    err = res.err_estimate + (8.0 + abs(log_pref)) * 2.2e-16 * abs(res.value)
-    return QuadResult(res.value, err, res.n_evals, res.converged)
+    beta = complex(0.5 * math.pi + theta, -ln_r)
+    value = res.value + 0.5j * math.pi * k * cmath.exp(0.5j * math.pi * k) * beta ** (k - 1.0)
+    err = res.err_estimate + (8.0 + abs(log_pref)) * 2.2e-16 * abs(value)
+    return QuadResult(value, err, res.n_evals, res.converged)
 
 
 def _reference_loggamma_direct(cfg):
@@ -811,10 +843,18 @@ def _rel_close(got, ref, rel=1e-15):
     return abs(got - ref) <= rel * abs(ref)
 
 
+def _written_contour_weight(y):
+    """e^{-pi t/2} tanh(pi t/2) / (t (1 + y)) at t = log(1 + y), with tanh
+    written out as sinh / cosh."""
+    t = math.log1p(y)
+    x = 0.5 * math.pi * t
+    return math.exp(-x) * math.sinh(x) / math.cosh(x) / t / (1.0 + y)
+
+
 def test_fixed_weights_match_their_definitions():
-    # against -tanh(u) / (2 cosh u) and 1 / cosh(pi t / 2) / (1 + y) at
-    # t = log(1 + y) written out directly, wherever those are normal floats
-    # (cosh overflows past 710)
+    # against -tanh(u) / (2 cosh u) and e^{-pi t/2} tanh(pi t/2) / (t (1 + y))
+    # at t = log(1 + y) written out directly, wherever those are normal
+    # floats (cosh overflows past 710)
     compared = 0
     for x in _node_columns():
         for u in (x, -x):
@@ -823,7 +863,7 @@ def test_fixed_weights_match_their_definitions():
                 if abs(ref) >= sys.float_info.min:
                     assert _rel_close(identities._lhs_weight(u), ref), u
                     compared += 1
-        ref = 1.0 / math.cosh(0.5 * math.pi * math.log1p(x)) / (1.0 + x)
+        ref = _written_contour_weight(x)
         if ref >= sys.float_info.min:
             assert _rel_close(identities._contour_weight(x), ref), x
             compared += 1
@@ -832,19 +872,21 @@ def test_fixed_weights_match_their_definitions():
 
 def test_contour_weight_has_no_cut_off():
     # every node y of every level, at t = log(1 + y) <= 317: the y-weight
-    # sech(pi t / 2) / (1 + y), which decays like y^{-1-pi/2}, is 1 at
-    # y = 0 and 0 only where its value is below the normal floats, past
-    # t = 289, where it underflows; so the quadrature calls the ray's
-    # integrand at every node below that, and no cut-off guards t^{-k}
+    # e^{-pi t/2} tanh(pi t/2) / (t (1 + y)), which decays like
+    # y^{-1-pi/2}, tends to pi/2 at y = 0, which is never a node, and is 0
+    # only where its value is below the normal floats, past t = 287, where
+    # it underflows; so the quadrature calls the ray's integrand at every
+    # node below that, and no cut-off guards t^{1-k}
     nodes = _node_columns(range(11))
     assert max(math.log1p(y) for y in nodes) == _TOP_X < 317.0
-    assert identities._contour_weight(0.0) == 1.0
+    assert min(nodes) > 0.0
+    assert _rel_close(identities._contour_weight(min(nodes)), 0.5 * math.pi)
     zero = 0
     for y in nodes:
         t = math.log1p(y)
         got = identities._contour_weight(y)
         if got == 0.0:
-            assert t > 289.0 and 1.0 / math.cosh(0.5 * math.pi * t) / (1.0 + y) == 0.0, y
+            assert t > 287.0 and _written_contour_weight(y) == 0.0, y
             zero += 1
         else:
             assert got > 0.0, y
@@ -927,7 +969,7 @@ def test_ray_integrand_inlines_lhs_weight(split, monkeypatch):
         assert above == 1
 
 
-# rays at 0.5 and -1.5+0.3j, rays-sub at 0.75 and 0.995+0.4j; a = 1, 2@0.1
+# k on both sides of Re k = 1/2, 0.995+0.4i next to Re k = 1; a = 1, 2@0.1
 # and e^{+-27}, where t i log a is largest at the top node
 @pytest.mark.parametrize("k", [0.5, -1.5 + 0.3j, 0.75, 0.995 + 0.4j])
 @pytest.mark.parametrize("a", [A_ONE, BranchedConstant(2.0, 0.1), BranchedConstant(math.exp(27.0)),
@@ -936,12 +978,10 @@ def test_contour_integrand_runs_at_t(k, a, monkeypatch):
     # the contour hands the quadrature its ray in t = log(1 + y), on the
     # table's log1p(y) nodes, against _contour_weight: at t = log1p(y) for
     # every node y of every level the integrand gives the bits of the ray
-    # written in y, pref e^{i t log a} t^{-k}, pref folded in as log pref,
-    # or, subtracted, pref t^{-k} (e^{i t log a} - (1 + e^{-pi t}) / 2)
+    # written in y, pref e^{i t log a} t^{1-k}, pref folded in as log pref
     k = complex(k)
     c = case(k, a)
-    method = identities._plan(c)["contour"][0]
-    assert method == ("rays-sub" if k.real > 0.5 else "rays")
+    assert identities._plan(c)["contour"] == ("rays", "")
     made = []
 
     def capturing(f, cfg, weight=None, *, log1p_nodes=False):
@@ -959,9 +999,7 @@ def test_contour_integrand_runs_at_t(k, a, monkeypatch):
 
     def in_y(y):
         t = math.log1p(y)
-        if method == "rays-sub":
-            return pref * t ** -k * (cmath.exp(t * i_log_a) - 0.5 * (1.0 + math.exp(-math.pi * t)))
-        return cmath.exp(t * i_log_a + log_pref) * t ** -k
+        return cmath.exp(t * i_log_a + log_pref) * t ** (1.0 - k)
 
     nodes = _node_columns(range(11))
     got = [f(math.log1p(y)) for y in nodes]
@@ -1083,9 +1121,9 @@ def _subtracted_rays():
     contour cases).  The lhs at a = 1 with Re k in (-2, -3/2), where the
     lifted line passes pi/4 above the branch point u = 0, at which the
     integrand is almost 1/u; then real k next to Re k = -2.  The contour with
-    Re k in (1/2, 1), where rays-sub subtracts the ray-start singularity,
-    since the plain rule cannot integrate the cases nearest Re k = 1; then
-    real k next to the pole of Gamma(1-k), where the prefactor's
+    Re k in (1/2, 1), where the ray-start singularity t^{-k} is strongest and
+    the ray, unsubtracted, could not integrate the cases nearest Re k = 1;
+    then real k next to the pole of Gamma(1-k), where the prefactor's
     1/Gamma(1-k) tends to 0 and the add-back is most of the value."""
     rng = random.Random(6)
     lhs = [(complex(rng.uniform(-2.0, -1.5), rng.uniform(-5.0, 5.0)), A_ONE) for _ in range(50)]
@@ -1171,7 +1209,7 @@ STRATA = {
     "main@1e-8": Stratum(MAIN, QuadConfig(atol=1e-8, rtol=1e-8)),
     "main@1e-6": Stratum(MAIN, QuadConfig(atol=1e-6, rtol=1e-6)),
     "main@40evals": Stratum(MAIN, QuadConfig(max_evals=40)),
-    "main@400evals": Stratum(MAIN, QuadConfig(max_evals=400)),
+    "main@200evals": Stratum(MAIN, QuadConfig(max_evals=200)),
     "large_re_k": Stratum(functools.partial(_draw, 8, 40, (9.0, 25.0), _mixed_a)),
     "rays_lhs": Stratum(lambda: _subtracted_rays()[0], own="lhs"),
     "rays_contour": Stratum(lambda: _subtracted_rays()[1], own="contour"),
@@ -1255,7 +1293,7 @@ def test_oracle_map(name, route):
 # near_integer_k.
 PLAN_METHODS = {("lhs", "line"), ("lhs", "lift"), ("zeta", "em"), ("zeta", "zero"),
                 ("series", "cvz"), ("series", "zero"), ("contour", "rays"),
-                ("contour", "rays-sub"), ("contour", "zero")}
+                ("contour", "zero")}
 
 
 def _plan_strings():
@@ -1330,15 +1368,15 @@ OUTCOMES = {
     ("20", "1"): ("partial", UNC, OK, RE_K, RE_K),
     ("-100.5", "1"): ("partial", UNC, OK, OK, OK),
     # a starved or stalled quadrature is flagged, not compared; at 0.5+400i
-    # the contour stops at 0.02+0.04i, and the true value is about 1e-200
+    # the contour stops at 4e-9+6e-9i, and the true value is about 1e-200
     ("0.5", "1", "--max-evals", "40"): ("partial", UNC, OK, OK, UNC),
     ("-1.99", "1", "--max-evals", "40"): ("partial", UNC, OK, OK, UNC),
     ("0.5+400i", "3@1"): ("partial", OK, OK, OK, UNC),
     # a = 1 lifts like a = 1@1e-300; folded, (t^k - (-t)^k) carries
     # |1 - e^{i pi k}| = e^{10 pi}, the integral is a tiny part of its terms,
     # and the rounding floor keeps the quadrature from converging.  The
-    # contour's ray, judged in the route's units, cancels too: it runs all
-    # ten levels (9,220 evaluations) and is unconverged
+    # contour's ray, judged in the route's units, cancels too: it stalls
+    # (8,197 evaluations) and is unconverged
     ("0.5-10i", "1"): ("partial", OK, OK, OK, UNC),
     # at k = 0 the closed forms and the contour are exactly 0, with no work
     ("0", "2"): ("pass", OK, OK, OK, OK),

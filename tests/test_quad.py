@@ -472,8 +472,8 @@ def _lift_power(x):
 
 
 def _ray_start(t):
-    # singular at t = 0 like the contour's ray as Re k -> 1, so the
-    # below-node fit adds about 3e-6 to the estimate
+    # singular at t = 0 like the contour's ray before its subtraction as
+    # Re k -> 1, so the below-node fit adds about 4e-6 to the estimate
     return cmath.exp(t * (-0.1 + 0.7j)) * t ** (-0.95 - 0.2j)
 
 
